@@ -90,15 +90,20 @@ def _resolved_as_dict(t: ResolvedTangle) -> dict:
     return out
 
 
+def _read(path: str) -> str:
+    """The text of a document file; an unreadable or non-UTF-8 file is a DocumentError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DocumentError(path, exc.strerror or str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError(path, f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def cmd_tangle(args) -> int:
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
-        return _fail(str(exc))
-    try:
-        descriptor = loads_tangle(text)
-        resolved = resolve(descriptor)
-    except (DocumentError, TritangleError) as exc:
+        resolved = resolve(loads_tangle(_read(args.file)))
+    except TritangleError as exc:
         return _fail(str(exc))
     extras: dict = {}
     try:
@@ -161,11 +166,7 @@ def _print_verdict(v: Verdict, as_json: bool):
 
 def cmd_classify(args) -> int:
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
-        return _fail(str(exc))
-    try:
-        decomposition = loads_decomposition(text)
+        decomposition = loads_decomposition(_read(args.file))
     except DocumentError as exc:
         return _fail(str(exc))
     verdict = classify(decomposition)

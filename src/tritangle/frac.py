@@ -97,16 +97,17 @@ def cf_eval(entries: Iterable[int]) -> ExtFraction:
     """Evaluate a twist vector under the rightmost-outermost convention.
 
     The empty vector evaluates to 0 (the untwisted tangle), not infinity.
+    Each entry a maps the value p/q to a + 1/(p/q), i.e. (p, q) -> (a*p + q, p),
+    starting from 1/0.  That step has determinant -1, so p and q stay coprime
+    and a single ExtFraction is built from the final pair (the continuant
+    recurrence, Knuth TAOCP vol. 2 sec. 4.5.3).
     """
-    value = ExtFraction(0, 1)
-    first = True
+    p, q = 1, 0
+    empty = True
     for a in entries:
-        if first:
-            value = ExtFraction(a, 1)
-            first = False
-        else:
-            value = value.reciprocal() + a
-    return value
+        p, q = a * p + q, p
+        empty = False
+    return ExtFraction(0, 1) if empty else ExtFraction(p, q)
 
 
 def cf_expand(f: ExtFraction) -> TwistVector:

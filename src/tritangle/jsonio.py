@@ -170,20 +170,24 @@ def parse_decomposition(obj: Any, path: str = "document") -> Decomposition:
     return Decomposition(kind=kind, special=special, first=first, second=second)
 
 
-def loads_decomposition(text: str) -> Decomposition:
+def _decode(text: str, path: str) -> Any:
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from None
-    return parse_decomposition(obj)
+    except ValueError as exc:  # an integer literal past the int-string digit limit
+        # keep the reason, drop the interpreter's advice to raise the limit
+        raise DocumentError(path, str(exc).partition(";")[0]) from None
+    except RecursionError:
+        raise DocumentError(path, "arrays or objects nested too deeply") from None
+
+
+def loads_decomposition(text: str) -> Decomposition:
+    return parse_decomposition(_decode(text, "document"))
 
 
 def loads_tangle(text: str) -> Descriptor:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from None
-    return parse_tangle(obj)
+    return parse_tangle(_decode(text, "tangle"))
 
 
 # ---------------------------------------------------------------------------

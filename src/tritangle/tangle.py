@@ -6,10 +6,15 @@ plus a loop with a whisker).  A tangle side is described either by a
 rational twist presentation, by torus curve parameters (rho only), or by
 abstract geometric flags taken at face value after validation.
 
-``resolve_tau`` / ``resolve_rho`` turn a descriptor into a ResolvedTangle:
+``examine`` makes one pass over a descriptor.  A rational side's twist
+vector is evaluated once and its profile is built from that value; an
+abstract side's broken invariants are collected, and its profile is built
+only when there are none.  The profile (a ResolvedTangle) carries the
 slope, triviality, essentiality, torus parameters and the satellite /
-cable / Hopf-summand trichotomy, each derived field carrying a provenance
-note naming the rule that produced it.
+cable / Hopf-summand trichotomy, each derived field with a provenance
+note naming the rule that produced it.  ``validate_descriptor`` and
+``resolve`` are views of that pass: the violations, or the profile with
+the violations raised as exceptions.
 """
 
 from __future__ import annotations
@@ -224,25 +229,8 @@ def _rho_abstract_violations(a: AbstractRho) -> list[Violation]:
     return out
 
 
-def validate_descriptor(d: Descriptor) -> list[Violation]:
-    """Collect every broken invariant of a descriptor; empty list iff valid."""
-    p = d.presentation
-    if isinstance(p, RationalPresentation):
-        if cf_eval(p.twists).is_infinite:
-            return [Violation(
-                "InfiniteSlope", ("twists",),
-                f"twist vector {list(p.twists)} evaluates to infinity")]
-        return []
-    if isinstance(p, TorusRhoPresentation):
-        return []  # TorusParams validates itself at construction
-    if isinstance(p, AbstractTau):
-        return _tau_abstract_violations(p)
-    return _rho_abstract_violations(p)
-
-
 def _raise_violations(violations: list[Violation]):
-    if not violations:
-        return
+    """The one mapping from broken invariants to the exception ``resolve`` raises."""
     first = violations[0]
     if first.rule == "MutualExclusivity":
         raise MutualExclusivityViolation(str(first))
@@ -254,6 +242,10 @@ def _raise_violations(violations: list[Violation]):
 # ---------------------------------------------------------------------------
 # Resolution
 
+ESSENTIAL_NOTE = "essential: atoroidal, non-trivial and not a Hopf tangle"
+SATELLITE_NOTE = "satellite: torus parameters with p >= 2 bound a type I (satellite) annulus"
+
+
 def _torus_from_slope(slope: ExtFraction) -> TorusParams | None:
     # slope +-1/(2k) with k >= 2 presents a (k, +-1)-torus arc
     if abs(slope.num) == 1 and slope.den % 2 == 0 and slope.den >= 4:
@@ -261,33 +253,72 @@ def _torus_from_slope(slope: ExtFraction) -> TorusParams | None:
     return None
 
 
-def resolve_tau(d: TauDescriptor) -> ResolvedTangle:
-    """Derive the semantic profile of a tau-tangle descriptor."""
-    p = d.presentation
-    if isinstance(p, RationalPresentation):
-        value = cf_eval(p.twists)
-        if value.is_infinite:
-            raise InfiniteSlope(
-                f"twist vector {list(p.twists)} evaluates to infinity; "
-                "it does not present a rational 3-tangle")
-        slope = slope_normalize(value)
-        trivial = slope.is_zero
-        return ResolvedTangle(
-            kind=KIND_TAU,
-            atoroidal=True,
-            trivial=trivial,
-            essential=not trivial,
-            rational=True,
-            slope=slope,
-            unit_fraction_slope=abs(slope.num) == 1,
-            provenance=(
-                "slope: twist-vector value normalized to (-1/2, 1/2]",
-                "atoroidal: rational tangles are atoroidal",
-                "trivial: slope is 0 modulo Z" if trivial
-                else "essential: atoroidal, non-trivial and not a Hopf tangle",
-            ),
-        )
-    _raise_violations(_tau_abstract_violations(p))
+def _rational_profile(kind: str, value: ExtFraction) -> ResolvedTangle:
+    slope = slope_normalize(value)
+    trivial = slope.is_zero
+    hopf = kind == KIND_RHO and slope == HALF
+    torus = _torus_from_slope(slope) if kind == KIND_RHO else None
+    provenance = [
+        "slope: twist-vector value normalized to (-1/2, 1/2]",
+        "atoroidal: rational tangles are atoroidal",
+    ]
+    if kind == KIND_TAU:
+        provenance.append("trivial: slope is 0 modulo Z" if trivial else ESSENTIAL_NOTE)
+    else:
+        if hopf:
+            provenance.append("hopf_tangle: slope 1/2 is the Hopf tangle, "
+                              "non-trivial but inessential")
+        if torus is not None:
+            provenance.append(
+                f"torus: slope {slope} = +-1/(2k) presents a ({torus.p}, {torus.q})-torus arc")
+            provenance.append(SATELLITE_NOTE)
+        else:
+            provenance.append("satellite/cable/hopf_summand: absent for rational "
+                              "slopes other than +-1/(2k); a rational presentation "
+                              "keeps the loop unknotted, so never cable")
+    return ResolvedTangle(
+        kind=kind,
+        atoroidal=True,
+        trivial=trivial,
+        essential=not trivial and not hopf,
+        rational=True,
+        slope=slope,
+        unit_fraction_slope=abs(slope.num) == 1,
+        torus=torus,
+        satellite=torus is not None,
+        hopf_tangle=hopf,
+        provenance=tuple(provenance),
+    )
+
+
+def _torus_profile(t: TorusParams) -> ResolvedTangle:
+    rational = abs(t.q) == 1
+    slope = ExtFraction(t.q, 2 * t.p) if rational else None
+    provenance = [
+        "torus: declared curve parameters, canonicalized to p > 0",
+        SATELLITE_NOTE,
+        ESSENTIAL_NOTE,
+    ]
+    if rational:
+        provenance.append(f"slope: a (k, +-1)-torus arc has slope +-1/(2k) = {slope}")
+    else:
+        provenance.append("rational: false, a rational loop-tangle has slope +-1/(2k) "
+                          "and torus parameters (k, +-1)")
+    return ResolvedTangle(
+        kind=KIND_RHO,
+        atoroidal=True,
+        trivial=False,
+        essential=True,
+        rational=rational,
+        slope=slope,
+        unit_fraction_slope=True if rational else None,
+        torus=t,
+        satellite=True,
+        provenance=tuple(provenance),
+    )
+
+
+def _abstract_tau_profile(p: AbstractTau) -> ResolvedTangle:
     slope = slope_normalize(p.slope) if p.slope is not None else None
     if slope is not None:
         unit: bool | None = abs(slope.num) == 1
@@ -295,7 +326,7 @@ def resolve_tau(d: TauDescriptor) -> ResolvedTangle:
         unit = p.unit_fraction_slope
     provenance = ["flags: abstract descriptor taken at face value"]
     if p.atoroidal:
-        provenance.append("essential: atoroidal, non-trivial and not a Hopf tangle")
+        provenance.append(ESSENTIAL_NOTE)
     return ResolvedTangle(
         kind=KIND_TAU,
         atoroidal=p.atoroidal,
@@ -308,89 +339,19 @@ def resolve_tau(d: TauDescriptor) -> ResolvedTangle:
     )
 
 
-def resolve_rho(d: RhoDescriptor) -> ResolvedTangle:
-    """Derive the semantic profile of a rho-tangle descriptor."""
-    p = d.presentation
-    if isinstance(p, RationalPresentation):
-        value = cf_eval(p.twists)
-        if value.is_infinite:
-            raise InfiniteSlope(
-                f"twist vector {list(p.twists)} evaluates to infinity; "
-                "it does not present a rational 3-tangle")
-        slope = slope_normalize(value)
-        trivial = slope.is_zero
-        hopf = slope == HALF
-        torus = _torus_from_slope(slope)
-        provenance = [
-            "slope: twist-vector value normalized to (-1/2, 1/2]",
-            "atoroidal: rational tangles are atoroidal",
-        ]
-        if hopf:
-            provenance.append("hopf_tangle: slope 1/2 is the Hopf tangle, "
-                              "non-trivial but inessential")
-        if torus is not None:
-            provenance.append(
-                f"torus: slope {slope} = +-1/(2k) presents a ({torus.p}, {torus.q})-torus arc")
-            provenance.append("satellite: torus parameters with p >= 2 "
-                              "bound a type I (satellite) annulus")
-        else:
-            provenance.append("satellite/cable/hopf_summand: absent for rational "
-                              "slopes other than +-1/(2k); a rational presentation "
-                              "keeps the loop unknotted, so never cable")
-        return ResolvedTangle(
-            kind=KIND_RHO,
-            atoroidal=True,
-            trivial=trivial,
-            essential=not trivial and not hopf,
-            rational=True,
-            slope=slope,
-            unit_fraction_slope=abs(slope.num) == 1,
-            torus=torus,
-            satellite=torus is not None,
-            hopf_tangle=hopf,
-            provenance=tuple(provenance),
-        )
-    if isinstance(p, TorusRhoPresentation):
-        t = p.params
-        rational = abs(t.q) == 1
-        slope = ExtFraction(t.q, 2 * t.p) if rational else None
-        provenance = [
-            "torus: declared curve parameters, canonicalized to p > 0",
-            "satellite: torus parameters with p >= 2 bound a type I (satellite) annulus",
-            "essential: atoroidal, non-trivial and not a Hopf tangle",
-        ]
-        if rational:
-            provenance.append(f"slope: a (k, +-1)-torus arc has slope +-1/(2k) = {slope}")
-        else:
-            provenance.append("rational: false, a rational loop-tangle has slope +-1/(2k) "
-                              "and torus parameters (k, +-1)")
-        return ResolvedTangle(
-            kind=KIND_RHO,
-            atoroidal=True,
-            trivial=False,
-            essential=True,
-            rational=rational,
-            slope=slope,
-            unit_fraction_slope=True if rational else None,
-            torus=t,
-            satellite=True,
-            provenance=tuple(provenance),
-        )
-    _raise_violations(_rho_abstract_violations(p))
-    satellite = p.satellite or p.torus is not None
+def _abstract_rho_profile(p: AbstractRho) -> ResolvedTangle:
     provenance = ["flags: abstract descriptor taken at face value"]
     if p.torus is not None and not p.satellite:
-        provenance.append("satellite: torus parameters with p >= 2 "
-                          "bound a type I (satellite) annulus")
+        provenance.append(SATELLITE_NOTE)
     if p.atoroidal:
-        provenance.append("essential: atoroidal, non-trivial and not a Hopf tangle")
+        provenance.append(ESSENTIAL_NOTE)
     return ResolvedTangle(
         kind=KIND_RHO,
         atoroidal=p.atoroidal,
         trivial=p.trivial,
         essential=not p.trivial and not p.hopf_tangle,
         torus=p.torus,
-        satellite=satellite,
+        satellite=p.satellite or p.torus is not None,
         cable=p.cable,
         hopf_summand=p.hopf_summand,
         hopf_tangle=p.hopf_tangle,
@@ -398,10 +359,43 @@ def resolve_rho(d: RhoDescriptor) -> ResolvedTangle:
     )
 
 
+def examine(d: Descriptor) -> tuple[ResolvedTangle | None, list[Violation]]:
+    """One pass over a descriptor: its profile, or None, and its broken invariants.
+
+    The profile is None exactly when the violation list is non-empty.
+    """
+    p = d.presentation
+    if isinstance(p, RationalPresentation):
+        value = cf_eval(p.twists)
+        if value.is_infinite:
+            return None, [Violation(
+                "InfiniteSlope", ("twists",),
+                f"twist vector {list(p.twists)} evaluates to infinity")]
+        return _rational_profile(d.kind, value), []
+    if isinstance(p, TorusRhoPresentation):
+        return _torus_profile(p.params), []  # TorusParams validates itself at construction
+    if isinstance(p, AbstractTau):
+        violations = _tau_abstract_violations(p)
+        return (None if violations else _abstract_tau_profile(p)), violations
+    violations = _rho_abstract_violations(p)
+    return (None if violations else _abstract_rho_profile(p)), violations
+
+
+def validate_descriptor(d: Descriptor) -> list[Violation]:
+    """Collect every broken invariant of a descriptor; empty list iff valid."""
+    return examine(d)[1]
+
+
 def resolve(d: Descriptor) -> ResolvedTangle:
-    if isinstance(d, TauDescriptor):
-        return resolve_tau(d)
-    return resolve_rho(d)
+    """Derive the semantic profile of a descriptor, raising on a broken invariant."""
+    resolved, violations = examine(d)
+    if violations:
+        _raise_violations(violations)
+    return resolved
+
+
+# The descriptor's kind already selects the rules; these names are kept for callers.
+resolve_tau = resolve_rho = resolve
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Decomposition validation and the essential-annulus count dispatcher.
 
-``classify`` validates a 3-decomposition, resolves both tangle sides and
-dispatches to the kind-specific counting rules:
+``classify`` checks the structure of a 3-decomposition, examines each
+tangle side once and dispatches to the kind-specific counting rules, which
+check their own preconditions (kinds, essentiality, atoroidality):
 
 * tau-tau: infinitely many annuli iff special with both slopes +-1/3 of
   the same sign; three for mixed-sign 1/3, -1/3; one for any other pair
@@ -24,16 +25,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .annuli import UNIQUENESS_NOTE, good_annulus
-from .errors import TritangleError
 from .tangle import (
     KIND_RHO,
     KIND_TAU,
     Descriptor,
     ResolvedTangle,
     Violation,
+    examine,
     mirror_descriptor,
-    resolve,
-    validate_descriptor,
 )
 
 TAUTAU = "tautau"
@@ -150,21 +149,18 @@ def _toroidal(notes: tuple[str, ...]) -> Verdict:
 
 class _Unit(Enum):
     NO = "no"            # definitely not rational with a unit-fraction slope
-    UNKNOWN = "unknown"  # rationality or unit status undetermined
-    NO_VALUE = "unit without concrete slope"
+    UNKNOWN = "unknown"  # no concrete slope to read the unit fraction from
 
 
 def _unit_denominator(t: ResolvedTangle) -> int | _Unit:
     """Signed m with slope 1/m, or a _Unit tag describing why there is none."""
     if t.rational is False or t.unit_fraction_slope is False:
         return _Unit.NO
-    if t.slope is not None and abs(t.slope.num) == 1:
-        return t.slope.den if t.slope.num > 0 else -t.slope.den
-    if t.slope is not None:
+    if t.slope is None:
+        return _Unit.UNKNOWN
+    if abs(t.slope.num) != 1:
         return _Unit.NO
-    if t.unit_fraction_slope is True:
-        return _Unit.NO_VALUE
-    return _Unit.UNKNOWN
+    return t.slope.den if t.slope.num > 0 else -t.slope.den
 
 
 def _precondition_violations(sides: list[tuple[str, ResolvedTangle, str]]) -> list[Violation]:
@@ -191,7 +187,7 @@ def classify_tautau(a: ResolvedTangle, b: ResolvedTangle, special: bool) -> Verd
     if bad:
         return _inadmissible(bad)
     if not (a.atoroidal and b.atoroidal):
-        return _toroidal(("a non-atoroidal side blocks annulus counting",))
+        return _toroidal(("annulus counting requires both sides atoroidal",))
     notes = ("atoroidal: both tangle exteriors are atoroidal",)
     if not special:
         return _classified(
@@ -232,7 +228,7 @@ def classify_taurho(t: ResolvedTangle, r: ResolvedTangle, special: bool) -> Verd
     if bad:
         return _inadmissible(bad)
     if not (t.atoroidal and r.atoroidal):
-        return _toroidal(("a non-atoroidal side blocks annulus counting",))
+        return _toroidal(("annulus counting requires both sides atoroidal",))
     notes = ("atoroidal: both tangle exteriors are atoroidal",)
     annulus = good_annulus(r)
     if annulus is None:
@@ -285,7 +281,7 @@ def classify_rhorho(a: ResolvedTangle, b: ResolvedTangle) -> Verdict:
     if bad:
         return _inadmissible(bad)
     if not (a.atoroidal and b.atoroidal):
-        return _toroidal(("a non-atoroidal side blocks annulus counting",))
+        return _toroidal(("annulus counting requires both sides atoroidal",))
     notes = ("atoroidal: both tangle exteriors are atoroidal",)
     annuli = []
     for position, side in (("first", a), ("second", b)):
@@ -328,29 +324,20 @@ def _structural_violations(d: Decomposition) -> list[Violation]:
 
 
 def classify(d: Decomposition) -> Verdict:
-    """Validate, resolve and dispatch a decomposition to its verdict.
+    """Check, examine and dispatch a decomposition to its verdict.
 
     All failures are reported inside the Verdict (status inadmissible with
     a violation list), never raised past this boundary.
     """
     violations = _structural_violations(d)
+    sides = []
     for position, descriptor in (("first", d.first), ("second", d.second)):
-        for v in validate_descriptor(descriptor):
-            violations.append(Violation(v.rule, (position,) + v.fields, v.detail))
+        resolved, found = examine(descriptor)
+        violations += [Violation(v.rule, (position,) + v.fields, v.detail) for v in found]
+        sides.append(resolved)
     if violations:
         return _inadmissible(violations)
-    try:
-        first = resolve(d.first)
-        second = resolve(d.second)
-    except TritangleError as exc:  # descriptor-level errors not caught above
-        return _inadmissible([Violation("ResolutionError", ("tangles",), str(exc))])
-    bad = _precondition_violations([
-        ("first", first, first.kind), ("second", second, second.kind)])
-    inessential = [v for v in bad if v.rule == "InessentialTangle"]
-    if inessential:
-        return _inadmissible(inessential)
-    if not (first.atoroidal and second.atoroidal):
-        return _toroidal(("annulus counting requires both sides atoroidal",))
+    first, second = sides
     if d.kind == TAUTAU:
         return classify_tautau(first, second, d.special)
     if d.kind == TAURHO:

@@ -7,7 +7,10 @@ Two deliberately different implementations of the twist-vector value:
 * ``continuant_pair``: the three-term continuant recurrence, which yields
   the (numerator, denominator) pair of the value without any division.
 
-Neither shares code with ``tritangle.frac``.
+Neither shares code with ``tritangle.frac``.  ``tritangle.frac.cf_eval``
+runs the same continuant recurrence as ``continuant_pair``, so the two
+can share a mistake in it; ``cf_eval_recursive`` is the independent
+reference.
 """
 
 from __future__ import annotations

@@ -166,6 +166,33 @@ def test_classify_unknown_field_exit_two(capsys, tmp_path):
     assert "bogus" in err
 
 
+def test_non_utf8_file_exit_two(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"type": "tautau", "note": "caf\xe9"}')
+    for command in ("classify", "tangle"):
+        code, _, err = run(capsys, command, str(path))
+        assert code == EXIT_USAGE
+        assert "UTF-8" in err
+
+
+def test_missing_file_exit_two(capsys, tmp_path):
+    for command in ("classify", "tangle"):
+        code, _, err = run(capsys, command, str(tmp_path / "absent.json"))
+        assert code == EXIT_USAGE
+        assert "error:" in err
+
+
+def test_hostile_documents_exit_two(capsys, tmp_path):
+    big = write_doc(tmp_path, "big.json", '{"kind": "tau", "presentation": '
+                    '{"rational": {"twists": [' + "9" * 5000 + "]}}}")
+    deep = write_doc(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+    for command in ("classify", "tangle"):
+        for path in (big, deep):
+            code, _, err = run(capsys, command, path)
+            assert code == EXIT_USAGE
+            assert "error:" in err
+
+
 # ---------------------------------------------------------------------------
 # tangle
 

@@ -117,6 +117,20 @@ def test_eval_oracle_equivalence_bulk():
         assert frozen(value) == continuant_pair(tv)
 
 
+def test_eval_long_vectors_match_recursive_oracle():
+    # lengths of the long_twists benchmark workload, including zero entries
+    # so that projective infinities occur mid-vector
+    rng = random.Random(20261017)
+    for _ in range(200):
+        tv = [rng.randint(-9, 9) for _ in range(rng.randint(16, 256))]
+        value = cf_eval(tv)
+        expected = cf_eval_recursive(tv)
+        if expected is None:
+            assert value.is_infinite
+        else:
+            assert Fraction(value.num, value.den) == expected
+
+
 @given(twist_vectors)
 def test_eval_mirror_negates(tv):
     assert cf_eval([-a for a in tv]) == -cf_eval(tv)

@@ -21,6 +21,7 @@ from tritangle import (
     classify,
     dumps_decomposition,
     loads_decomposition,
+    loads_tangle,
     parse_decomposition,
     parse_tangle,
     serialize_decomposition,
@@ -121,6 +122,24 @@ def test_json_syntax_error_carries_position():
     with pytest.raises(DocumentError) as err:
         loads_decomposition('{"type": "tautau",}')
     assert "line" in str(err.value)
+
+
+def test_integer_past_digit_limit_is_a_document_error():
+    # json.loads raises a plain ValueError past the int-string digit limit
+    big = "7" * 4400
+    doc = json.dumps(GOOD_DOC).replace("[3, 0]", f"[{big}, 0]")
+    with pytest.raises(DocumentError):
+        loads_decomposition(doc)
+    with pytest.raises(DocumentError):
+        loads_tangle(f'{{"kind": "tau", "presentation": {{"rational": {{"twists": [{big}]}}}}}}')
+
+
+def test_deep_nesting_is_a_document_error():
+    deep = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(DocumentError):
+        loads_decomposition('{"type": "tautau", "special": true, "tangles": ' + deep + "}")
+    with pytest.raises(DocumentError):
+        loads_tangle(deep)
 
 
 def test_round_trip_document():

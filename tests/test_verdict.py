@@ -278,6 +278,24 @@ def test_direct_classifier_precondition_violation():
     assert v.status == INADMISSIBLE
 
 
+def test_classify_evaluates_each_rational_side_once(monkeypatch):
+    import tritangle.tangle
+
+    calls = []
+    evaluate = tritangle.tangle.cf_eval
+
+    def counted(entries):
+        calls.append(tuple(entries))
+        return evaluate(entries)
+
+    monkeypatch.setattr(tritangle.tangle, "cf_eval", counted)
+    classify(taurho(True, tau_slope(3), rho_plain()))
+    assert calls == [(3, 0), (2, 1, 1, 1, -1)]
+    calls.clear()
+    classify(taurho(True, tau_slope(3), rho_torus(2, 3)))
+    assert calls == [(3, 0)]
+
+
 def test_hyperbolic_iff_zero_everywhere():
     for m, n in itertools.product((-5, -3, 3, 5), repeat=2):
         for special in (False, True):
