@@ -9,8 +9,9 @@ Three censuses, one per decomposition kind:
 * rhorho: sides indexed 0 (a plain rational rho of slope 3/8, no good
   annulus) or p >= 2 (a (p, 1)-torus rho, satellite).
 
-Rows are emitted sorted by (m, n) so the CSV output is byte-identical
-across runs.
+Each distinct side of a table is built and examined once.  Rows come out
+sorted by (m, n) because the sides are enumerated in ascending order, so
+the CSV output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Iterable
 
 from .errors import BoundsTooLarge
 from .tangle import RationalPresentation, RhoDescriptor, TauDescriptor, TorusParams, \
-    TorusRhoPresentation
-from .verdict import Decomposition, RHORHO, TAURHO, TAUTAU, Verdict, classify
+    TorusRhoPresentation, examine
+from .verdict import Decomposition, RHORHO, TAURHO, TAUTAU, Verdict, classify_examined
 
 HARD_CAP = 99  # keeps the enumeration instant and far from any practical limit
 
@@ -79,25 +80,29 @@ def _odd_denominators(bound: int) -> list[int]:
     return sorted([m for k in magnitudes for m in (k, -k)])
 
 
+def _examined(build, indices: Iterable[int]) -> dict:
+    """Each side index mapped to its descriptor and that descriptor's ``examine``."""
+    sides = {index: build(index) for index in indices}
+    return {index: (side, examine(side)) for index, side in sides.items()}
+
+
 def run_census(kind: str, bound: int) -> list[CensusRow]:
     """Classify every decomposition in the configured range, sorted rows."""
     _check_bound(bound)
-    rows = []
     if kind == TAUTAU:
-        values = _odd_denominators(bound)
-        pairs: Iterable[tuple[int, int]] = ((m, n) for m in values for n in values)
+        firsts = seconds = _examined(_tau_of_slope, _odd_denominators(bound))
     elif kind == TAURHO:
-        taus = [m for m in range(3, bound + 1, 2)]
-        ps = [p for p in range(2, bound + 1)]
-        pairs = ((m, p) for m in taus for p in ps)
+        firsts = _examined(_tau_of_slope, range(3, bound + 1, 2))
+        seconds = _examined(_rho_side, range(2, bound + 1))
     elif kind == RHORHO:
-        sides = [0] + list(range(2, bound + 1))
-        pairs = ((x, y) for x in sides for y in sides)
+        firsts = seconds = _examined(_rho_side, [0, *range(2, bound + 1)])
     else:
         raise ValueError(f"unknown census kind {kind!r}")
-    for m, n in pairs:
-        rows.append(_row(m, n, classify(census_decomposition(kind, m, n))))
-    rows.sort(key=lambda row: (row.m, row.n))
+    rows = []
+    for m, (first, first_examined) in firsts.items():
+        for n, (second, second_examined) in seconds.items():
+            d = Decomposition(kind=kind, special=kind != RHORHO, first=first, second=second)
+            rows.append(_row(m, n, classify_examined(d, first_examined, second_examined)))
     return rows
 
 

@@ -122,6 +122,10 @@ class AbstractRho:
 class TauDescriptor:
     presentation: RationalPresentation | AbstractTau
 
+    def __post_init__(self):
+        if not isinstance(self.presentation, (RationalPresentation, AbstractTau)):
+            raise TypeError(f"{type(self.presentation).__name__} does not present a tau-tangle")
+
     @property
     def kind(self) -> str:
         return KIND_TAU
@@ -130,6 +134,11 @@ class TauDescriptor:
 @dataclass(frozen=True)
 class RhoDescriptor:
     presentation: RationalPresentation | TorusRhoPresentation | AbstractRho
+
+    def __post_init__(self):
+        if not isinstance(self.presentation, (RationalPresentation, TorusRhoPresentation,
+                                              AbstractRho)):
+            raise TypeError(f"{type(self.presentation).__name__} does not present a rho-tangle")
 
     @property
     def kind(self) -> str:

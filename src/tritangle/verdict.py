@@ -1,8 +1,8 @@
 """Decomposition validation and the essential-annulus count dispatcher.
 
-``classify`` checks the structure of a 3-decomposition, examines each
-tangle side once and dispatches to the kind-specific counting rules, which
-check their own preconditions (kinds, essentiality, atoroidality):
+``classify`` examines each tangle side of a 3-decomposition once, then
+``classify_examined`` checks its structure and dispatches to the kind-specific
+counting rules, which check their own preconditions (kinds, essentiality, atoroidality):
 
 * tau-tau: infinitely many annuli iff special with both slopes +-1/3 of
   the same sign; three for mixed-sign 1/3, -1/3; one for any other pair
@@ -237,16 +237,11 @@ def classify_taurho(t: ResolvedTangle, r: ResolvedTangle, special: bool) -> Verd
             notes + ("the rho side is not satellite or cable and has no Hopf "
                      "summand, so neither side carries a good annulus",))
     annulus_desc = f"good annulus of {annulus.value}"
-    one = _classified(
-        AnnulusCount(1), BRANCH_TAURHO_ONE, (annulus_desc,),
-        notes + ("the good annulus is the only essential annulus; " + UNIQUENESS_NOTE,))
-    if not special:
-        return one
-    if r.torus is None:
-        return one
-    m = _unit_denominator(t)
+    m = _unit_denominator(t) if special and r.torus is not None else _Unit.NO
     if m is _Unit.NO:
-        return one
+        return _classified(
+            AnnulusCount(1), BRANCH_TAURHO_ONE, (annulus_desc,),
+            notes + ("the good annulus is the only essential annulus; " + UNIQUENESS_NOTE,))
     if isinstance(m, _Unit):
         return _inadmissible([Violation(
             "UndeterminedSlope", ("first",),
@@ -323,26 +318,34 @@ def _structural_violations(d: Decomposition) -> list[Violation]:
     return out
 
 
+Examined = tuple[ResolvedTangle | None, list[Violation]]
+
+
+def classify_examined(d: Decomposition, first: Examined, second: Examined) -> Verdict:
+    """Check and dispatch a decomposition, given ``examine(d.first)`` and ``examine(d.second)``.
+
+    A caller that meets the same side many times can examine it once.
+    """
+    violations = _structural_violations(d)
+    for position, (_, found) in (("first", first), ("second", second)):
+        violations += [Violation(v.rule, (position,) + v.fields, v.detail) for v in found]
+    if violations:
+        return _inadmissible(violations)
+    a, b = first[0], second[0]
+    if d.kind == TAUTAU:
+        return classify_tautau(a, b, d.special)
+    if d.kind == TAURHO:
+        return classify_taurho(a, b, d.special)
+    return classify_rhorho(a, b)
+
+
 def classify(d: Decomposition) -> Verdict:
     """Check, examine and dispatch a decomposition to its verdict.
 
     All failures are reported inside the Verdict (status inadmissible with
     a violation list), never raised past this boundary.
     """
-    violations = _structural_violations(d)
-    sides = []
-    for position, descriptor in (("first", d.first), ("second", d.second)):
-        resolved, found = examine(descriptor)
-        violations += [Violation(v.rule, (position,) + v.fields, v.detail) for v in found]
-        sides.append(resolved)
-    if violations:
-        return _inadmissible(violations)
-    first, second = sides
-    if d.kind == TAUTAU:
-        return classify_tautau(first, second, d.special)
-    if d.kind == TAURHO:
-        return classify_taurho(first, second, d.special)
-    return classify_rhorho(first, second)
+    return classify_examined(d, examine(d.first), examine(d.second))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from tritangle import BoundsTooLarge, census_csv, census_decomposition, classify, run_census
+from tritangle import census
 
 
 def rows_as_dict(kind, bound):
@@ -46,6 +47,38 @@ def test_rows_match_reconstructed_decompositions():
         for row in run_census(kind, bound):
             verdict = classify(census_decomposition(kind, row.m, row.n))
             assert (row.branch, row.count) == (verdict.branch, str(verdict.annulus_count))
+
+
+@pytest.mark.parametrize("kind, sides", [("tautau", 98), ("taurho", 49 + 98), ("rhorho", 99)])
+def test_each_side_examined_once_per_table(kind, sides, monkeypatch):
+    examined = []
+    examine = census.examine
+
+    def counted(descriptor):
+        examined.append(descriptor)
+        return examine(descriptor)
+
+    monkeypatch.setattr(census, "examine", counted)
+    run_census(kind, 99)
+    assert len(examined) == sides
+    assert len(set(examined)) == sides
+
+
+@pytest.mark.parametrize("kind", ["tautau", "taurho", "rhorho"])
+def test_every_row_matches_classify(kind, monkeypatch):
+    verdicts = []
+    classify_examined = census.classify_examined
+
+    def recorded(*args):
+        verdicts.append(classify_examined(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(census, "classify_examined", recorded)
+    rows = run_census(kind, 25)
+    assert len(verdicts) == len(rows)
+    for row, verdict in zip(rows, verdicts):
+        assert verdict == classify(census_decomposition(kind, row.m, row.n))
+        assert (row.branch, row.count) == (verdict.branch, str(verdict.annulus_count))
 
 
 def test_csv_deterministic_and_sorted():

@@ -209,6 +209,18 @@ def test_rho_abstract_cable_only():
     assert t.essential
 
 
+def test_tau_descriptor_rejects_rho_presentation():
+    with pytest.raises(TypeError, match="TorusRhoPresentation"):
+        TauDescriptor(TorusRhoPresentation(TorusParams(2, 3)))
+    with pytest.raises(TypeError, match="AbstractRho"):
+        TauDescriptor(AbstractRho(atoroidal=True, trivial=False))
+
+
+def test_rho_descriptor_rejects_tau_presentation():
+    with pytest.raises(TypeError, match="AbstractTau"):
+        RhoDescriptor(AbstractTau(atoroidal=True, trivial=False, rational=True))
+
+
 # ---------------------------------------------------------------------------
 # validate_descriptor
 
