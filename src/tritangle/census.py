@@ -71,8 +71,10 @@ def census_decomposition(kind: str, m: int, n: int) -> Decomposition:
     if kind == TAURHO:
         return Decomposition(kind=TAURHO, special=True,
                              first=_tau_of_slope(m), second=_rho_side(n))
-    return Decomposition(kind=RHORHO, special=False,
-                         first=_rho_side(m), second=_rho_side(n))
+    if kind == RHORHO:
+        return Decomposition(kind=RHORHO, special=False,
+                             first=_rho_side(m), second=_rho_side(n))
+    raise ValueError(f"unknown census kind {kind!r}")
 
 
 def _odd_denominators(bound: int) -> list[int]:

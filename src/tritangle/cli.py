@@ -23,7 +23,6 @@ from .errors import (
 )
 from .frac import ExtFraction, cf_eval, cf_expand, parse_fraction, slope_normalize
 from .jsonio import (
-    dumps_decomposition,
     loads_decomposition,
     loads_tangle,
     serialize_decomposition,
@@ -211,7 +210,7 @@ def cmd_catalog(args) -> int:
                 print(f"  - {o.name}")
         if entry.decomposition is not None:
             if args.json:
-                print(dumps_decomposition(entry.decomposition))
+                print(json.dumps(serialize_decomposition(entry.decomposition), indent=2))
             else:
                 print("decomposition: " +
                       json.dumps(serialize_decomposition(entry.decomposition)))

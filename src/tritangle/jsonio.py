@@ -20,6 +20,10 @@ Abstract tau flags: atoroidal, trivial, rational (required booleans),
 optional slope ("p/q" string) and unit_fraction_slope.  Abstract rho
 flags: atoroidal, trivial (required), optional hopf_tangle, satellite,
 cable, hopf_summand and torus {"p": int, "q": int}.
+
+Limits, each a ``DocumentError`` past it: a field name occurs once per object,
+an integer literal has at most ``sys.get_int_max_str_digits()`` (4,300) digits,
+nesting stays within ``sys.getrecursionlimit()`` (1,000) less the caller's depth.
 """
 
 from __future__ import annotations
@@ -114,8 +118,10 @@ def parse_tangle(obj: Any, path: str = "tangle") -> Descriptor:
         twists = body["twists"]
         if not isinstance(twists, list):
             raise DocumentError(f"{vpath}.twists", "expected a list of integers")
-        presentation = RationalPresentation(tuple(
-            _int(a, f"{vpath}.twists[{i}]") for i, a in enumerate(twists)))
+        for i, a in enumerate(twists):
+            if type(a) is not int:  # also rejects bool, as _int does
+                raise DocumentError(f"{vpath}.twists[{i}]", "expected an integer")
+        presentation = RationalPresentation(tuple(twists))
     elif variant == "torus_rho":
         if kind != KIND_RHO:
             raise DocumentError(vpath, "torus parameters only present rho-tangles")
@@ -170,9 +176,18 @@ def parse_decomposition(obj: Any, path: str = "document") -> Decomposition:
     return Decomposition(kind=kind, special=special, first=first, second=second)
 
 
+def _unique_fields(pairs: list[tuple[str, Any]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # json.loads alone would keep the last value
+        # the first key out of step with the deduplicated order is a repeat
+        key = next((k for (k, _), kept in zip(pairs, obj) if k != kept), pairs[len(obj)][0])
+        raise DocumentError(f"field {key!r}", "occurs more than once in one object")
+    return obj
+
+
 def _decode(text: str, path: str) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from None
     except ValueError as exc:  # an integer literal past the int-string digit limit
@@ -232,4 +247,4 @@ def serialize_decomposition(d: Decomposition) -> dict:
 
 
 def dumps_decomposition(d: Decomposition) -> str:
-    return json.dumps(serialize_decomposition(d), indent=2, sort_keys=False)
+    return json.dumps(serialize_decomposition(d))

@@ -103,3 +103,8 @@ def test_bound_above_cap_rejected():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         run_census("sigma", 5)
+
+
+def test_census_decomposition_unknown_kind_rejected():
+    with pytest.raises(ValueError, match="unknown census kind 'sigma'"):
+        census_decomposition("sigma", 3, 3)

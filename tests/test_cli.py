@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 from tritangle.cli import main
-from tritangle.jsonio import dumps_decomposition
+from tritangle.jsonio import dumps_decomposition, serialize_decomposition
 from tritangle.catalog import catalog_get
 
 EXIT_OK, EXIT_USAGE, EXIT_INADMISSIBLE, EXIT_TOROIDAL = 0, 2, 3, 4
@@ -175,6 +175,15 @@ def test_non_utf8_file_exit_two(capsys, tmp_path):
         assert "UTF-8" in err
 
 
+def test_classify_duplicate_field_exit_two(capsys, tmp_path):
+    doc = dumps_decomposition(catalog_get("6_9").decomposition)
+    path = write_doc(tmp_path, "dup.json", doc.replace('"special": false', '"special": false, "special": true'))
+    code, out, err = run(capsys, "classify", path)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "'special'" in err
+
+
 def test_missing_file_exit_two(capsys, tmp_path):
     for command in ("classify", "tangle"):
         code, _, err = run(capsys, command, str(tmp_path / "absent.json"))
@@ -245,6 +254,13 @@ def test_catalog_entry_json_export_parses(capsys):
 
     start = out.index("{")
     assert loads_decomposition(out[start:]).kind == "taurho"
+
+
+def test_catalog_entry_json_export_is_indented(capsys):
+    code, out, _ = run(capsys, "catalog", "6_9", "--json")
+    assert code == EXIT_OK
+    expected = json.dumps(serialize_decomposition(catalog_get("6_9").decomposition), indent=2)
+    assert out[out.index("\n{") + 1:] == expected + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -22,6 +23,7 @@ from tritangle import (
     dumps_decomposition,
     loads_decomposition,
     loads_tangle,
+    mirror_decomposition,
     parse_decomposition,
     parse_tangle,
     serialize_decomposition,
@@ -92,6 +94,34 @@ def test_twists_must_be_integers():
         parse_tangle(doc)
 
 
+@pytest.mark.parametrize("twists, bad", [("[3, 0.5]", 1), ("[true]", 0), ('[1, 2, "x"]', 2)])
+def test_bad_twist_entry_is_named_by_its_index(twists, bad):
+    text = '{"kind": "tau", "presentation": {"rational": {"twists": %s}}}' % twists
+    with pytest.raises(DocumentError) as err:
+        loads_tangle(text)
+    assert err.value.path == f"tangle.presentation.rational.twists[{bad}]"
+
+
+@pytest.mark.parametrize("text, key", [
+    # the last value would forge a satellite rho side
+    ('{"type": "taurho", "special": false, "tangles": ['
+     '{"kind": "tau", "presentation": {"rational": {"twists": [3, 0]}}}, '
+     '{"kind": "rho", "presentation": {"abstract": {"atoroidal": true, "trivial": false, '
+     '"satellite": false, "satellite": true}}}]}', "satellite"),
+    # a repeated variant would pass the one-variant check
+    ('{"type": "tautau", "special": true, "tangles": ['
+     '{"kind": "tau", "presentation": {"rational": {"twists": [3, 0]}, '
+     '"rational": {"twists": [5, 0]}}}, '
+     '{"kind": "tau", "presentation": {"rational": {"twists": [3, 0]}}}]}',
+     "rational"),
+], ids=["flag", "variant"])
+def test_duplicate_field_rejected(text, key):
+    with pytest.raises(DocumentError) as err:
+        loads_decomposition(text)
+    assert repr(key) in str(err.value)
+    assert "more than once" in str(err.value)
+
+
 def test_torus_rho_under_tau_kind_rejected():
     doc = {"kind": "tau", "presentation": {"torus_rho": {"p": 2, "q": 3}}}
     with pytest.raises(DocumentError):
@@ -134,6 +164,26 @@ def test_integer_past_digit_limit_is_a_document_error():
         loads_tangle(f'{{"kind": "tau", "presentation": {{"rational": {{"twists": [{big}]}}}}}}')
 
 
+def test_integer_digit_limit_edge():
+    limit = sys.get_int_max_str_digits()
+    doc = '{"kind": "tau", "presentation": {"rational": {"twists": [%s, 0]}}}'
+    assert loads_tangle(doc % ("7" * limit)).presentation.twists[0] == int("7" * limit)
+    with pytest.raises(DocumentError) as err:
+        loads_tangle(doc % ("7" * (limit + 1)))
+    assert err.value.path == "tangle"
+
+
+def test_nesting_within_and_past_the_recursion_limit():
+    shallow = sys.getrecursionlimit() // 4
+    deep = sys.getrecursionlimit() + 1
+    with pytest.raises(DocumentError) as err:
+        loads_tangle("[" * shallow + "]" * shallow)
+    assert "expected an object" in str(err.value)  # decoded, then refused by the schema
+    with pytest.raises(DocumentError) as err:
+        loads_tangle("[" * deep + "]" * deep)
+    assert "nested too deeply" in str(err.value)
+
+
 def test_deep_nesting_is_a_document_error():
     deep = "[" * 100_000 + "]" * 100_000
     with pytest.raises(DocumentError):
@@ -171,6 +221,17 @@ def test_round_trip_full_catalog_export():
 def test_dumps_is_valid_json():
     d = parse_decomposition(GOOD_DOC)
     assert json.loads(dumps_decomposition(d)) == serialize_decomposition(d)
+
+
+def test_dumps_writes_one_line_for_catalog_and_mirrors():
+    for entry in catalog_entries():
+        if entry.decomposition is None:
+            continue
+        for d in (entry.decomposition, mirror_decomposition(entry.decomposition)):
+            text = dumps_decomposition(d)
+            assert "\n" not in text, entry.name
+            assert text == json.dumps(serialize_decomposition(d))
+            assert loads_decomposition(text) == d
 
 
 def test_serialize_tangle_shapes():
