@@ -31,13 +31,11 @@ def good_annulus(t: ResolvedTangle) -> AnnulusType | None:
         raise NotApplicable("good-annulus classification presupposes an essential tangle")
     if t.kind == KIND_TAU:
         return None
-    flags = [
-        (t.satellite, AnnulusType.TYPE_I_SATELLITE),
-        (t.cable, AnnulusType.TYPE_II_CABLE),
-        (t.hopf_summand, AnnulusType.HOPF_TYPE),
-    ]
-    hits = [annulus for on, annulus in flags if on]
-    if len(hits) > 1:
+    if (t.satellite and (t.cable or t.hopf_summand)) or (t.cable and t.hopf_summand):
         raise MutualExclusivityViolation(
             "satellite, cable and hopf_summand are mutually exclusive")
-    return hits[0] if hits else None
+    if t.satellite:
+        return AnnulusType.TYPE_I_SATELLITE
+    if t.cable:
+        return AnnulusType.TYPE_II_CABLE
+    return AnnulusType.HOPF_TYPE if t.hopf_summand else None

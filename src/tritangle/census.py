@@ -16,8 +16,7 @@ the CSV output is byte-identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import BoundsTooLarge
 from .tangle import RationalPresentation, RhoDescriptor, TauDescriptor, TorusParams, \
@@ -30,8 +29,7 @@ HARD_CAP = 99  # keeps the enumeration instant and far from any practical limit
 _PLAIN_RHO_TWISTS = (2, 1, 2, 0)
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     m: int
     n: int
     branch: str

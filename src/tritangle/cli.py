@@ -1,6 +1,6 @@
 """Command-line surface: calculators, classification, catalog and census.
 
-Exit codes: 0 success/classified, 2 usage or input error, 3 inadmissible
+Exit codes: 0 success/classified, 2 usage, input or output error, 3 inadmissible
 decomposition, 4 toroidal decomposition.
 """
 
@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -229,8 +230,11 @@ def cmd_census(args) -> int:
         return _fail(str(exc))
     text = census_csv(rows)
     if args.out:
-        # newline="" keeps the CSV byte-identical across platforms
-        Path(args.out).write_text(text, encoding="utf-8", newline="")
+        try:
+            # newline="" keeps the CSV byte-identical across platforms
+            Path(args.out).write_text(text, encoding="utf-8", newline="")
+        except OSError as exc:
+            return _fail(f"{args.out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -283,7 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # as in the Python docs' SIGPIPE note: the flush at exit must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail("standard output was closed before all output was written")
+    return code
 
 
 if __name__ == "__main__":

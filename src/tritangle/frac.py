@@ -121,14 +121,12 @@ def cf_expand(f: ExtFraction) -> TwistVector:
         raise InfiniteSlope("cannot expand the infinite slope")
     digits = []  # outermost quotient first
     p, q = f.num, f.den
-    while True:
-        a = p // q
+    while q:
+        a, r = divmod(p, q)
         digits.append(a)
-        r = p - a * q
-        if r == 0:
-            break
         p, q = q, r
-    return tuple(reversed(digits))
+    digits.reverse()
+    return tuple(digits)
 
 
 def slope_normalize(f: ExtFraction) -> ExtFraction:

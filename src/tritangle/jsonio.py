@@ -185,9 +185,14 @@ def _unique_fields(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_fields)
+
+
 def _decode(text: str, path: str) -> Any:
+    if text.startswith("\ufeff"):  # json.loads refuses a BOM; JSONDecoder.decode does not check
+        raise DocumentError("line 1, column 1", "Unexpected UTF-8 BOM (decode using utf-8-sig)")
     try:
-        return json.loads(text, object_pairs_hook=_unique_fields)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from None
     except ValueError as exc:  # an integer literal past the int-string digit limit

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .annuli import UNIQUENESS_NOTE, good_annulus
 from .tangle import (
@@ -62,8 +63,7 @@ HYPERBOLICITY_NOTE = ("hyperbolic: no essential disks, annuli or tori in the "
                       "exterior (Thurston's criterion with geodesic boundary)")
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A 3-decomposition: kind, specialness and the two tangle sides."""
 
     kind: str
@@ -101,11 +101,14 @@ class AnnulusCount:
 
 
 ZERO_ANNULI = AnnulusCount(0)
+ONE_ANNULUS = AnnulusCount(1)
+TWO_ANNULI = AnnulusCount(2)
+THREE_ANNULI = AnnulusCount(3)
+FOUR_ANNULI = AnnulusCount(4)
 INFINITELY_MANY = AnnulusCount(None)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Classifier output for one decomposition."""
 
     status: str
@@ -213,11 +216,11 @@ def classify_tautau(a: ResolvedTangle, b: ResolvedTangle, special: bool) -> Verd
                 ("infinite family from Dehn-twisted rectangle pairings",),
                 notes + (f"special with slopes 1/{m} and 1/{n} (equal, +-1/3)",))
         return _classified(
-            AnnulusCount(3), BRANCH_TAUTAU_THREE,
+            THREE_ANNULI, BRANCH_TAUTAU_THREE,
             ("three annuli from good-rectangle pairings",),
             notes + ("special with slopes 1/3 and -1/3 (mixed signs)",))
     return _classified(
-        AnnulusCount(1), BRANCH_TAUTAU_ONE,
+        ONE_ANNULUS, BRANCH_TAUTAU_ONE,
         ("annulus from a type I / type I rectangle pairing",),
         notes + (f"special with unit-fraction slopes 1/{m}, 1/{n}, "
                  "at least one denominator differs from +-3",))
@@ -240,7 +243,7 @@ def classify_taurho(t: ResolvedTangle, r: ResolvedTangle, special: bool) -> Verd
     m = _unit_denominator(t) if special and r.torus is not None else _Unit.NO
     if m is _Unit.NO:
         return _classified(
-            AnnulusCount(1), BRANCH_TAURHO_ONE, (annulus_desc,),
+            ONE_ANNULUS, BRANCH_TAURHO_ONE, (annulus_desc,),
             notes + ("the good annulus is the only essential annulus; " + UNIQUENESS_NOTE,))
     if isinstance(m, _Unit):
         return _inadmissible([Violation(
@@ -255,18 +258,18 @@ def classify_taurho(t: ResolvedTangle, r: ResolvedTangle, special: bool) -> Verd
                 (annulus_desc, "infinite family from Dehn-twisted rectangle pairings"),
                 notes + (f"special, tau slope 1/{m}, torus parameter p = 2",))
         return _classified(
-            AnnulusCount(4), BRANCH_TAURHO_FOUR,
+            FOUR_ANNULI, BRANCH_TAURHO_FOUR,
             (annulus_desc, "annuli from Moebius-band pairings of type I/II rectangles"),
             notes + (f"special, tau slope 1/{m}, torus parameter p = {p} != 2",))
     if p != 2:
         return _classified(
-            AnnulusCount(2), BRANCH_TAURHO_TWO,
+            TWO_ANNULI, BRANCH_TAURHO_TWO,
             (annulus_desc, "frontier of the Moebius band from a type I / type I "
                            "rectangle pairing"),
             notes + (f"special, tau slope 1/{m} with denominator != +-3, "
                      f"torus parameter p = {p} != 2",))
     return _classified(
-        AnnulusCount(1), BRANCH_TAURHO_ONE, (annulus_desc,),
+        ONE_ANNULUS, BRANCH_TAURHO_ONE, (annulus_desc,),
         notes + (f"special, tau slope 1/{m} with denominator != +-3 and torus "
                  "parameter p = 2 fall to the residual one-annulus clause",))
 
@@ -284,10 +287,10 @@ def classify_rhorho(a: ResolvedTangle, b: ResolvedTangle) -> Verdict:
         if found is not None:
             annuli.append(f"{position} side: good annulus of {found.value}")
     if len(annuli) == 2:
-        return _classified(AnnulusCount(2), BRANCH_RHORHO_TWO, tuple(annuli),
+        return _classified(TWO_ANNULI, BRANCH_RHORHO_TWO, tuple(annuli),
                            notes + ("both sides carry a good annulus",))
     if len(annuli) == 1:
-        return _classified(AnnulusCount(1), BRANCH_RHORHO_ONE, tuple(annuli),
+        return _classified(ONE_ANNULUS, BRANCH_RHORHO_ONE, tuple(annuli),
                            notes + ("exactly one side carries a good annulus",))
     return _classified(
         ZERO_ANNULI, BRANCH_RHORHO_HYPERBOLIC, (),
@@ -297,13 +300,15 @@ def classify_rhorho(a: ResolvedTangle, b: ResolvedTangle) -> Verdict:
 # ---------------------------------------------------------------------------
 # Entry point
 
+_SIDE_KINDS = {TAUTAU: (KIND_TAU, KIND_TAU), TAURHO: (KIND_TAU, KIND_RHO),
+               RHORHO: (KIND_RHO, KIND_RHO)}
+
+
 def _structural_violations(d: Decomposition) -> list[Violation]:
-    out: list[Violation] = []
-    if d.kind not in (TAUTAU, TAURHO, RHORHO):
-        out.append(Violation("UnknownKind", ("kind",), f"unknown decomposition kind {d.kind!r}"))
-        return out
-    expected = {TAUTAU: (KIND_TAU, KIND_TAU), TAURHO: (KIND_TAU, KIND_RHO),
-                RHORHO: (KIND_RHO, KIND_RHO)}[d.kind]
+    if d.kind not in (TAUTAU, TAURHO, RHORHO):  # not a lookup: a kind may be unhashable
+        return [Violation("UnknownKind", ("kind",), f"unknown decomposition kind {d.kind!r}")]
+    expected = _SIDE_KINDS[d.kind]
+    out = []
     for position, descriptor, kind in (("first", d.first, expected[0]),
                                        ("second", d.second, expected[1])):
         if descriptor.kind != kind:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -184,6 +185,31 @@ def test_classify_duplicate_field_exit_two(capsys, tmp_path):
     assert "'special'" in err
 
 
+def test_classify_byte_order_mark_exit_two(capsys, tmp_path):
+    path = write_doc(tmp_path, "bom.json",
+                     "\ufeff" + dumps_decomposition(catalog_get("6_9").decomposition))
+    code, out, err = run(capsys, "classify", path)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "Unexpected UTF-8 BOM" in err
+
+
+def test_classify_into_closed_pipe_exit_two(tmp_path):
+    path = write_doc(tmp_path, "six_nine.json",
+                     dumps_decomposition(catalog_get("6_9").decomposition))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "tritangle", "classify", "--json", path],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert result.returncode == EXIT_USAGE
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error:")
+
+
 def test_missing_file_exit_two(capsys, tmp_path):
     for command in ("classify", "tangle"):
         code, _, err = run(capsys, command, str(tmp_path / "absent.json"))
@@ -295,6 +321,15 @@ def test_census_out_file(capsys, tmp_path):
     lines = target.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "m,n,branch,count"
     assert "3,2,taurho (i),inf" in lines
+
+
+def test_census_out_unwritable_exit_two(capsys, tmp_path):
+    target = tmp_path / "missing" / "census.csv"
+    code, out, err = run(capsys, "census", "tautau", "--out", str(target))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: {target}:")
+    assert not target.parent.exists()
 
 
 def test_console_entry_point_runs():

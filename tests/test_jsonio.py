@@ -122,6 +122,22 @@ def test_duplicate_field_rejected(text, key):
     assert "more than once" in str(err.value)
 
 
+def test_duplicate_field_rejected_on_every_call_through_the_shared_decoder():
+    good = json.dumps(GOOD_DOC)
+    dup = good.replace('"special": true', '"special": false, "special": true')
+    for _ in range(2):
+        assert loads_decomposition(good) == parse_decomposition(GOOD_DOC)
+        with pytest.raises(DocumentError, match="'special'"):
+            loads_decomposition(dup)
+
+
+def test_byte_order_mark_rejected():
+    for load, doc in ((loads_decomposition, GOOD_DOC), (loads_tangle, GOOD_DOC["tangles"][0])):
+        with pytest.raises(DocumentError, match="Unexpected UTF-8 BOM") as err:
+            load("\ufeff" + json.dumps(doc))
+        assert err.value.path == "line 1, column 1"
+
+
 def test_torus_rho_under_tau_kind_rejected():
     doc = {"kind": "tau", "presentation": {"torus_rho": {"p": 2, "q": 3}}}
     with pytest.raises(DocumentError):

@@ -11,6 +11,7 @@ from tritangle import (
     AbstractTau,
     AnnulusCount,
     AnnulusProfile,
+    CensusRow,
     Decomposition,
     Obstruction,
     RationalPresentation,
@@ -18,6 +19,7 @@ from tritangle import (
     TauDescriptor,
     TorusParams,
     TorusRhoPresentation,
+    Verdict,
     cf_expand,
     classify,
     classify_taurho,
@@ -342,6 +344,44 @@ def test_classify_never_raises():
         assert verdict.status in (CLASSIFIED, INADMISSIBLE, TOROIDAL)
         if verdict.status == CLASSIFIED:
             assert verdict.hyperbolic == verdict.annulus_count.is_zero
+
+
+def test_unhashable_kind_reported_not_raised():
+    v = classify(Decomposition(["tautau"], True, tau_slope(3), tau_slope(3)))
+    assert v.status == INADMISSIBLE
+    assert [x.rule for x in v.violations] == ["UnknownKind"]
+
+
+# ---------------------------------------------------------------------------
+# Record semantics
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: Decomposition("tautau", True, tau_slope(3), tau_slope(-3)), "kind"),
+    (lambda: classify(tautau(True, 3, -3)), "status"),
+    (lambda: CensusRow(3, 3, "tautau (i)", "inf"), "count"),
+], ids=["Decomposition", "Verdict", "CensusRow"])
+def test_records_are_immutable_hashable_values(make, field):
+    record, twin = make(), make()
+    assert record is not twin
+    assert record == twin
+    assert hash(record) == hash(twin)
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(twin, field))
+
+
+def test_decomposition_positional_fields():
+    first, second = tau_slope(3), rho_torus(2, 3)
+    d = Decomposition("taurho", True, first, second)
+    assert (d.kind, d.special, d.first, d.second) == ("taurho", True, first, second)
+    assert d == taurho(True, first, second)
+
+
+def test_record_repr_text():
+    assert repr(CensusRow(3, 3, "tautau (i)", "inf")) == \
+        "CensusRow(m=3, n=3, branch='tautau (i)', count='inf')"
+    assert repr(Verdict(TOROIDAL, notes=("a note",))) == (
+        "Verdict(status='toroidal', annulus_count=None, hyperbolic=None, branch=None, "
+        "annuli=(), notes=('a note',), violations=())")
 
 
 # ---------------------------------------------------------------------------
