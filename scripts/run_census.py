@@ -2,16 +2,18 @@
 """Run the dispatch censuses for all three decomposition kinds.
 
 Writes one CSV per kind into the given directory (default: current) and
-prints the branch tallies.
+prints the branch tallies.  A bound past the census cap is refused with
+exit code 2 before the directory is created.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import sys
 from pathlib import Path
 
-from tritangle import census_csv, run_census
+from tritangle import BoundsTooLarge, census_csv, run_census
 
 
 def main() -> int:
@@ -19,10 +21,15 @@ def main() -> int:
     parser.add_argument("--max-denominator", type=int, default=25)
     parser.add_argument("--out-dir", default=".")
     args = parser.parse_args()
+    try:
+        tables = {kind: run_census(kind, args.max_denominator)
+                  for kind in ("tautau", "taurho", "rhorho")}
+    except BoundsTooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for kind in ("tautau", "taurho", "rhorho"):
-        rows = run_census(kind, args.max_denominator)
+    for kind, rows in tables.items():
         target = out_dir / f"census_{kind}.csv"
         target.write_text(census_csv(rows), encoding="utf-8", newline="")
         tally = collections.Counter(row.branch for row in rows)

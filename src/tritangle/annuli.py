@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .errors import MutualExclusivityViolation, NotApplicable
-from .tangle import KIND_TAU, ResolvedTangle
+from .errors import MutualExclusivityViolation
+from .tangle import KIND_TAU, ResolvedTangle, require
 
 
 class AnnulusType(Enum):
@@ -25,10 +25,7 @@ UNIQUENESS_NOTE = "the good annulus is unique up to isotopy in the tangle exteri
 
 def good_annulus(t: ResolvedTangle) -> AnnulusType | None:
     """The type of the good annulus in the tangle exterior, if any."""
-    if not t.atoroidal:
-        raise NotApplicable("good-annulus classification presupposes an atoroidal tangle")
-    if not t.essential:
-        raise NotApplicable("good-annulus classification presupposes an essential tangle")
+    require(t, "good-annulus classification")
     if t.kind == KIND_TAU:
         return None
     if (t.satellite and (t.cable or t.hopf_summand)) or (t.cable and t.hopf_summand):

@@ -22,22 +22,20 @@ from .errors import (
     TritangleError,
     UnknownName,
 )
-from .frac import ExtFraction, cf_eval, cf_expand, parse_fraction, slope_normalize
+from .frac import cf_eval, cf_expand, parse_fraction, slope_normalize
 from .jsonio import (
     loads_decomposition,
     loads_tangle,
     serialize_decomposition,
 )
 from .rect import rect_types_rho, rect_types_tau
-from .tangle import KIND_TAU, ResolvedTangle, resolve
+from .tangle import HOPF_SLOPE, KIND_TAU, ResolvedTangle, resolve
 from .verdict import CLASSIFIED, INADMISSIBLE, TOROIDAL, Verdict, classify
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INADMISSIBLE = 3
 EXIT_TOROIDAL = 4
-
-HOPF_SLOPE = ExtFraction(1, 2)
 
 
 def _fail(message: str) -> int:
@@ -138,16 +136,9 @@ def _verdict_exit(v: Verdict) -> int:
 
 def _print_verdict(v: Verdict, as_json: bool):
     if as_json:
-        out = {
-            "status": v.status,
-            "summary": v.summary(),
-            "annulus_count": str(v.annulus_count) if v.annulus_count is not None else None,
-            "hyperbolic": v.hyperbolic,
-            "branch": v.branch,
-            "annuli": list(v.annuli),
-            "notes": list(v.notes),
-            "violations": [str(x) for x in v.violations],
-        }
+        out = {"status": v.status, "summary": v.summary(), **v._asdict()}
+        out["annulus_count"] = str(v.annulus_count) if v.annulus_count is not None else None
+        out["violations"] = [str(x) for x in v.violations]
         print(json.dumps(out, indent=2))
         return
     print(f"status: {v.status}")

@@ -58,24 +58,11 @@ class ExtFraction:
     def is_zero(self) -> bool:
         return self.num == 0
 
-    @property
-    def is_integer(self) -> bool:
-        return self.den == 1
-
     def reciprocal(self) -> "ExtFraction":
         return ExtFraction(self.den, self.num)
 
     def __neg__(self) -> "ExtFraction":
         return ExtFraction(-self.num, self.den)
-
-    def __add__(self, other: int) -> "ExtFraction":
-        if not isinstance(other, int):
-            return NotImplemented
-        if self.is_infinite:
-            return self
-        return ExtFraction(self.num + other * self.den, self.den)
-
-    __radd__ = __add__
 
     def is_canonical(self) -> bool:
         """Audit the stored fields against the class invariants (no repairs)."""

@@ -16,10 +16,10 @@ Document shape::
                 | {"torus_rho": {"p": int, "q": int}}       # rho only
                 | {"abstract": {...flags...}}}
 
-Abstract tau flags: atoroidal, trivial, rational (required booleans),
-optional slope ("p/q" string) and unit_fraction_slope.  Abstract rho
-flags: atoroidal, trivial (required), optional hopf_tangle, satellite,
-cable, hopf_summand and torus {"p": int, "q": int}.
+The abstract flags are the fields of ``AbstractTau`` and ``AbstractRho``: a
+field without a default is required, the others are optional and are written
+out only when they differ from their default.  Every flag is a boolean except
+the tau ``slope`` ("p/q" string) and the rho ``torus`` ({"p": int, "q": int}).
 
 Limits, each a ``DocumentError`` past it: a field name occurs once per object,
 an integer literal has at most ``sys.get_int_max_str_digits()`` (4,300) digits,
@@ -28,8 +28,9 @@ nesting stays within ``sys.getrecursionlimit()`` (1,000) less the caller's depth
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from .errors import DocumentError, InvalidTorusParams, ZeroOverZero
 from .frac import ExtFraction, parse_fraction
@@ -64,12 +65,9 @@ def _check_fields(obj: dict, path: str, required: tuple[str, ...],
             raise DocumentError(f"{path}.{key}", "required field is missing")
 
 
-def _bool(obj: dict, key: str, path: str, default: bool | None = None) -> bool | None:
-    if key not in obj:
-        return default
-    value = obj[key]
+def _bool(value: Any, path: str) -> bool:
     if not isinstance(value, bool):
-        raise DocumentError(f"{path}.{key}", "expected a boolean")
+        raise DocumentError(path, "expected a boolean")
     return value
 
 
@@ -79,16 +77,13 @@ def _int(value: Any, path: str) -> int:
     return value
 
 
-def _slope(obj: dict, key: str, path: str) -> ExtFraction | None:
-    if key not in obj:
-        return None
-    value = obj[key]
+def _slope(value: Any, path: str) -> ExtFraction:
     if not isinstance(value, str):
-        raise DocumentError(f"{path}.{key}", 'expected a "p/q" string')
+        raise DocumentError(path, 'expected a "p/q" string')
     try:
         return parse_fraction(value)
     except (ValueError, ZeroOverZero) as exc:
-        raise DocumentError(f"{path}.{key}", f"not a valid fraction: {exc}") from None
+        raise DocumentError(path, f"not a valid fraction: {exc}") from None
 
 
 def _torus(obj: Any, path: str) -> TorusParams:
@@ -98,6 +93,33 @@ def _torus(obj: Any, path: str) -> TorusParams:
         return TorusParams(_int(fields["p"], f"{path}.p"), _int(fields["q"], f"{path}.q"))
     except InvalidTorusParams as exc:
         raise DocumentError(path, str(exc)) from None
+
+
+# How each non-boolean abstract flag is read from and written to JSON.
+_FLAG_CODECS = {
+    "slope": (_slope, lambda s: f"{s.num}/{s.den}"),
+    "torus": (_torus, lambda t: {"p": t.p, "q": t.q}),
+}
+
+
+class _Flag(NamedTuple):
+    name: str
+    default: Any  # dataclasses.MISSING for a required flag
+    read: Callable[[Any, str], Any]
+    write: Callable[[Any], Any]
+
+
+def _abstract_schema(cls) -> tuple[type, tuple[_Flag, ...], tuple[str, ...], tuple[str, ...]]:
+    """An abstract presentation class, its flags in field order, the required and optional names."""
+    flags = tuple(_Flag(f.name, f.default, *_FLAG_CODECS.get(f.name, (_bool, lambda b: b)))
+                  for f in dataclasses.fields(cls))
+    return (cls, flags, tuple(f.name for f in flags if f.default is dataclasses.MISSING),
+            tuple(f.name for f in flags if f.default is not dataclasses.MISSING))
+
+
+# kind -> (class, flags in field order, required names, optional names); built once,
+# since reading the dataclass fields on every call would tax the documents path
+_ABSTRACT = {KIND_TAU: _abstract_schema(AbstractTau), KIND_RHO: _abstract_schema(AbstractRho)}
 
 
 def parse_tangle(obj: Any, path: str = "tangle") -> Descriptor:
@@ -128,34 +150,13 @@ def parse_tangle(obj: Any, path: str = "tangle") -> Descriptor:
         presentation = TorusRhoPresentation(_torus(body, vpath))
     elif variant == "abstract":
         body = _require_object(body, vpath)
-        if kind == KIND_TAU:
-            _check_fields(body, vpath,
-                          required=("atoroidal", "trivial", "rational"),
-                          optional=("slope", "unit_fraction_slope"))
-            presentation = AbstractTau(
-                atoroidal=_bool(body, "atoroidal", vpath),
-                trivial=_bool(body, "trivial", vpath),
-                rational=_bool(body, "rational", vpath),
-                slope=_slope(body, "slope", vpath),
-                unit_fraction_slope=_bool(body, "unit_fraction_slope", vpath, None))
-        else:
-            _check_fields(body, vpath,
-                          required=("atoroidal", "trivial"),
-                          optional=("hopf_tangle", "satellite", "cable",
-                                    "hopf_summand", "torus"))
-            presentation = AbstractRho(
-                atoroidal=_bool(body, "atoroidal", vpath),
-                trivial=_bool(body, "trivial", vpath),
-                hopf_tangle=_bool(body, "hopf_tangle", vpath, False),
-                satellite=_bool(body, "satellite", vpath, False),
-                cable=_bool(body, "cable", vpath, False),
-                hopf_summand=_bool(body, "hopf_summand", vpath, False),
-                torus=_torus(body["torus"], f"{vpath}.torus") if "torus" in body else None)
+        cls, schema, required, optional = _ABSTRACT[kind]
+        _check_fields(body, vpath, required, optional)
+        presentation = cls(**{f.name: f.read(body[f.name], f"{vpath}.{f.name}")
+                              for f in schema if f.name in body})
     else:
         raise DocumentError(vpath, "unknown presentation variant")
     if kind == KIND_TAU:
-        if not isinstance(presentation, (RationalPresentation, AbstractTau)):
-            raise DocumentError(vpath, "not a valid tau presentation")
         return TauDescriptor(presentation)
     return RhoDescriptor(presentation)
 
@@ -167,7 +168,7 @@ def parse_decomposition(obj: Any, path: str = "document") -> Decomposition:
     if kind not in (TAUTAU, TAURHO, RHORHO):
         raise DocumentError(f"{path}.type",
                             f'expected "tautau", "taurho" or "rhorho", got {kind!r}')
-    special = _bool(doc, "special", path)
+    special = _bool(doc["special"], f"{path}.special")
     tangles = doc["tangles"]
     if not isinstance(tangles, list) or len(tangles) != 2:
         raise DocumentError(f"{path}.tangles", "expected a list of exactly two tangles")
@@ -219,26 +220,12 @@ def serialize_tangle(d: Descriptor) -> dict:
         body = {"rational": {"twists": list(p.twists)}}
     elif isinstance(p, TorusRhoPresentation):
         body = {"torus_rho": {"p": p.params.p, "q": p.params.q}}
-    elif isinstance(p, AbstractTau):
-        flags: dict[str, Any] = {
-            "atoroidal": p.atoroidal, "trivial": p.trivial, "rational": p.rational}
-        if p.slope is not None:
-            flags["slope"] = f"{p.slope.num}/{p.slope.den}"
-        if p.unit_fraction_slope is not None:
-            flags["unit_fraction_slope"] = p.unit_fraction_slope
-        body = {"abstract": flags}
     else:
-        flags = {"atoroidal": p.atoroidal, "trivial": p.trivial}
-        if p.hopf_tangle:
-            flags["hopf_tangle"] = True
-        if p.satellite:
-            flags["satellite"] = True
-        if p.cable:
-            flags["cable"] = True
-        if p.hopf_summand:
-            flags["hopf_summand"] = True
-        if p.torus is not None:
-            flags["torus"] = {"p": p.torus.p, "q": p.torus.q}
+        flags = {}
+        for f in _ABSTRACT[d.kind][1]:  # the flags in field order
+            value = getattr(p, f.name)
+            if value != f.default:  # a required flag's default is MISSING
+                flags[f.name] = f.write(value)
         body = {"abstract": flags}
     return {"kind": d.kind, "presentation": body}
 

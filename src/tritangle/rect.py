@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .errors import InfiniteValue, NotApplicable
 from .frac import cf_eval, cf_expand, slope_normalize
-from .tangle import KIND_RHO, KIND_TAU, ResolvedTangle
+from .tangle import KIND_RHO, KIND_TAU, ResolvedTangle, require
 
 
 class RectangleType(Enum):
@@ -30,18 +30,9 @@ class RectangleType(Enum):
     RHO_II = "rho type II"
 
 
-def _require(t: ResolvedTangle, kind: str):
-    if t.kind != kind:
-        raise NotApplicable(f"expected a {kind}-tangle, got {t.kind}")
-    if not t.atoroidal:
-        raise NotApplicable("rectangle taxonomy presupposes an atoroidal tangle")
-    if not t.essential:
-        raise NotApplicable("rectangle taxonomy presupposes an essential tangle")
-
-
 def rect_types_tau(t: ResolvedTangle) -> frozenset[RectangleType]:
     """Good rectangle types admitted by a tau-tangle exterior."""
-    _require(t, KIND_TAU)
+    require(t, "rectangle taxonomy", KIND_TAU)
     if t.rational is False or t.unit_fraction_slope is False:
         return frozenset()
     if t.slope is None:
@@ -59,7 +50,7 @@ def rect_types_tau(t: ResolvedTangle) -> frozenset[RectangleType]:
 
 def rect_types_rho(t: ResolvedTangle) -> frozenset[RectangleType]:
     """Good rectangle types admitted by a rho-tangle exterior."""
-    _require(t, KIND_RHO)
+    require(t, "rectangle taxonomy", KIND_RHO)
     if t.torus is None:
         return frozenset()
     out = {RectangleType.RHO_I, RectangleType.RHO_I_STAR}

@@ -20,21 +20,22 @@ the violations raised as exceptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     InconsistentFlags,
     InfiniteSlope,
     InvalidTorusParams,
     MutualExclusivityViolation,
+    NotApplicable,
 )
 from .frac import ExtFraction, TwistVector, cf_eval, slope_normalize
 
 KIND_TAU = "tau"
 KIND_RHO = "rho"
 
-HALF = ExtFraction(1, 2)
-ZERO = ExtFraction(0, 1)
+HOPF_SLOPE = ExtFraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,8 @@ class RationalPresentation:
     twists: TwistVector
 
     def __post_init__(self):
-        object.__setattr__(self, "twists", tuple(int(a) for a in self.twists))
+        # operator.index, not int: int(3.9) would quietly present the twist 3
+        object.__setattr__(self, "twists", tuple(operator.index(a) for a in self.twists))
 
 
 @dataclass(frozen=True)
@@ -265,7 +267,7 @@ def _torus_from_slope(slope: ExtFraction) -> TorusParams | None:
 def _rational_profile(kind: str, value: ExtFraction) -> ResolvedTangle:
     slope = slope_normalize(value)
     trivial = slope.is_zero
-    hopf = kind == KIND_RHO and slope == HALF
+    hopf = kind == KIND_RHO and slope == HOPF_SLOPE
     torus = _torus_from_slope(slope) if kind == KIND_RHO else None
     provenance = [
         "slope: twist-vector value normalized to (-1/2, 1/2]",
@@ -407,6 +409,16 @@ def resolve(d: Descriptor) -> ResolvedTangle:
 resolve_tau = resolve_rho = resolve
 
 
+def require(t: ResolvedTangle, what: str, kind: str | None = None):
+    """Raise NotApplicable unless ``t`` is atoroidal, essential and (if given) of ``kind``."""
+    if kind is not None and t.kind != kind:
+        raise NotApplicable(f"expected a {kind}-tangle, got {t.kind}")
+    if not t.atoroidal:
+        raise NotApplicable(f"{what} presupposes an atoroidal tangle")
+    if not t.essential:
+        raise NotApplicable(f"{what} presupposes an essential tangle")
+
+
 # ---------------------------------------------------------------------------
 # Mirror image
 
@@ -418,15 +430,9 @@ def mirror_descriptor(d: Descriptor) -> Descriptor:
     elif isinstance(p, TorusRhoPresentation):
         mirrored = TorusRhoPresentation(p.params.mirrored())
     elif isinstance(p, AbstractTau):
-        mirrored = AbstractTau(
-            atoroidal=p.atoroidal, trivial=p.trivial, rational=p.rational,
-            slope=-p.slope if p.slope is not None else None,
-            unit_fraction_slope=p.unit_fraction_slope)
+        mirrored = replace(p, slope=-p.slope if p.slope is not None else None)
     else:
-        mirrored = AbstractRho(
-            atoroidal=p.atoroidal, trivial=p.trivial, hopf_tangle=p.hopf_tangle,
-            satellite=p.satellite, cable=p.cable, hopf_summand=p.hopf_summand,
-            torus=p.torus.mirrored() if p.torus is not None else None)
+        mirrored = replace(p, torus=p.torus.mirrored() if p.torus is not None else None)
     if isinstance(d, TauDescriptor):
         return TauDescriptor(mirrored)
     return RhoDescriptor(mirrored)

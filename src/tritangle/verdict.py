@@ -2,7 +2,9 @@
 
 ``classify`` examines each tangle side of a 3-decomposition once, then
 ``classify_examined`` checks its structure and dispatches to the kind-specific
-counting rules, which check their own preconditions (kinds, essentiality, atoroidality):
+classifiers.  These share one gate: it checks the side kinds and essentiality,
+returns the toroidal verdict when a side is not atoroidal, and only then applies
+the kind's counting rule:
 
 * tau-tau: infinitely many annuli iff special with both slopes +-1/3 of
   the same sign; three for mixed-sign 1/3, -1/3; one for any other pair
@@ -130,21 +132,20 @@ class Verdict(NamedTuple):
         return "inadmissible: " + "; ".join(str(v) for v in self.violations)
 
 
+ATOROIDAL_NOTE = "atoroidal: both tangle exteriors are atoroidal"
+
+
 def _classified(count: AnnulusCount, branch: str, annuli: tuple[str, ...],
-                notes: tuple[str, ...]) -> Verdict:
-    notes = notes + (IRREDUCIBILITY_NOTE,)
+                note: str) -> Verdict:
+    notes = (ATOROIDAL_NOTE, note, IRREDUCIBILITY_NOTE)
     if count.is_zero:
         notes = notes + (HYPERBOLICITY_NOTE,)
     return Verdict(status=CLASSIFIED, annulus_count=count, hyperbolic=count.is_zero,
                    branch=branch, annuli=annuli, notes=notes)
 
 
-def _inadmissible(violations: list[Violation], notes: tuple[str, ...] = ()) -> Verdict:
-    return Verdict(status=INADMISSIBLE, violations=tuple(violations), notes=notes)
-
-
-def _toroidal(notes: tuple[str, ...]) -> Verdict:
-    return Verdict(status=TOROIDAL, notes=notes)
+def _inadmissible(violations: list[Violation]) -> Verdict:
+    return Verdict(status=INADMISSIBLE, violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -166,43 +167,21 @@ def _unit_denominator(t: ResolvedTangle) -> int | _Unit:
     return t.slope.den if t.slope.num > 0 else -t.slope.den
 
 
-def _precondition_violations(sides: list[tuple[str, ResolvedTangle, str]]) -> list[Violation]:
-    out = []
-    for position, tangle, expected_kind in sides:
-        if tangle.kind != expected_kind:
-            out.append(Violation(
-                "KindMismatch", (position,),
-                f"expected a {expected_kind}-tangle, got {tangle.kind}"))
-        if not tangle.essential:
-            reason = ("the Hopf tangle is non-trivial but inessential"
-                      if tangle.hopf_tangle else "a trivial tangle is inessential")
-            out.append(Violation(
-                "InessentialTangle", (position,),
-                f"{reason}; an essential 3-decomposition requires both sides essential"))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Kind-specific classifiers
+# Counting rules, one per kind, each reached through the gate below
 
-def classify_tautau(a: ResolvedTangle, b: ResolvedTangle, special: bool) -> Verdict:
-    bad = _precondition_violations([("first", a, KIND_TAU), ("second", b, KIND_TAU)])
-    if bad:
-        return _inadmissible(bad)
-    if not (a.atoroidal and b.atoroidal):
-        return _toroidal(("annulus counting requires both sides atoroidal",))
-    notes = ("atoroidal: both tangle exteriors are atoroidal",)
+def _tautau(a: ResolvedTangle, b: ResolvedTangle, special: bool) -> Verdict:
     if not special:
         return _classified(
             ZERO_ANNULI, BRANCH_TAUTAU_HYPERBOLIC, (),
-            notes + ("not special: the decomposing sphere cuts no essential annulus "
-                     "into rectangles, and tau exteriors carry no good annulus",))
+            "not special: the decomposing sphere cuts no essential annulus "
+            "into rectangles, and tau exteriors carry no good annulus")
     m, n = _unit_denominator(a), _unit_denominator(b)
     if m is _Unit.NO or n is _Unit.NO:
         return _classified(
             ZERO_ANNULI, BRANCH_TAUTAU_HYPERBOLIC, (),
-            notes + ("a side is not rational with a unit-fraction slope, "
-                     "so its exterior admits no good rectangle",))
+            "a side is not rational with a unit-fraction slope, "
+            "so its exterior admits no good rectangle")
     undetermined = [p for p, u in (("first", m), ("second", n)) if isinstance(u, _Unit)]
     if undetermined:
         return _inadmissible([Violation(
@@ -214,37 +193,31 @@ def classify_tautau(a: ResolvedTangle, b: ResolvedTangle, special: bool) -> Verd
             return _classified(
                 INFINITELY_MANY, BRANCH_TAUTAU_INFINITE,
                 ("infinite family from Dehn-twisted rectangle pairings",),
-                notes + (f"special with slopes 1/{m} and 1/{n} (equal, +-1/3)",))
+                f"special with slopes 1/{m} and 1/{n} (equal, +-1/3)")
         return _classified(
             THREE_ANNULI, BRANCH_TAUTAU_THREE,
             ("three annuli from good-rectangle pairings",),
-            notes + ("special with slopes 1/3 and -1/3 (mixed signs)",))
+            "special with slopes 1/3 and -1/3 (mixed signs)")
     return _classified(
         ONE_ANNULUS, BRANCH_TAUTAU_ONE,
         ("annulus from a type I / type I rectangle pairing",),
-        notes + (f"special with unit-fraction slopes 1/{m}, 1/{n}, "
-                 "at least one denominator differs from +-3",))
+        f"special with unit-fraction slopes 1/{m}, 1/{n}, "
+        "at least one denominator differs from +-3")
 
 
-def classify_taurho(t: ResolvedTangle, r: ResolvedTangle, special: bool) -> Verdict:
-    bad = _precondition_violations([("first", t, KIND_TAU), ("second", r, KIND_RHO)])
-    if bad:
-        return _inadmissible(bad)
-    if not (t.atoroidal and r.atoroidal):
-        return _toroidal(("annulus counting requires both sides atoroidal",))
-    notes = ("atoroidal: both tangle exteriors are atoroidal",)
+def _taurho(t: ResolvedTangle, r: ResolvedTangle, special: bool) -> Verdict:
     annulus = good_annulus(r)
     if annulus is None:
         return _classified(
             ZERO_ANNULI, BRANCH_TAURHO_HYPERBOLIC, (),
-            notes + ("the rho side is not satellite or cable and has no Hopf "
-                     "summand, so neither side carries a good annulus",))
+            "the rho side is not satellite or cable and has no Hopf "
+            "summand, so neither side carries a good annulus")
     annulus_desc = f"good annulus of {annulus.value}"
     m = _unit_denominator(t) if special and r.torus is not None else _Unit.NO
     if m is _Unit.NO:
         return _classified(
             ONE_ANNULUS, BRANCH_TAURHO_ONE, (annulus_desc,),
-            notes + ("the good annulus is the only essential annulus; " + UNIQUENESS_NOTE,))
+            "the good annulus is the only essential annulus; " + UNIQUENESS_NOTE)
     if isinstance(m, _Unit):
         return _inadmissible([Violation(
             "UndeterminedSlope", ("first",),
@@ -256,31 +229,26 @@ def classify_taurho(t: ResolvedTangle, r: ResolvedTangle, special: bool) -> Verd
             return _classified(
                 INFINITELY_MANY, BRANCH_TAURHO_INFINITE,
                 (annulus_desc, "infinite family from Dehn-twisted rectangle pairings"),
-                notes + (f"special, tau slope 1/{m}, torus parameter p = 2",))
+                f"special, tau slope 1/{m}, torus parameter p = 2")
         return _classified(
             FOUR_ANNULI, BRANCH_TAURHO_FOUR,
             (annulus_desc, "annuli from Moebius-band pairings of type I/II rectangles"),
-            notes + (f"special, tau slope 1/{m}, torus parameter p = {p} != 2",))
+            f"special, tau slope 1/{m}, torus parameter p = {p} != 2")
     if p != 2:
         return _classified(
             TWO_ANNULI, BRANCH_TAURHO_TWO,
             (annulus_desc, "frontier of the Moebius band from a type I / type I "
                            "rectangle pairing"),
-            notes + (f"special, tau slope 1/{m} with denominator != +-3, "
-                     f"torus parameter p = {p} != 2",))
+            f"special, tau slope 1/{m} with denominator != +-3, "
+            f"torus parameter p = {p} != 2")
     return _classified(
         ONE_ANNULUS, BRANCH_TAURHO_ONE, (annulus_desc,),
-        notes + (f"special, tau slope 1/{m} with denominator != +-3 and torus "
-                 "parameter p = 2 fall to the residual one-annulus clause",))
+        f"special, tau slope 1/{m} with denominator != +-3 and torus "
+        "parameter p = 2 fall to the residual one-annulus clause")
 
 
-def classify_rhorho(a: ResolvedTangle, b: ResolvedTangle) -> Verdict:
-    bad = _precondition_violations([("first", a, KIND_RHO), ("second", b, KIND_RHO)])
-    if bad:
-        return _inadmissible(bad)
-    if not (a.atoroidal and b.atoroidal):
-        return _toroidal(("annulus counting requires both sides atoroidal",))
-    notes = ("atoroidal: both tangle exteriors are atoroidal",)
+def _rhorho(a: ResolvedTangle, b: ResolvedTangle, special: bool) -> Verdict:
+    """``special`` is unread: a special rho-rho decomposition is inadmissible."""
     annuli = []
     for position, side in (("first", a), ("second", b)):
         found = good_annulus(side)
@@ -288,29 +256,63 @@ def classify_rhorho(a: ResolvedTangle, b: ResolvedTangle) -> Verdict:
             annuli.append(f"{position} side: good annulus of {found.value}")
     if len(annuli) == 2:
         return _classified(TWO_ANNULI, BRANCH_RHORHO_TWO, tuple(annuli),
-                           notes + ("both sides carry a good annulus",))
+                           "both sides carry a good annulus")
     if len(annuli) == 1:
         return _classified(ONE_ANNULUS, BRANCH_RHORHO_ONE, tuple(annuli),
-                           notes + ("exactly one side carries a good annulus",))
+                           "exactly one side carries a good annulus")
     return _classified(
         ZERO_ANNULI, BRANCH_RHORHO_HYPERBOLIC, (),
-        notes + ("neither side is satellite or cable or has a Hopf summand",))
+        "neither side is satellite or cable or has a Hopf summand")
+
+
+#: Each decomposition kind's side kinds and counting rule.
+_RULES = {TAUTAU: ((KIND_TAU, KIND_TAU), _tautau), TAURHO: ((KIND_TAU, KIND_RHO), _taurho),
+          RHORHO: ((KIND_RHO, KIND_RHO), _rhorho)}
+
+
+def _count(kind: str, a: ResolvedTangle, b: ResolvedTangle, special: bool) -> Verdict:
+    """The gate of every count: side kinds and essentiality, atoroidality, the kind's rule."""
+    side_kinds, rule = _RULES[kind]
+    bad = []
+    for position, tangle, expected_kind in zip(("first", "second"), (a, b), side_kinds):
+        if tangle.kind != expected_kind:
+            bad.append(Violation(
+                "KindMismatch", (position,),
+                f"expected a {expected_kind}-tangle, got {tangle.kind}"))
+        if not tangle.essential:
+            reason = ("the Hopf tangle is non-trivial but inessential"
+                      if tangle.hopf_tangle else "a trivial tangle is inessential")
+            bad.append(Violation(
+                "InessentialTangle", (position,),
+                f"{reason}; an essential 3-decomposition requires both sides essential"))
+    if bad:
+        return _inadmissible(bad)
+    if not (a.atoroidal and b.atoroidal):
+        return Verdict(status=TOROIDAL, notes=("annulus counting requires both sides atoroidal",))
+    return rule(a, b, special)
+
+
+def classify_tautau(a: ResolvedTangle, b: ResolvedTangle, special: bool) -> Verdict:
+    return _count(TAUTAU, a, b, special)
+
+
+def classify_taurho(t: ResolvedTangle, r: ResolvedTangle, special: bool) -> Verdict:
+    return _count(TAURHO, t, r, special)
+
+
+def classify_rhorho(a: ResolvedTangle, b: ResolvedTangle) -> Verdict:
+    return _count(RHORHO, a, b, False)
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 
-_SIDE_KINDS = {TAUTAU: (KIND_TAU, KIND_TAU), TAURHO: (KIND_TAU, KIND_RHO),
-               RHORHO: (KIND_RHO, KIND_RHO)}
-
-
 def _structural_violations(d: Decomposition) -> list[Violation]:
     if d.kind not in (TAUTAU, TAURHO, RHORHO):  # not a lookup: a kind may be unhashable
         return [Violation("UnknownKind", ("kind",), f"unknown decomposition kind {d.kind!r}")]
-    expected = _SIDE_KINDS[d.kind]
     out = []
-    for position, descriptor, kind in (("first", d.first, expected[0]),
-                                       ("second", d.second, expected[1])):
+    for position, descriptor, kind in zip(("first", "second"), (d.first, d.second),
+                                          _RULES[d.kind][0]):
         if descriptor.kind != kind:
             out.append(Violation(
                 "KindMismatch", (position,),

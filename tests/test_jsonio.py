@@ -24,6 +24,7 @@ from tritangle import (
     loads_decomposition,
     loads_tangle,
     mirror_decomposition,
+    mirror_descriptor,
     parse_decomposition,
     parse_tangle,
     serialize_decomposition,
@@ -276,17 +277,19 @@ def torus_params(draw):
     return TorusParams(p, q)
 
 
+slopes = st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(
+    lambda pq: pq != (0, 0)).map(lambda pq: ExtFraction(*pq))
+
+
+# The parser does not check topology, so each abstract field is drawn on its own.
 @st.composite
 def tau_descriptors(draw):
     if draw(st.booleans()):
         return TauDescriptor(RationalPresentation(draw(twists)))
-    trivial = draw(st.booleans())
-    if draw(st.booleans()):
-        return TauDescriptor(AbstractTau(
-            atoroidal=draw(st.booleans()), trivial=trivial, rational=True,
-            unit_fraction_slope=False if not trivial and draw(st.booleans()) else None))
     return TauDescriptor(AbstractTau(
-        atoroidal=draw(st.booleans()), trivial=False, rational=False))
+        atoroidal=draw(st.booleans()), trivial=draw(st.booleans()),
+        rational=draw(st.booleans()), slope=draw(st.none() | slopes),
+        unit_fraction_slope=draw(st.none() | st.booleans())))
 
 
 @st.composite
@@ -296,11 +299,11 @@ def rho_descriptors(draw):
         return RhoDescriptor(RationalPresentation(draw(twists)))
     if choice == "torus":
         return RhoDescriptor(TorusRhoPresentation(draw(torus_params())))
-    flag = draw(st.sampled_from(["none", "satellite", "cable", "hopf_summand"]))
     return RhoDescriptor(AbstractRho(
-        atoroidal=draw(st.booleans()), trivial=False,
-        satellite=flag == "satellite", cable=flag == "cable",
-        hopf_summand=flag == "hopf_summand"))
+        atoroidal=draw(st.booleans()), trivial=draw(st.booleans()),
+        hopf_tangle=draw(st.booleans()), satellite=draw(st.booleans()),
+        cable=draw(st.booleans()), hopf_summand=draw(st.booleans()),
+        torus=draw(st.none() | torus_params())))
 
 
 @st.composite
@@ -313,8 +316,45 @@ def decompositions(draw):
                          first=draw(sides[0]), second=draw(sides[1]))
 
 
+# The keys serialize_tangle writes for an abstract side, in this order: the
+# required flags always, the tau slope data when given, the rho flags when set.
+ABSTRACT_KEYS = {
+    AbstractTau: ("atoroidal", "trivial", "rational", "slope", "unit_fraction_slope"),
+    AbstractRho: ("atoroidal", "trivial", "hopf_tangle", "satellite", "cable",
+                  "hopf_summand", "torus"),
+}
+
+
+def _written(p, key: str) -> bool:
+    value = getattr(p, key)
+    if key in ("atoroidal", "trivial", "rational"):
+        return True
+    if isinstance(p, AbstractTau) or key == "torus":
+        return value is not None
+    return value
+
+
+def _check_abstract_side(side):
+    p, image = side.presentation, mirror_descriptor(side).presentation
+    keys = ABSTRACT_KEYS[type(p)]
+    for key in keys:  # the mirror negates the slope and the torus q, nothing else
+        before, after = getattr(p, key), getattr(image, key)
+        if key == "slope" and before is not None:
+            assert after == ExtFraction(-before.num, before.den)
+        elif key == "torus" and before is not None:
+            assert after == TorusParams(before.p, -before.q)
+        else:
+            assert after == before, key
+    written = serialize_tangle(side)["presentation"]["abstract"]
+    assert list(written) == [key for key in keys if _written(p, key)]
+
+
 @given(decompositions())
 def test_round_trip_generated_documents(d):
     assert parse_decomposition(serialize_decomposition(d)) == d
     # classification commutes with the round trip and never raises
     assert classify(parse_decomposition(serialize_decomposition(d))) == classify(d)
+    for side in (d.first, d.second):
+        assert mirror_descriptor(mirror_descriptor(side)) == side
+        if isinstance(side.presentation, (AbstractTau, AbstractRho)):
+            _check_abstract_side(side)

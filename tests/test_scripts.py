@@ -1,0 +1,41 @@
+"""The two scripts under scripts/, run as the processes a user starts."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from tritangle import census_csv, run_census
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_run_census_writes_the_three_tables(tmp_path):
+    result = run_script("run_census.py", "--max-denominator", "25", "--out-dir", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    for kind in ("tautau", "taurho", "rhorho"):
+        written = (tmp_path / f"census_{kind}.csv").read_text(encoding="utf-8")
+        assert written == census_csv(run_census(kind, 25)), kind
+
+
+def test_run_census_past_the_cap_exits_two_before_creating_the_directory(tmp_path):
+    out_dir = tmp_path / "census"
+    result = run_script("run_census.py", "--max-denominator", "100", "--out-dir", str(out_dir))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr == "error: census bound 100 exceeds the cap 99\n"
+    assert not out_dir.exists()
+
+
+def test_reproduce_tables_reports_no_mismatch():
+    result = run_script("reproduce_tables.py")
+    assert result.returncode == 0, result.stderr
+    assert "0 mismatches" in result.stdout

@@ -221,6 +221,14 @@ def test_rho_descriptor_rejects_tau_presentation():
         RhoDescriptor(AbstractTau(atoroidal=True, trivial=False, rational=True))
 
 
+@pytest.mark.parametrize("entry", [3.9, 3.0, "3"])
+def test_rational_presentation_refuses_non_integer_twists(entry):
+    # truncating 3.9 to 3 would present slope 1/3 and forge a tautau (i) verdict
+    with pytest.raises(TypeError):
+        RationalPresentation((entry, 0))
+    assert RationalPresentation((3, 0)).twists == (3, 0)
+
+
 # ---------------------------------------------------------------------------
 # validate_descriptor
 
