@@ -106,12 +106,12 @@ class _Flag(NamedTuple):
     name: str
     default: Any  # dataclasses.MISSING for a required flag
     read: Callable[[Any, str], Any]
-    write: Callable[[Any], Any]
+    write: Callable[[Any], Any] | None  # None: written as it is
 
 
 def _abstract_schema(cls) -> tuple[type, tuple[_Flag, ...], tuple[str, ...], tuple[str, ...]]:
     """An abstract presentation class, its flags in field order, the required and optional names."""
-    flags = tuple(_Flag(f.name, f.default, *_FLAG_CODECS.get(f.name, (_bool, lambda b: b)))
+    flags = tuple(_Flag(f.name, f.default, *_FLAG_CODECS.get(f.name, (_bool, None)))
                   for f in dataclasses.fields(cls))
     return (cls, flags, tuple(f.name for f in flags if f.default is dataclasses.MISSING),
             tuple(f.name for f in flags if f.default is not dataclasses.MISSING))
@@ -152,8 +152,8 @@ def parse_tangle(obj: Any, path: str = "tangle") -> Descriptor:
         body = _require_object(body, vpath)
         cls, schema, required, optional = _ABSTRACT[kind]
         _check_fields(body, vpath, required, optional)
-        presentation = cls(**{f.name: f.read(body[f.name], f"{vpath}.{f.name}")
-                              for f in schema if f.name in body})
+        presentation = cls(**{name: read(body[name], f"{vpath}.{name}")
+                              for name, _, read, _ in schema if name in body})
     else:
         raise DocumentError(vpath, "unknown presentation variant")
     if kind == KIND_TAU:
@@ -222,10 +222,10 @@ def serialize_tangle(d: Descriptor) -> dict:
         body = {"torus_rho": {"p": p.params.p, "q": p.params.q}}
     else:
         flags = {}
-        for f in _ABSTRACT[d.kind][1]:  # the flags in field order
-            value = getattr(p, f.name)
-            if value != f.default:  # a required flag's default is MISSING
-                flags[f.name] = f.write(value)
+        for name, default, _, write in _ABSTRACT[d.kind][1]:  # the flags in field order
+            value = getattr(p, name)
+            if value != default:  # a required flag's default is MISSING
+                flags[name] = write(value) if write else value
         body = {"abstract": flags}
     return {"kind": d.kind, "presentation": body}
 
