@@ -137,10 +137,11 @@ ATOROIDAL_NOTE = "atoroidal: both tangle exteriors are atoroidal"
 
 def _classified(count: AnnulusCount, branch: str, annuli: tuple[str, ...],
                 note: str) -> Verdict:
+    hyperbolic = count.is_zero
     notes = (ATOROIDAL_NOTE, note, IRREDUCIBILITY_NOTE)
-    if count.is_zero:
+    if hyperbolic:
         notes = notes + (HYPERBOLICITY_NOTE,)
-    return Verdict(status=CLASSIFIED, annulus_count=count, hyperbolic=count.is_zero,
+    return Verdict(status=CLASSIFIED, annulus_count=count, hyperbolic=hyperbolic,
                    branch=branch, annuli=annuli, notes=notes)
 
 
