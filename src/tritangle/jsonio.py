@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Callable, NamedTuple
+from typing import Any
 
 from .errors import DocumentError, InvalidTorusParams, ZeroOverZero
 from .frac import ExtFraction, parse_fraction
@@ -102,23 +102,20 @@ _FLAG_CODECS = {
 }
 
 
-class _Flag(NamedTuple):
-    name: str
-    default: Any  # dataclasses.MISSING for a required flag
-    read: Callable[[Any, str], Any]
-    write: Callable[[Any], Any] | None  # None: written as it is
+def _abstract_schema(cls) -> tuple:
+    """An abstract presentation class, its flags in field order, the required and optional names.
+
+    Each flag is (name, default, read, write): the default is ``dataclasses.MISSING`` for a
+    required flag, and a boolean flag has no writer (None) because it is written as it is.
+    """
+    fields = dataclasses.fields(cls)
+    flags = tuple((f.name, f.default, *_FLAG_CODECS.get(f.name, (_bool, None))) for f in fields)
+    return (cls, flags, tuple(f.name for f in fields if f.default is dataclasses.MISSING),
+            tuple(f.name for f in fields if f.default is not dataclasses.MISSING))
 
 
-def _abstract_schema(cls) -> tuple[type, tuple[_Flag, ...], tuple[str, ...], tuple[str, ...]]:
-    """An abstract presentation class, its flags in field order, the required and optional names."""
-    flags = tuple(_Flag(f.name, f.default, *_FLAG_CODECS.get(f.name, (_bool, None)))
-                  for f in dataclasses.fields(cls))
-    return (cls, flags, tuple(f.name for f in flags if f.default is dataclasses.MISSING),
-            tuple(f.name for f in flags if f.default is not dataclasses.MISSING))
-
-
-# kind -> (class, flags in field order, required names, optional names); built once,
-# since reading the dataclass fields on every call would tax the documents path
+# kind -> the schema above; built once, since reading the dataclass fields on every call
+# would tax the documents path
 _ABSTRACT = {KIND_TAU: _abstract_schema(AbstractTau), KIND_RHO: _abstract_schema(AbstractRho)}
 
 

@@ -273,20 +273,21 @@ _RULES = {TAUTAU: ((KIND_TAU, KIND_TAU), _tautau), TAURHO: ((KIND_TAU, KIND_RHO)
 
 def _count(kind: str, a: ResolvedTangle, b: ResolvedTangle, special: bool) -> Verdict:
     """The gate of every count: side kinds and essentiality, atoroidality, the kind's rule."""
-    side_kinds, rule = _RULES[kind]
-    bad = []
-    for position, tangle, expected_kind in zip(("first", "second"), (a, b), side_kinds):
-        if tangle.kind != expected_kind:
-            bad.append(Violation(
-                "KindMismatch", (position,),
-                f"expected a {expected_kind}-tangle, got {tangle.kind}"))
-        if not tangle.essential:
-            reason = ("the Hopf tangle is non-trivial but inessential"
-                      if tangle.hopf_tangle else "a trivial tangle is inessential")
-            bad.append(Violation(
-                "InessentialTangle", (position,),
-                f"{reason}; an essential 3-decomposition requires both sides essential"))
-    if bad:
+    (first_kind, second_kind), rule = _RULES[kind]
+    if a.kind != first_kind or b.kind != second_kind or not (a.essential and b.essential):
+        bad = []
+        for position, tangle, expected_kind in (("first", a, first_kind),
+                                                ("second", b, second_kind)):
+            if tangle.kind != expected_kind:
+                bad.append(Violation(
+                    "KindMismatch", (position,),
+                    f"expected a {expected_kind}-tangle, got {tangle.kind}"))
+            if not tangle.essential:
+                reason = ("the Hopf tangle is non-trivial but inessential"
+                          if tangle.hopf_tangle else "a trivial tangle is inessential")
+                bad.append(Violation(
+                    "InessentialTangle", (position,),
+                    f"{reason}; an essential 3-decomposition requires both sides essential"))
         return _inadmissible(bad)
     if not (a.atoroidal and b.atoroidal):
         return Verdict(status=TOROIDAL, notes=("annulus counting requires both sides atoroidal",))
@@ -311,9 +312,10 @@ def classify_rhorho(a: ResolvedTangle, b: ResolvedTangle) -> Verdict:
 def _structural_violations(d: Decomposition) -> list[Violation]:
     if d.kind not in (TAUTAU, TAURHO, RHORHO):  # not a lookup: a kind may be unhashable
         return [Violation("UnknownKind", ("kind",), f"unknown decomposition kind {d.kind!r}")]
+    expected = _RULES[d.kind][0]
     out = []
-    for position, descriptor, kind in zip(("first", "second"), (d.first, d.second),
-                                          _RULES[d.kind][0]):
+    for position, descriptor, kind in (("first", d.first, expected[0]),
+                                       ("second", d.second, expected[1])):
         if descriptor.kind != kind:
             out.append(Violation(
                 "KindMismatch", (position,),
