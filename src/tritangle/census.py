@@ -9,9 +9,10 @@ Three censuses, one per decomposition kind:
 * rhorho: sides indexed 0 (a plain rational rho of slope 3/8, no good
   annulus) or p >= 2 (a (p, 1)-torus rho, satellite).
 
-Each distinct side of a table is built and examined once.  Rows come out
-sorted by (m, n) because the sides are enumerated in ascending order, so
-the CSV output is byte-identical across runs.
+Each distinct side of a table is built and examined once.  Census sides are
+valid by construction, so each row hands the two profiles straight to its
+kind's classifier.  Rows come out sorted by (m, n) because the sides are
+enumerated in ascending order, so the CSV output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import Iterable, NamedTuple
 from .errors import BoundsTooLarge
 from .tangle import RationalPresentation, RhoDescriptor, TauDescriptor, TorusParams, \
     TorusRhoPresentation, examine
-from .verdict import Decomposition, RHORHO, TAURHO, TAUTAU, Verdict, classify_examined
+from .verdict import Decomposition, RHORHO, TAURHO, TAUTAU, Verdict, classify_rhorho, \
+    classify_taurho, classify_tautau
 
 HARD_CAP = 99  # keeps the enumeration instant and far from any practical limit
 
@@ -81,29 +83,27 @@ def _odd_denominators(bound: int) -> list[int]:
 
 
 def _examined(build, indices: Iterable[int]) -> dict:
-    """Each side index mapped to its descriptor and that descriptor's ``examine``."""
-    sides = {index: build(index) for index in indices}
-    return {index: (side, examine(side)) for index, side in sides.items()}
+    """Each side index mapped to the profile ``examine`` derives for its side."""
+    return {index: examine(build(index))[0] for index in indices}
 
 
 def run_census(kind: str, bound: int) -> list[CensusRow]:
     """Classify every decomposition in the configured range, sorted rows."""
     _check_bound(bound)
     if kind == TAUTAU:
-        firsts = seconds = _examined(_tau_of_slope, _odd_denominators(bound))
-    elif kind == TAURHO:
-        firsts = _examined(_tau_of_slope, range(3, bound + 1, 2))
-        seconds = _examined(_rho_side, range(2, bound + 1))
-    elif kind == RHORHO:
-        firsts = seconds = _examined(_rho_side, [0, *range(2, bound + 1)])
-    else:
-        raise ValueError(f"unknown census kind {kind!r}")
-    rows = []
-    for m, (first, first_examined) in firsts.items():
-        for n, (second, second_examined) in seconds.items():
-            d = Decomposition(kind=kind, special=kind != RHORHO, first=first, second=second)
-            rows.append(_row(m, n, classify_examined(d, first_examined, second_examined)))
-    return rows
+        sides = _examined(_tau_of_slope, _odd_denominators(bound))
+        return [_row(m, n, classify_tautau(a, b, True))
+                for m, a in sides.items() for n, b in sides.items()]
+    if kind == TAURHO:
+        taus = _examined(_tau_of_slope, range(3, bound + 1, 2))
+        rhos = _examined(_rho_side, range(2, bound + 1))
+        return [_row(m, n, classify_taurho(t, r, True))
+                for m, t in taus.items() for n, r in rhos.items()]
+    if kind == RHORHO:
+        sides = _examined(_rho_side, [0, *range(2, bound + 1)])
+        return [_row(m, n, classify_rhorho(a, b))
+                for m, a in sides.items() for n, b in sides.items()]
+    raise ValueError(f"unknown census kind {kind!r}")
 
 
 def census_csv(rows: Iterable[CensusRow]) -> str:

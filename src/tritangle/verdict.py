@@ -1,10 +1,9 @@
 """Decomposition validation and the essential-annulus count dispatcher.
 
-``classify`` examines each tangle side of a 3-decomposition once, then
-``classify_examined`` checks its structure and dispatches to the kind-specific
-classifiers.  These share one gate: it checks the side kinds and essentiality,
-returns the toroidal verdict when a side is not atoroidal, and only then applies
-the kind's counting rule:
+``classify`` examines each tangle side of a 3-decomposition once, checks its
+structure and dispatches to the kind-specific classifiers.  These share one
+gate: it checks the side kinds and essentiality, returns the toroidal verdict
+when a side is not atoroidal, and only then applies the kind's counting rule:
 
 * tau-tau: infinitely many annuli iff special with both slopes +-1/3 of
   the same sign; three for mixed-sign 1/3, -1/3; one for any other pair
@@ -328,34 +327,23 @@ def _structural_violations(d: Decomposition) -> list[Violation]:
     return out
 
 
-Examined = tuple[ResolvedTangle | None, list[Violation]]
+def classify(d: Decomposition) -> Verdict:
+    """Examine, check and dispatch a decomposition to its verdict.
 
-
-def classify_examined(d: Decomposition, first: Examined, second: Examined) -> Verdict:
-    """Check and dispatch a decomposition, given ``examine(d.first)`` and ``examine(d.second)``.
-
-    A caller that meets the same side many times can examine it once.
+    All failures are reported inside the Verdict (status inadmissible with
+    a violation list), never raised past this boundary.
     """
+    (a, first), (b, second) = examine(d.first), examine(d.second)
     violations = _structural_violations(d)
-    for position, (_, found) in (("first", first), ("second", second)):
+    for position, found in (("first", first), ("second", second)):
         violations += [Violation(v.rule, (position,) + v.fields, v.detail) for v in found]
     if violations:
         return _inadmissible(violations)
-    a, b = first[0], second[0]
     if d.kind == TAUTAU:
         return classify_tautau(a, b, d.special)
     if d.kind == TAURHO:
         return classify_taurho(a, b, d.special)
     return classify_rhorho(a, b)
-
-
-def classify(d: Decomposition) -> Verdict:
-    """Check, examine and dispatch a decomposition to its verdict.
-
-    All failures are reported inside the Verdict (status inadmissible with
-    a violation list), never raised past this boundary.
-    """
-    return classify_examined(d, examine(d.first), examine(d.second))
 
 
 # ---------------------------------------------------------------------------

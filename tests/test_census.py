@@ -67,13 +67,13 @@ def test_each_side_examined_once_per_table(kind, sides, monkeypatch):
 @pytest.mark.parametrize("kind", ["tautau", "taurho", "rhorho"])
 def test_every_row_matches_classify(kind, monkeypatch):
     verdicts = []
-    classify_examined = census.classify_examined
+    classify_kind = getattr(census, f"classify_{kind}")
 
     def recorded(*args):
-        verdicts.append(classify_examined(*args))
+        verdicts.append(classify_kind(*args))
         return verdicts[-1]
 
-    monkeypatch.setattr(census, "classify_examined", recorded)
+    monkeypatch.setattr(census, f"classify_{kind}", recorded)
     rows = run_census(kind, 25)
     assert len(verdicts) == len(rows)
     for row, verdict in zip(rows, verdicts):
