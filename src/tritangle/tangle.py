@@ -8,8 +8,8 @@ abstract geometric flags taken at face value after validation.
 
 ``examine`` makes one pass over a descriptor.  A rational side's twist
 vector is evaluated once and its profile is built from that value; an
-abstract side's broken invariants are collected, and its profile is built
-only when there are none.  The profile (a ResolvedTangle) carries the
+abstract side's flags are checked and profiled in the same pass, and its
+profile is built only when no invariant is broken.  The profile (a ResolvedTangle) carries the
 slope, triviality, essentiality, torus parameters and the satellite /
 cable / Hopf-summand trichotomy, each derived field with a provenance
 note naming the rule that produced it.  ``validate_descriptor`` and
@@ -123,28 +123,22 @@ class AbstractRho:
 @dataclass(frozen=True)
 class TauDescriptor:
     presentation: RationalPresentation | AbstractTau
+    kind = KIND_TAU  # a class attribute, not a field
 
     def __post_init__(self):
         if not isinstance(self.presentation, (RationalPresentation, AbstractTau)):
             raise TypeError(f"{type(self.presentation).__name__} does not present a tau-tangle")
 
-    @property
-    def kind(self) -> str:
-        return KIND_TAU
-
 
 @dataclass(frozen=True)
 class RhoDescriptor:
     presentation: RationalPresentation | TorusRhoPresentation | AbstractRho
+    kind = KIND_RHO
 
     def __post_init__(self):
         if not isinstance(self.presentation, (RationalPresentation, TorusRhoPresentation,
                                               AbstractRho)):
             raise TypeError(f"{type(self.presentation).__name__} does not present a rho-tangle")
-
-    @property
-    def kind(self) -> str:
-        return KIND_RHO
 
 
 Descriptor = TauDescriptor | RhoDescriptor
@@ -183,62 +177,6 @@ class ResolvedTangle:
 
 # ---------------------------------------------------------------------------
 # Validation
-
-def _tau_abstract_violations(a: AbstractTau) -> list[Violation]:
-    out: list[Violation] = []
-    if not a.rational and (a.slope is not None or a.unit_fraction_slope is not None):
-        out.append(Violation(
-            "NonRationalSlopeData", ("rational", "slope", "unit_fraction_slope"),
-            "slope data requires rational = true"))
-    if a.slope is not None:
-        if a.slope.is_infinite:
-            out.append(Violation(
-                "InfiniteSlope", ("slope",),
-                "infinite slope does not present a rational 3-tangle"))
-        else:
-            norm = slope_normalize(a.slope)
-            unit = abs(norm.num) == 1
-            if a.unit_fraction_slope is not None and a.unit_fraction_slope != unit:
-                out.append(Violation(
-                    "SlopeFlagMismatch", ("slope", "unit_fraction_slope"),
-                    f"slope {norm} has |numerator| {'==' if unit else '!='} 1"))
-            if a.trivial != norm.is_zero:
-                out.append(Violation(
-                    "TrivialFlagConflict", ("trivial", "slope"),
-                    f"trivial must hold exactly for slope 0, slope is {norm}"))
-    elif a.trivial and a.unit_fraction_slope:
-        out.append(Violation(
-            "TrivialFlagConflict", ("trivial", "unit_fraction_slope"),
-            "a trivial tangle has slope 0, never a unit fraction"))
-    if a.trivial and not a.rational:
-        out.append(Violation(
-            "TrivialFlagConflict", ("trivial", "rational"),
-            "the trivial tangle is rational (slope 0)"))
-    return out
-
-
-def _rho_abstract_violations(a: AbstractRho) -> list[Violation]:
-    out: list[Violation] = []
-    satellite = a.satellite or a.torus is not None  # torus with p >= 2 is satellite
-    flags = [name for name, on in (
-        ("satellite", satellite), ("cable", a.cable), ("hopf_summand", a.hopf_summand)) if on]
-    if len(flags) > 1:
-        out.append(Violation(
-            "MutualExclusivity", tuple(flags),
-            "satellite, cable and hopf_summand are mutually exclusive"))
-    if a.hopf_tangle:
-        bad = tuple(f for f in ("trivial",) if a.trivial) + tuple(flags)
-        if bad:
-            out.append(Violation(
-                "HopfTangleConflict", ("hopf_tangle",) + bad,
-                "the Hopf tangle is non-trivial, not satellite or cable, "
-                "and has no Hopf summand"))
-    if a.trivial and (flags or a.hopf_tangle or a.torus is not None):
-        out.append(Violation(
-            "TrivialFlagConflict", ("trivial",) + tuple(flags),
-            "a trivial tangle carries none of the annulus-producing flags"))
-    return out
-
 
 def _raise_violations(violations: list[Violation]):
     """The one mapping from broken invariants to the exception ``resolve`` raises."""
@@ -329,45 +267,95 @@ def _torus_profile(t: TorusParams) -> ResolvedTangle:
     )
 
 
-def _abstract_tau_profile(p: AbstractTau) -> ResolvedTangle:
-    slope = slope_normalize(p.slope) if p.slope is not None else None
-    if slope is not None:
-        unit: bool | None = abs(slope.num) == 1
-    else:
-        unit = p.unit_fraction_slope
+def _abstract_tau(a: AbstractTau) -> tuple[ResolvedTangle | None, list[Violation]]:
+    """One pass over abstract tau flags: their profile, or None, and their broken invariants."""
+    out: list[Violation] = []
+    slope, unit = None, a.unit_fraction_slope
+    if not a.rational and (a.slope is not None or a.unit_fraction_slope is not None):
+        out.append(Violation(
+            "NonRationalSlopeData", ("rational", "slope", "unit_fraction_slope"),
+            "slope data requires rational = true"))
+    if a.slope is not None:
+        if a.slope.is_infinite:
+            out.append(Violation(
+                "InfiniteSlope", ("slope",),
+                "infinite slope does not present a rational 3-tangle"))
+        else:
+            slope = slope_normalize(a.slope)
+            unit = abs(slope.num) == 1
+            if a.unit_fraction_slope is not None and a.unit_fraction_slope != unit:
+                out.append(Violation(
+                    "SlopeFlagMismatch", ("slope", "unit_fraction_slope"),
+                    f"slope {slope} has |numerator| {'==' if unit else '!='} 1"))
+            if a.trivial != slope.is_zero:
+                out.append(Violation(
+                    "TrivialFlagConflict", ("trivial", "slope"),
+                    f"trivial must hold exactly for slope 0, slope is {slope}"))
+    elif a.trivial and a.unit_fraction_slope:
+        out.append(Violation(
+            "TrivialFlagConflict", ("trivial", "unit_fraction_slope"),
+            "a trivial tangle has slope 0, never a unit fraction"))
+    if a.trivial and not a.rational:
+        out.append(Violation(
+            "TrivialFlagConflict", ("trivial", "rational"),
+            "the trivial tangle is rational (slope 0)"))
+    if out:
+        return None, out
     provenance = ["flags: abstract descriptor taken at face value"]
-    if p.atoroidal:
+    if a.atoroidal:
         provenance.append(ESSENTIAL_NOTE)
     return ResolvedTangle(
         kind=KIND_TAU,
-        atoroidal=p.atoroidal,
-        trivial=p.trivial,
-        essential=not p.trivial,
-        rational=p.rational,
+        atoroidal=a.atoroidal,
+        trivial=a.trivial,
+        essential=not a.trivial,
+        rational=a.rational,
         slope=slope,
-        unit_fraction_slope=unit if p.rational else False,
+        unit_fraction_slope=unit if a.rational else False,
         provenance=tuple(provenance),
-    )
+    ), []
 
 
-def _abstract_rho_profile(p: AbstractRho) -> ResolvedTangle:
+def _abstract_rho(a: AbstractRho) -> tuple[ResolvedTangle | None, list[Violation]]:
+    """One pass over abstract rho flags: their profile, or None, and their broken invariants."""
+    out: list[Violation] = []
+    satellite = a.satellite or a.torus is not None  # torus with p >= 2 is satellite
+    flags = [name for name, on in (
+        ("satellite", satellite), ("cable", a.cable), ("hopf_summand", a.hopf_summand)) if on]
+    if len(flags) > 1:
+        out.append(Violation(
+            "MutualExclusivity", tuple(flags),
+            "satellite, cable and hopf_summand are mutually exclusive"))
+    if a.hopf_tangle:
+        bad = tuple(f for f in ("trivial",) if a.trivial) + tuple(flags)
+        if bad:
+            out.append(Violation(
+                "HopfTangleConflict", ("hopf_tangle",) + bad,
+                "the Hopf tangle is non-trivial, not satellite or cable, "
+                "and has no Hopf summand"))
+    if a.trivial and (flags or a.hopf_tangle or a.torus is not None):
+        out.append(Violation(
+            "TrivialFlagConflict", ("trivial",) + tuple(flags),
+            "a trivial tangle carries none of the annulus-producing flags"))
+    if out:
+        return None, out
     provenance = ["flags: abstract descriptor taken at face value"]
-    if p.torus is not None and not p.satellite:
+    if a.torus is not None and not a.satellite:
         provenance.append(SATELLITE_NOTE)
-    if p.atoroidal:
+    if a.atoroidal:
         provenance.append(ESSENTIAL_NOTE)
     return ResolvedTangle(
         kind=KIND_RHO,
-        atoroidal=p.atoroidal,
-        trivial=p.trivial,
-        essential=not p.trivial and not p.hopf_tangle,
-        torus=p.torus,
-        satellite=p.satellite or p.torus is not None,
-        cable=p.cable,
-        hopf_summand=p.hopf_summand,
-        hopf_tangle=p.hopf_tangle,
+        atoroidal=a.atoroidal,
+        trivial=a.trivial,
+        essential=not a.trivial and not a.hopf_tangle,
+        torus=a.torus,
+        satellite=satellite,
+        cable=a.cable,
+        hopf_summand=a.hopf_summand,
+        hopf_tangle=a.hopf_tangle,
         provenance=tuple(provenance),
-    )
+    ), []
 
 
 def examine(d: Descriptor) -> tuple[ResolvedTangle | None, list[Violation]]:
@@ -386,10 +374,8 @@ def examine(d: Descriptor) -> tuple[ResolvedTangle | None, list[Violation]]:
     if isinstance(p, TorusRhoPresentation):
         return _torus_profile(p.params), []  # TorusParams validates itself at construction
     if isinstance(p, AbstractTau):
-        violations = _tau_abstract_violations(p)
-        return (None if violations else _abstract_tau_profile(p)), violations
-    violations = _rho_abstract_violations(p)
-    return (None if violations else _abstract_rho_profile(p)), violations
+        return _abstract_tau(p)
+    return _abstract_rho(p)
 
 
 def validate_descriptor(d: Descriptor) -> list[Violation]:
@@ -433,6 +419,4 @@ def mirror_descriptor(d: Descriptor) -> Descriptor:
         mirrored = replace(p, slope=-p.slope if p.slope is not None else None)
     else:
         mirrored = replace(p, torus=p.torus.mirrored() if p.torus is not None else None)
-    if isinstance(d, TauDescriptor):
-        return TauDescriptor(mirrored)
-    return RhoDescriptor(mirrored)
+    return type(d)(mirrored)
