@@ -22,7 +22,8 @@ from .errors import (
     TritangleError,
     UnknownName,
 )
-from .frac import cf_eval, cf_expand, parse_fraction, slope_normalize
+from .frac import MAX_STR_DIGITS, cf_eval, cf_expand, parse_fraction, slope_normalize, \
+    too_long_to_print
 from .jsonio import (
     loads_decomposition,
     loads_tangle,
@@ -48,6 +49,9 @@ def cmd_cf(args) -> int:
     if value.is_infinite:
         return _fail("twist vector evaluates to infinity; "
                      "it does not present a rational 3-tangle")
+    if too_long_to_print(value.num) or too_long_to_print(value.den):
+        return _fail(f"the twist vector's value has more than {MAX_STR_DIGITS} digits, "
+                     "too many to write as text")
     slope = slope_normalize(value)
     marker = " [Hopf rho]" if slope == HOPF_SLOPE else ""
     print(f"{value} (slope {slope}){marker}")

@@ -16,12 +16,23 @@ Fractions are reduced at construction and never repaired afterwards.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InfiniteSlope, InfiniteValue, ZeroOverZero
 
 TwistVector = tuple[int, ...]
+
+# ``str`` writes an integer of at most this many digits (0: no limit), the limit
+# jsonio's decoder applies to integer literals.  Read once, at import.
+MAX_STR_DIGITS = sys.get_int_max_str_digits()
+_LEAST_UNPRINTABLE = 10 ** MAX_STR_DIGITS if MAX_STR_DIGITS else 0
+
+
+def too_long_to_print(n: int) -> bool:
+    """True iff ``str(n)`` would refuse ``n`` for having more than MAX_STR_DIGITS digits."""
+    return 0 < _LEAST_UNPRINTABLE <= abs(n)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+import typing
 from dataclasses import dataclass, field, replace
 
 from .errors import (
@@ -30,7 +31,8 @@ from .errors import (
     MutualExclusivityViolation,
     NotApplicable,
 )
-from .frac import ExtFraction, TwistVector, cf_eval, slope_normalize
+from .frac import MAX_STR_DIGITS, ExtFraction, TwistVector, cf_eval, slope_normalize, \
+    too_long_to_print
 
 KIND_TAU = "tau"
 KIND_RHO = "rho"
@@ -52,6 +54,9 @@ class TorusParams:
 
     def __post_init__(self):
         p, q = self.p, self.q
+        for name, value in (("p", p), ("q", q)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"TorusParams.{name} must be an int, got {type(value).__name__}")
         if p < 0:
             p, q = -p, -q
         if p < 2:
@@ -85,8 +90,11 @@ class RationalPresentation:
     twists: TwistVector
 
     def __post_init__(self):
+        twists = tuple(self.twists)
+        if bool in map(type, twists):  # operator.index(True) is 1
+            raise TypeError("a twist entry must be an integer, not a bool")
         # operator.index, not int: int(3.9) would quietly present the twist 3
-        object.__setattr__(self, "twists", tuple(operator.index(a) for a in self.twists))
+        object.__setattr__(self, "twists", tuple(map(operator.index, twists)))
 
 
 @dataclass(frozen=True)
@@ -106,6 +114,9 @@ class AbstractTau:
     slope: ExtFraction | None = None
     unit_fraction_slope: bool | None = None
 
+    def __post_init__(self):
+        _check_types(self, _TAU_TYPES)
+
 
 @dataclass(frozen=True)
 class AbstractRho:
@@ -118,6 +129,28 @@ class AbstractRho:
     cable: bool = False
     hopf_summand: bool = False
     torus: TorusParams | None = None
+
+    def __post_init__(self):
+        _check_types(self, _RHO_TYPES)
+
+
+def _field_types(cls) -> tuple:
+    """Each field's name, the types its annotation allows and the annotation's text."""
+    return tuple((name, typing.get_args(hint) or hint, cls.__annotations__[name])
+                 for name, hint in typing.get_type_hints(cls).items())
+
+
+# read from the annotations once: a per-call lookup would tax the documents path
+_TAU_TYPES, _RHO_TYPES = _field_types(AbstractTau), _field_types(AbstractRho)
+
+
+def _check_types(flags, types: tuple):
+    """Raise TypeError naming the first field of ``flags`` whose value its annotation refuses."""
+    for name, allowed, text in types:
+        value = getattr(flags, name)
+        if not isinstance(value, allowed):
+            raise TypeError(f"{type(flags).__name__}.{name} must be {text}, "
+                            f"got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -177,6 +210,13 @@ class ResolvedTangle:
 
 # ---------------------------------------------------------------------------
 # Validation
+
+def _slope_too_large(field_name: str) -> Violation:
+    return Violation(
+        "SlopeTooLarge", (field_name,),
+        f"the slope's denominator has more than {MAX_STR_DIGITS} digits, "
+        "too many to write as text")
+
 
 def _raise_violations(violations: list[Violation]):
     """The one mapping from broken invariants to the exception ``resolve`` raises."""
@@ -280,6 +320,8 @@ def _abstract_tau(a: AbstractTau) -> tuple[ResolvedTangle | None, list[Violation
             out.append(Violation(
                 "InfiniteSlope", ("slope",),
                 "infinite slope does not present a rational 3-tangle"))
+        elif too_long_to_print(a.slope.den):
+            out.append(_slope_too_large("slope"))
         else:
             slope = slope_normalize(a.slope)
             unit = abs(slope.num) == 1
@@ -302,7 +344,7 @@ def _abstract_tau(a: AbstractTau) -> tuple[ResolvedTangle | None, list[Violation
     if out:
         return None, out
     provenance = ["flags: abstract descriptor taken at face value"]
-    if a.atoroidal:
+    if a.atoroidal and not a.trivial:
         provenance.append(ESSENTIAL_NOTE)
     return ResolvedTangle(
         kind=KIND_TAU,
@@ -339,16 +381,17 @@ def _abstract_rho(a: AbstractRho) -> tuple[ResolvedTangle | None, list[Violation
             "a trivial tangle carries none of the annulus-producing flags"))
     if out:
         return None, out
+    essential = not a.trivial and not a.hopf_tangle
     provenance = ["flags: abstract descriptor taken at face value"]
     if a.torus is not None and not a.satellite:
         provenance.append(SATELLITE_NOTE)
-    if a.atoroidal:
+    if a.atoroidal and essential:
         provenance.append(ESSENTIAL_NOTE)
     return ResolvedTangle(
         kind=KIND_RHO,
         atoroidal=a.atoroidal,
         trivial=a.trivial,
-        essential=not a.trivial and not a.hopf_tangle,
+        essential=essential,
         torus=a.torus,
         satellite=satellite,
         cable=a.cable,
@@ -370,9 +413,14 @@ def examine(d: Descriptor) -> tuple[ResolvedTangle | None, list[Violation]]:
             return None, [Violation(
                 "InfiniteSlope", ("twists",),
                 f"twist vector {list(p.twists)} evaluates to infinity")]
+        if too_long_to_print(value.den):
+            return None, [_slope_too_large("twists")]
         return _rational_profile(d.kind, value), []
     if isinstance(p, TorusRhoPresentation):
-        return _torus_profile(p.params), []  # TorusParams validates itself at construction
+        t = p.params  # TorusParams validates itself at construction
+        if abs(t.q) == 1 and too_long_to_print(2 * t.p):  # the slope +-1/(2p)
+            return None, [_slope_too_large("params")]
+        return _torus_profile(t), []
     if isinstance(p, AbstractTau):
         return _abstract_tau(p)
     return _abstract_rho(p)

@@ -229,6 +229,58 @@ def test_hostile_documents_exit_two(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# values within jsonio's literal limit whose results have too many digits to print
+
+DIGITS = sys.get_int_max_str_digits()
+HUGE = int("9" * DIGITS)  # the longest integer literal a document may hold
+TOO_LARGE = (f"the slope's denominator has more than {DIGITS} digits, "
+             "too many to write as text")
+
+
+def run_process(*argv):
+    result = subprocess.run([sys.executable, "-m", "tritangle", *argv],
+                            capture_output=True, text=True, timeout=60)
+    assert "Traceback" not in result.stderr
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_cf_value_too_long_to_print_exit_two():
+    code, out, err = run_process("cf", *["100"] * 2500)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == (f"error: the twist vector's value has more than {DIGITS} digits, "
+                   "too many to write as text\n")
+
+
+def test_tangle_slope_too_large_exit_two(tmp_path):
+    doc = {"kind": "tau", "presentation": {"rational": {"twists": [100] * 2500}}}
+    code, out, err = run_process("tangle", write_doc(tmp_path, "long.json", json.dumps(doc)))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: SlopeTooLarge (twists): {TOO_LARGE}\n"
+
+
+def test_tangle_torus_slope_too_large_exit_two(tmp_path):
+    # p has DIGITS digits, so the slope 1/(2p) has one more
+    doc = {"kind": "rho", "presentation": {"torus_rho": {"p": HUGE, "q": 1}}}
+    code, out, err = run_process("tangle", write_doc(tmp_path, "torus.json", json.dumps(doc)))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: SlopeTooLarge (params): {TOO_LARGE}\n"
+
+
+def test_classify_slope_too_large_exit_three(tmp_path):
+    # the first side's slope is 1/(20 * HUGE)
+    doc = {"type": "tautau", "special": True, "tangles": [
+        {"kind": "tau", "presentation": {"rational": {"twists": [HUGE, 0] * 20}}},
+        {"kind": "tau", "presentation": {"rational": {"twists": [5, 0]}}}]}
+    code, out, err = run_process("classify", write_doc(tmp_path, "big.json", json.dumps(doc)))
+    assert code == EXIT_INADMISSIBLE
+    assert err == ""
+    assert f"  - SlopeTooLarge (first, twists): {TOO_LARGE}\n" in out
+
+
+# ---------------------------------------------------------------------------
 # tangle
 
 def test_tangle_profile(capsys, tmp_path):
@@ -250,6 +302,21 @@ def test_tangle_inessential_notes_na(capsys, tmp_path):
     assert code == EXIT_OK
     assert "hopf_tangle: True" in out
     assert "n/a" in out
+
+
+ESSENTIAL_NOTE = "essential: atoroidal, non-trivial and not a Hopf tangle"
+
+
+def test_tangle_essential_note_only_on_essential_abstract_sides(capsys, tmp_path):
+    for kind, flags, essential in (
+            ("rho", {"atoroidal": True, "trivial": False, "hopf_tangle": True}, False),
+            ("tau", {"atoroidal": True, "trivial": True, "rational": True}, False),
+            ("rho", {"atoroidal": True, "trivial": False}, True)):
+        doc = {"kind": kind, "presentation": {"abstract": flags}}
+        code, out, _ = run(capsys, "tangle", write_doc(tmp_path, "side.json", json.dumps(doc)))
+        assert code == EXIT_OK
+        assert f"essential: {essential}\n" in out
+        assert (ESSENTIAL_NOTE in out) is essential
 
 
 # ---------------------------------------------------------------------------

@@ -221,12 +221,31 @@ def test_rho_descriptor_rejects_tau_presentation():
         RhoDescriptor(AbstractTau(atoroidal=True, trivial=False, rational=True))
 
 
-@pytest.mark.parametrize("entry", [3.9, 3.0, "3"])
+@pytest.mark.parametrize("entry", [3.9, 3.0, "3", True])
 def test_rational_presentation_refuses_non_integer_twists(entry):
     # truncating 3.9 to 3 would present slope 1/3 and forge a tautau (i) verdict
     with pytest.raises(TypeError):
         RationalPresentation((entry, 0))
     assert RationalPresentation((3, 0)).twists == (3, 0)
+
+
+def test_abstract_flags_and_torus_params_refuse_wrong_types():
+    # AbstractRho(atoroidal=1, ...) was classified, then serialized to a document jsonio refuses
+    for build, field in (
+            (lambda: AbstractRho(atoroidal=1, trivial=0, satellite=1), "AbstractRho.atoroidal"),
+            (lambda: AbstractRho(True, False, cable=None), "AbstractRho.cable"),
+            (lambda: AbstractRho(True, False, torus=(2, 3)), "AbstractRho.torus"),
+            (lambda: AbstractTau(True, False, 1), "AbstractTau.rational"),
+            (lambda: AbstractTau(True, False, True, slope="1/3"), "AbstractTau.slope"),
+            (lambda: AbstractTau(True, False, True, unit_fraction_slope=1),
+             "AbstractTau.unit_fraction_slope"),
+            (lambda: TorusParams(3, True), "TorusParams.q"),
+            (lambda: TorusParams(3.0, 1), "TorusParams.p")):
+        with pytest.raises(TypeError, match=field):
+            build()
+    # None stays allowed where the annotation allows it
+    assert AbstractTau(True, False, True, None, None).slope is None
+    assert AbstractRho(True, False, torus=TorusParams(2, 3)).torus == TorusParams(2, 3)
 
 
 # ---------------------------------------------------------------------------

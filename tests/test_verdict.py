@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 
@@ -266,6 +267,18 @@ def test_invalid_descriptor_reported_not_raised():
     v = classify(d)
     assert v.status == INADMISSIBLE
     assert any(x.rule == "MutualExclusivity" for x in v.violations)
+
+
+def test_slope_too_large_to_print_reported_not_raised():
+    huge = 10 ** sys.get_int_max_str_digits()  # one digit more than str writes
+    for first in (TauDescriptor(RationalPresentation((huge, 0))),  # slope 1/huge
+                  TauDescriptor(AbstractTau(True, False, True, ExtFraction(1, huge)))):
+        v = classify(Decomposition(kind="tautau", special=True, first=first,
+                                   second=tau_slope(5)))
+        assert v.status == INADMISSIBLE
+        assert [(x.rule, x.fields[0]) for x in v.violations] == [("SlopeTooLarge", "first")]
+    # a denominator of exactly the limit's digits still prints
+    assert classify(tautau(True, huge - 1, 5)).branch == BRANCH_TAUTAU_ONE
 
 
 def test_classify_is_pure():
