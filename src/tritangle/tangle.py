@@ -8,13 +8,14 @@ abstract geometric flags taken at face value after validation.
 
 ``examine`` makes one pass over a descriptor.  A rational side's twist
 vector is evaluated once and its profile is built from that value; an
-abstract side's flags are checked and profiled in the same pass, and its
-profile is built only when no invariant is broken.  The profile (a ResolvedTangle) carries the
-slope, triviality, essentiality, torus parameters and the satellite /
-cable / Hopf-summand trichotomy, each derived field with a provenance
-note naming the rule that produced it.  ``validate_descriptor`` and
-``resolve`` are views of that pass: the violations, or the profile with
-the violations raised as exceptions.
+abstract side's flags are checked and profiled in the same pass, the
+profile built only when no invariant is broken.  A slope whose denominator
+has more digits than ``str`` writes is refused too (``SlopeTooLarge``).
+The profile (a ResolvedTangle) carries the slope, triviality, essentiality,
+torus parameters and the satellite / cable / Hopf-summand trichotomy, each
+derived field with a provenance note naming the rule that produced it.
+``validate_descriptor`` and ``resolve`` are views of that pass: the
+violations, or the profile with the violations raised as exceptions.
 """
 
 from __future__ import annotations
