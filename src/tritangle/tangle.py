@@ -243,69 +243,62 @@ def _torus_from_slope(slope: ExtFraction) -> TorusParams | None:
     return None
 
 
+def _profile(kind: str, notes: list[str], *, atoroidal: bool = True, trivial: bool = False,
+             hopf_tangle: bool = False, torus: TorusParams | None = None,
+             satellite: bool = False, cable: bool = False, hopf_summand: bool = False,
+             rational: bool | None = None, slope: ExtFraction | None = None,
+             unit_fraction_slope: bool | None = None) -> ResolvedTangle:
+    """The one constructor of a profile from a presentation's facts and source ``notes``.
+
+    Essentiality and the satellite flag are derived here and nowhere else; their notes
+    go after the source notes, so every profile lists its derived-flag notes last.
+    """
+    essential = not trivial and not hopf_tangle
+    if torus is not None and not satellite:
+        notes.append(SATELLITE_NOTE)
+        satellite = True
+    if atoroidal and essential:
+        notes.append(ESSENTIAL_NOTE)
+    return ResolvedTangle(
+        kind=kind, atoroidal=atoroidal, trivial=trivial, essential=essential,
+        rational=rational, slope=slope, unit_fraction_slope=unit_fraction_slope,
+        torus=torus, satellite=satellite, cable=cable, hopf_summand=hopf_summand,
+        hopf_tangle=hopf_tangle, provenance=tuple(notes))
+
+
 def _rational_profile(kind: str, value: ExtFraction) -> ResolvedTangle:
     slope = slope_normalize(value)
     trivial = slope.is_zero
     hopf = kind == KIND_RHO and slope == HOPF_SLOPE
     torus = _torus_from_slope(slope) if kind == KIND_RHO else None
-    provenance = [
-        "slope: twist-vector value normalized to (-1/2, 1/2]",
-        "atoroidal: rational tangles are atoroidal",
-    ]
-    if kind == KIND_TAU:
-        provenance.append("trivial: slope is 0 modulo Z" if trivial else ESSENTIAL_NOTE)
-    else:
-        if hopf:
-            provenance.append("hopf_tangle: slope 1/2 is the Hopf tangle, "
-                              "non-trivial but inessential")
-        if torus is not None:
-            provenance.append(
-                f"torus: slope {slope} = +-1/(2k) presents a ({torus.p}, {torus.q})-torus arc")
-            provenance.append(SATELLITE_NOTE)
-        else:
-            provenance.append("satellite/cable/hopf_summand: absent for rational "
-                              "slopes other than +-1/(2k); a rational presentation "
-                              "keeps the loop unknotted, so never cable")
-    return ResolvedTangle(
-        kind=kind,
-        atoroidal=True,
-        trivial=trivial,
-        essential=not trivial and not hopf,
-        rational=True,
-        slope=slope,
-        unit_fraction_slope=abs(slope.num) == 1,
-        torus=torus,
-        satellite=torus is not None,
-        hopf_tangle=hopf,
-        provenance=tuple(provenance),
-    )
+    notes = ["slope: twist-vector value normalized to (-1/2, 1/2]",
+             "atoroidal: rational tangles are atoroidal"]
+    if trivial:
+        notes.append("trivial: slope is 0 modulo Z")
+    if hopf:
+        notes.append("hopf_tangle: slope 1/2 is the Hopf tangle, "
+                     "non-trivial but inessential")
+    if torus is not None:
+        notes.append(
+            f"torus: slope {slope} = +-1/(2k) presents a ({torus.p}, {torus.q})-torus arc")
+    elif kind == KIND_RHO:
+        notes.append("satellite/cable/hopf_summand: absent for rational "
+                     "slopes other than +-1/(2k); a rational presentation "
+                     "keeps the loop unknotted, so never cable")
+    return _profile(kind, notes, trivial=trivial, hopf_tangle=hopf, torus=torus, rational=True,
+                    slope=slope, unit_fraction_slope=abs(slope.num) == 1)
 
 
 def _torus_profile(t: TorusParams) -> ResolvedTangle:
-    rational = abs(t.q) == 1
-    slope = ExtFraction(t.q, 2 * t.p) if rational else None
-    provenance = [
-        "torus: declared curve parameters, canonicalized to p > 0",
-        SATELLITE_NOTE,
-        ESSENTIAL_NOTE,
-    ]
-    if rational:
-        provenance.append(f"slope: a (k, +-1)-torus arc has slope +-1/(2k) = {slope}")
-    else:
-        provenance.append("rational: false, a rational loop-tangle has slope +-1/(2k) "
-                          "and torus parameters (k, +-1)")
-    return ResolvedTangle(
-        kind=KIND_RHO,
-        atoroidal=True,
-        trivial=False,
-        essential=True,
-        rational=rational,
-        slope=slope,
-        unit_fraction_slope=True if rational else None,
-        torus=t,
-        satellite=True,
-        provenance=tuple(provenance),
-    )
+    notes = ["torus: declared curve parameters, canonicalized to p > 0"]
+    if abs(t.q) != 1:
+        notes.append("rational: false, a rational loop-tangle has slope +-1/(2k) "
+                     "and torus parameters (k, +-1)")
+        return _profile(KIND_RHO, notes, torus=t, rational=False)
+    slope = ExtFraction(t.q, 2 * t.p)
+    notes.append(f"slope: a (k, +-1)-torus arc has slope +-1/(2k) = {slope}")
+    return _profile(KIND_RHO, notes, torus=t, rational=True, slope=slope,
+                    unit_fraction_slope=True)
 
 
 def _abstract_tau(a: AbstractTau) -> tuple[ResolvedTangle | None, list[Violation]]:
@@ -344,19 +337,9 @@ def _abstract_tau(a: AbstractTau) -> tuple[ResolvedTangle | None, list[Violation
             "the trivial tangle is rational (slope 0)"))
     if out:
         return None, out
-    provenance = ["flags: abstract descriptor taken at face value"]
-    if a.atoroidal and not a.trivial:
-        provenance.append(ESSENTIAL_NOTE)
-    return ResolvedTangle(
-        kind=KIND_TAU,
-        atoroidal=a.atoroidal,
-        trivial=a.trivial,
-        essential=not a.trivial,
-        rational=a.rational,
-        slope=slope,
-        unit_fraction_slope=unit if a.rational else False,
-        provenance=tuple(provenance),
-    ), []
+    return _profile(KIND_TAU, ["flags: abstract descriptor taken at face value"],
+                    atoroidal=a.atoroidal, trivial=a.trivial, rational=a.rational, slope=slope,
+                    unit_fraction_slope=unit if a.rational else False), []
 
 
 def _abstract_rho(a: AbstractRho) -> tuple[ResolvedTangle | None, list[Violation]]:
@@ -382,24 +365,10 @@ def _abstract_rho(a: AbstractRho) -> tuple[ResolvedTangle | None, list[Violation
             "a trivial tangle carries none of the annulus-producing flags"))
     if out:
         return None, out
-    essential = not a.trivial and not a.hopf_tangle
-    provenance = ["flags: abstract descriptor taken at face value"]
-    if a.torus is not None and not a.satellite:
-        provenance.append(SATELLITE_NOTE)
-    if a.atoroidal and essential:
-        provenance.append(ESSENTIAL_NOTE)
-    return ResolvedTangle(
-        kind=KIND_RHO,
-        atoroidal=a.atoroidal,
-        trivial=a.trivial,
-        essential=essential,
-        torus=a.torus,
-        satellite=satellite,
-        cable=a.cable,
-        hopf_summand=a.hopf_summand,
-        hopf_tangle=a.hopf_tangle,
-        provenance=tuple(provenance),
-    ), []
+    return _profile(KIND_RHO, ["flags: abstract descriptor taken at face value"],
+                    atoroidal=a.atoroidal, trivial=a.trivial, hopf_tangle=a.hopf_tangle,
+                    torus=a.torus, satellite=a.satellite, cable=a.cable,
+                    hopf_summand=a.hopf_summand), []
 
 
 def examine(d: Descriptor) -> tuple[ResolvedTangle | None, list[Violation]]:
