@@ -26,6 +26,7 @@ from .errors import (
     InvalidTorusParams,
     MutualExclusivityViolation,
     NotApplicable,
+    SlopeTooLarge,
     TritangleError,
     UnknownName,
     ZeroOverZero,

@@ -28,7 +28,11 @@ class MutualExclusivityViolation(InconsistentFlags):
 
 
 class InvalidTorusParams(TritangleError):
-    """Torus curve parameters with p < 2 or gcd(p, q) != 1."""
+    """Torus curve parameters with p < 2, gcd(p, q) != 1 or too many digits to write."""
+
+
+class SlopeTooLarge(TritangleError):
+    """A slope's denominator has more digits than ``str`` writes."""
 
 
 class NotApplicable(TritangleError):

@@ -13,7 +13,9 @@ profile built only when no invariant is broken.  A slope whose denominator
 has more digits than ``str`` writes is refused too (``SlopeTooLarge``).
 The profile (a ResolvedTangle) carries the slope, triviality, essentiality,
 torus parameters and the satellite / cable / Hopf-summand trichotomy, each
-derived field with a provenance note naming the rule that produced it.
+derived field with a provenance note naming the rule that produced it.  One
+constructor builds every profile: it derives essentiality and the satellite
+flag, and lists their notes after the presentation's own source notes.
 ``validate_descriptor`` and ``resolve`` are views of that pass: the
 violations, or the profile with the violations raised as exceptions.
 """
@@ -31,6 +33,7 @@ from .errors import (
     InvalidTorusParams,
     MutualExclusivityViolation,
     NotApplicable,
+    SlopeTooLarge,
 )
 from .frac import MAX_STR_DIGITS, ExtFraction, TwistVector, cf_eval, slope_normalize, \
     too_long_to_print
@@ -58,6 +61,9 @@ class TorusParams:
         for name, value in (("p", p), ("q", q)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"TorusParams.{name} must be an int, got {type(value).__name__}")
+            if too_long_to_print(value):  # the notes and documents write p and q as text
+                raise InvalidTorusParams(f"torus parameter {name} has more than "
+                                         f"{MAX_STR_DIGITS} digits, too many to write as text")
         if p < 0:
             p, q = -p, -q
         if p < 2:
@@ -74,8 +80,8 @@ class TorusParams:
 def twist_rho(t: TorusParams, r: int) -> TorusParams:
     """Apply r Dehn twists along the twisting disk: (p, q) -> (p, q + r*p).
 
-    gcd(p, q + r*p) == gcd(p, q), so the result is always valid; it is
-    re-canonicalized by construction.
+    gcd(p, q + r*p) == gcd(p, q), so the result is valid unless q + r*p has
+    too many digits to write; it is re-canonicalized by construction.
     """
     return TorusParams(t.p, t.q + r * t.p)
 
@@ -226,6 +232,8 @@ def _raise_violations(violations: list[Violation]):
         raise MutualExclusivityViolation(str(first))
     if first.rule == "InfiniteSlope":
         raise InfiniteSlope(str(first))
+    if first.rule == "SlopeTooLarge":
+        raise SlopeTooLarge(str(first))
     raise InconsistentFlags("; ".join(str(v) for v in violations))
 
 
@@ -259,11 +267,9 @@ def _profile(kind: str, notes: list[str], *, atoroidal: bool = True, trivial: bo
         satellite = True
     if atoroidal and essential:
         notes.append(ESSENTIAL_NOTE)
-    return ResolvedTangle(
-        kind=kind, atoroidal=atoroidal, trivial=trivial, essential=essential,
-        rational=rational, slope=slope, unit_fraction_slope=unit_fraction_slope,
-        torus=torus, satellite=satellite, cable=cable, hopf_summand=hopf_summand,
-        hopf_tangle=hopf_tangle, provenance=tuple(notes))
+    return ResolvedTangle(  # positional, in field order: keywords are slower on this hot path
+        kind, atoroidal, trivial, essential, rational, slope, unit_fraction_slope, torus,
+        satellite, cable, hopf_summand, hopf_tangle, tuple(notes))
 
 
 def _rational_profile(kind: str, value: ExtFraction) -> ResolvedTangle:

@@ -308,15 +308,29 @@ ESSENTIAL_NOTE = "essential: atoroidal, non-trivial and not a Hopf tangle"
 
 
 def test_tangle_essential_note_only_on_essential_abstract_sides(capsys, tmp_path):
-    for kind, flags, essential in (
-            ("rho", {"atoroidal": True, "trivial": False, "hopf_tangle": True}, False),
-            ("tau", {"atoroidal": True, "trivial": True, "rational": True}, False),
-            ("rho", {"atoroidal": True, "trivial": False}, True)):
-        doc = {"kind": kind, "presentation": {"abstract": flags}}
-        code, out, _ = run(capsys, "tangle", write_doc(tmp_path, "side.json", json.dumps(doc)))
+    # every kind of presentation, not only abstract flags: the note follows the flag
+    for kind, presentation, essential in (
+            ("rho", {"abstract": {"atoroidal": True, "trivial": False, "hopf_tangle": True}},
+             False),
+            ("tau", {"abstract": {"atoroidal": True, "trivial": True, "rational": True}}, False),
+            ("rho", {"abstract": {"atoroidal": True, "trivial": False}}, True),
+            ("rho", {"rational": {"twists": [2, 1, 2, 0]}}, True),  # slope 3/8
+            ("rho", {"rational": {"twists": [0]}}, False),  # slope 0, trivial
+            ("rho", {"rational": {"twists": [2, 0]}}, False),  # slope 1/2, the Hopf tangle
+            ("rho", {"torus_rho": {"p": 3, "q": 2}}, True)):
+        doc = {"kind": kind, "presentation": presentation}
+        path = write_doc(tmp_path, "side.json", json.dumps(doc))
+        code, out, _ = run(capsys, "tangle", path)
         assert code == EXIT_OK
         assert f"essential: {essential}\n" in out
         assert (ESSENTIAL_NOTE in out) is essential
+        code, out, _ = run(capsys, "tangle", path, "--json")
+        provenance = json.loads(out)["provenance"]
+        assert (ESSENTIAL_NOTE in provenance) is essential
+        if essential:  # a derived-flag note comes after every source note
+            assert provenance[-1] == ESSENTIAL_NOTE
+        if presentation == {"rational": {"twists": [0]}}:
+            assert "trivial: slope is 0 modulo Z" in provenance
 
 
 # ---------------------------------------------------------------------------

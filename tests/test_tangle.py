@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,12 +18,14 @@ from tritangle import (
     MutualExclusivityViolation,
     RationalPresentation,
     RhoDescriptor,
+    SlopeTooLarge,
     TauDescriptor,
     TorusParams,
     TorusRhoPresentation,
     cf_eval,
     mirror_descriptor,
     mod_z_equal,
+    resolve,
     resolve_rho,
     resolve_tau,
     slope_normalize,
@@ -62,6 +66,16 @@ def test_torus_rejects_p_below_two(p, q):
 def test_torus_rejects_non_coprime():
     with pytest.raises(InvalidTorusParams):
         TorusParams(4, 2)
+
+
+def test_torus_rejects_parameters_too_long_to_print():
+    huge = 10 ** sys.get_int_max_str_digits()  # one digit more than str writes
+    for p, q in ((huge + 1, 3), (-huge - 1, 3), (3, huge + 1), (2, -huge - 1)):
+        with pytest.raises(InvalidTorusParams, match="too many to write as text"):
+            TorusParams(p, q)
+    with pytest.raises(InvalidTorusParams, match="too many to write as text"):
+        twist_rho(TorusParams(3, 1), huge)
+    assert TorusParams(huge - 1, 2).p == huge - 1  # exactly the limit's digits still prints
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +264,13 @@ def test_abstract_flags_and_torus_params_refuse_wrong_types():
 
 # ---------------------------------------------------------------------------
 # validate_descriptor
+
+def test_resolve_raises_slope_too_large_by_name():
+    side = TauDescriptor(RationalPresentation((100,) * 2500))
+    with pytest.raises(SlopeTooLarge, match="SlopeTooLarge \\(twists\\)") as caught:
+        resolve(side)
+    assert not isinstance(caught.value, InconsistentFlags)
+
 
 def test_validate_clean_rational():
     assert validate_descriptor(rational_tau(2, 3, 0)) == []

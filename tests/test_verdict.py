@@ -281,6 +281,16 @@ def test_slope_too_large_to_print_reported_not_raised():
     assert classify(tautau(True, huge - 1, 5)).branch == BRANCH_TAUTAU_ONE
 
 
+def test_torus_parameter_of_the_limits_digits_classifies():
+    # the taurho notes write p; a p with exactly the limit's digits still prints
+    p = 10 ** (sys.get_int_max_str_digits() - 1) + 1
+    for rho in (RhoDescriptor(TorusRhoPresentation(TorusParams(p, 3))),
+                RhoDescriptor(AbstractRho(True, False, torus=TorusParams(p, 3)))):
+        v = classify(taurho(True, tau_slope(5), rho))
+        assert v.branch == BRANCH_TAURHO_TWO
+        assert any(note.endswith(f"torus parameter p = {p} != 2") for note in v.notes)
+
+
 def test_classify_is_pure():
     d = tautau(True, 3, -3)
     assert classify(d) == classify(d)
