@@ -9,9 +9,10 @@ Three censuses, one per decomposition kind:
 * rhorho: sides indexed 0 (a plain rational rho of slope 3/8, no good
   annulus) or p >= 2 (a (p, 1)-torus rho, satellite).
 
-Each distinct side of a table is built and examined once.  Census sides are
-valid by construction, so each row hands the two profiles straight to its
-kind's classifier.  Rows come out sorted by (m, n) because the sides are
+Each distinct side of a table is built, examined, gated and reduced to its
+side facts once (``verdict.side_facts``).  A row is the kind's pair rule applied
+to two sides' facts: its clause's branch and its count, with no Verdict built
+and no text rendered.  Rows come out sorted by (m, n) because the sides are
 enumerated in ascending order, so the CSV output is byte-identical across runs.
 """
 
@@ -20,10 +21,9 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .errors import BoundsTooLarge
-from .tangle import RationalPresentation, RhoDescriptor, TauDescriptor, TorusParams, \
-    TorusRhoPresentation, examine
-from .verdict import Decomposition, RHORHO, TAURHO, TAUTAU, Verdict, classify_rhorho, \
-    classify_taurho, classify_tautau
+from .tangle import KIND_RHO, KIND_TAU, RationalPresentation, RhoDescriptor, TauDescriptor, \
+    TorusParams, TorusRhoPresentation, examine, require
+from .verdict import RHORHO, RULES, TAURHO, TAUTAU, Decomposition, side_facts
 
 HARD_CAP = 99  # keeps the enumeration instant and far from any practical limit
 
@@ -59,22 +59,17 @@ def _rho_side(index: int) -> RhoDescriptor:
     return RhoDescriptor(TorusRhoPresentation(TorusParams(index, 1)))
 
 
-def _row(m: int, n: int, verdict: Verdict) -> CensusRow:
-    return CensusRow(m=m, n=n, branch=verdict.branch, count=str(verdict.annulus_count))
+#: Each census kind's specialness and the side builder of each position.
+_LAYOUT = {TAUTAU: (True, _tau_of_slope, _tau_of_slope), TAURHO: (True, _tau_of_slope, _rho_side),
+           RHORHO: (False, _rho_side, _rho_side)}
 
 
 def census_decomposition(kind: str, m: int, n: int) -> Decomposition:
     """The decomposition behind census row (m, n) of the given kind."""
-    if kind == TAUTAU:
-        return Decomposition(kind=TAUTAU, special=True,
-                             first=_tau_of_slope(m), second=_tau_of_slope(n))
-    if kind == TAURHO:
-        return Decomposition(kind=TAURHO, special=True,
-                             first=_tau_of_slope(m), second=_rho_side(n))
-    if kind == RHORHO:
-        return Decomposition(kind=RHORHO, special=False,
-                             first=_rho_side(m), second=_rho_side(n))
-    raise ValueError(f"unknown census kind {kind!r}")
+    if kind not in (TAUTAU, TAURHO, RHORHO):  # not a lookup: a kind may be unhashable
+        raise ValueError(f"unknown census kind {kind!r}")
+    special, first, second = _LAYOUT[kind]
+    return Decomposition(kind, special, first(m), second(n))
 
 
 def _odd_denominators(bound: int) -> list[int]:
@@ -82,28 +77,35 @@ def _odd_denominators(bound: int) -> list[int]:
     return sorted([m for k in magnitudes for m in (k, -k)])
 
 
-def _examined(build, indices: Iterable[int]) -> dict:
-    """Each side index mapped to the profile ``examine`` derives for its side."""
-    return {index: examine(build(index))[0] for index in indices}
+def _facts(build, indices: Iterable[int], kind: str) -> dict:
+    """Each side index mapped to its facts: the side is examined and gated once per table."""
+    out = {}
+    for index in indices:
+        profile = examine(build(index))[0]
+        require(profile, "a census table", kind)
+        out[index] = side_facts(profile)
+    return out
 
 
 def run_census(kind: str, bound: int) -> list[CensusRow]:
-    """Classify every decomposition in the configured range, sorted rows."""
+    """Every decomposition in the configured range: its clause's branch and count, sorted rows."""
     _check_bound(bound)
     if kind == TAUTAU:
-        sides = _examined(_tau_of_slope, _odd_denominators(bound))
-        return [_row(m, n, classify_tautau(a, b, True))
-                for m, a in sides.items() for n, b in sides.items()]
-    if kind == TAURHO:
-        taus = _examined(_tau_of_slope, range(3, bound + 1, 2))
-        rhos = _examined(_rho_side, range(2, bound + 1))
-        return [_row(m, n, classify_taurho(t, r, True))
-                for m, t in taus.items() for n, r in rhos.items()]
-    if kind == RHORHO:
-        sides = _examined(_rho_side, [0, *range(2, bound + 1)])
-        return [_row(m, n, classify_rhorho(a, b))
-                for m, a in sides.items() for n, b in sides.items()]
-    raise ValueError(f"unknown census kind {kind!r}")
+        firsts = seconds = _facts(_tau_of_slope, _odd_denominators(bound), KIND_TAU)
+    elif kind == TAURHO:
+        firsts = _facts(_tau_of_slope, range(3, bound + 1, 2), KIND_TAU)
+        seconds = _facts(_rho_side, range(2, bound + 1), KIND_RHO)
+    elif kind == RHORHO:
+        firsts = seconds = _facts(_rho_side, [0, *range(2, bound + 1)], KIND_RHO)
+    else:
+        raise ValueError(f"unknown census kind {kind!r}")
+    rule, special = RULES[kind][1], _LAYOUT[kind][0]
+    rows = []
+    for m, a in firsts.items():
+        for n, b in seconds.items():
+            clause, count, _ = rule(a, b, special)
+            rows.append(CensusRow(m, n, clause.branch, str(count)))
+    return rows
 
 
 def census_csv(rows: Iterable[CensusRow]) -> str:

@@ -69,24 +69,16 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
+_TANGLE_KEYS = ("kind", "atoroidal", "trivial", "essential", "satellite", "cable", "hopf_summand",
+                "hopf_tangle", "provenance", "rational", "slope", "unit_fraction_slope", "torus")
+
+
 def _resolved_as_dict(t: ResolvedTangle) -> dict:
-    out = {
-        "kind": t.kind,
-        "atoroidal": t.atoroidal,
-        "trivial": t.trivial,
-        "essential": t.essential,
-        "satellite": t.satellite,
-        "cable": t.cable,
-        "hopf_summand": t.hopf_summand,
-        "hopf_tangle": t.hopf_tangle,
-        "provenance": list(t.provenance),
-    }
-    if t.rational is not None:
-        out["rational"] = t.rational
+    """The profile's fields in printing order, each field that is None left out."""
+    out = {key: getattr(t, key) for key in _TANGLE_KEYS if getattr(t, key) is not None}
+    out["provenance"] = list(t.provenance)
     if t.slope is not None:
         out["slope"] = str(t.slope)
-    if t.unit_fraction_slope is not None:
-        out["unit_fraction_slope"] = t.unit_fraction_slope
     if t.torus is not None:
         out["torus"] = {"p": t.torus.p, "q": t.torus.q}
     return out

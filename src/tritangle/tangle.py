@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import (
     InconsistentFlags,
@@ -196,8 +196,7 @@ class Violation:
         return f"{self.rule} ({', '.join(self.fields)}): {self.detail}"
 
 
-@dataclass(frozen=True)
-class ResolvedTangle:
+class ResolvedTangle(typing.NamedTuple):
     """Derived semantic profile of one side of a decomposition."""
 
     kind: str
@@ -212,7 +211,7 @@ class ResolvedTangle:
     cable: bool = False
     hopf_summand: bool = False
     hopf_tangle: bool = False
-    provenance: tuple[str, ...] = field(default_factory=tuple)
+    provenance: tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------

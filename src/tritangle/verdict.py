@@ -1,9 +1,10 @@
-"""Decomposition validation and the essential-annulus count dispatcher.
+"""Decomposition validation and the essential-annulus count.
 
-``classify`` examines each tangle side of a 3-decomposition once, checks its
-structure and dispatches to the kind-specific classifiers.  These share one
-gate: it checks the side kinds and essentiality, returns the toroidal verdict
-when a side is not atoroidal, and only then applies the kind's counting rule:
+``classify`` examines each side of a 3-decomposition once, checks its structure
+and hands both profiles to the kind's classifier: one gate (side kinds and
+essentiality, else inadmissible; atoroidality, else the toroidal verdict), then
+``side_facts`` per side, then the kind's pure pair rule from (facts, facts,
+special) to (clause, count, inputs):
 
 * tau-tau: infinitely many annuli iff special with both slopes +-1/3 of
   the same sign; three for mixed-sign 1/3, -1/3; one for any other pair
@@ -15,9 +16,9 @@ when a side is not atoroidal, and only then applies the kind's counting rule:
   special rho-rho decomposition is impossible (the complement would be
   disconnected) and is rejected as inadmissible.
 
-Branch labels like ``"tautau (ii)"`` name the dispatch clauses above and
-are stored verbatim in the Verdict so golden tests pin the reasoning, not
-just the number.
+A renderer fills in the clause's texts from the renderer table, which holds every
+branch label (like ``"tautau (ii)"``, stored verbatim in the Verdict so golden tests
+pin the reasoning, not just the number), annulus text and note.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .annuli import UNIQUENESS_NOTE, good_annulus
+from .annuli import UNIQUENESS_NOTE, AnnulusType, good_annulus
 from .tangle import (
     KIND_RHO,
     KIND_TAU,
@@ -74,9 +75,7 @@ class Decomposition(NamedTuple):
 
 
 def mirror_decomposition(d: Decomposition) -> Decomposition:
-    return Decomposition(
-        kind=d.kind, special=d.special,
-        first=mirror_descriptor(d.first), second=mirror_descriptor(d.second))
+    return d._replace(first=mirror_descriptor(d.first), second=mirror_descriptor(d.second))
 
 
 @dataclass(frozen=True)
@@ -134,145 +133,167 @@ class Verdict(NamedTuple):
 ATOROIDAL_NOTE = "atoroidal: both tangle exteriors are atoroidal"
 
 
-def _classified(count: AnnulusCount, branch: str, annuli: tuple[str, ...],
-                note: str) -> Verdict:
-    hyperbolic = count.is_zero
-    notes = (ATOROIDAL_NOTE, note, IRREDUCIBILITY_NOTE)
-    if hyperbolic:
-        notes = notes + (HYPERBOLICITY_NOTE,)
-    return Verdict(status=CLASSIFIED, annulus_count=count, hyperbolic=hyperbolic,
-                   branch=branch, annuli=annuli, notes=notes)
-
-
 def _inadmissible(violations: list[Violation]) -> Verdict:
     return Verdict(status=INADMISSIBLE, violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------
-# Unit-fraction slope bookkeeping
+# Side facts: what the pair rules read of one side, derived once per side
 
-class _Unit(Enum):
-    NO = "no"            # definitely not rational with a unit-fraction slope
-    UNKNOWN = "unknown"  # no concrete slope to read the unit fraction from
+# Why a tau side has no unit denominator: plain strings, not an Enum, whose member
+# lookup costs about 0.1 us a time on Python 3.11, several times a census row.
+_NO_UNIT = "no"             # definitely not rational with a unit-fraction slope
+_UNKNOWN_UNIT = "unknown"   # no concrete slope to read the unit fraction from
 
 
-def _unit_denominator(t: ResolvedTangle) -> int | _Unit:
-    """Signed m with slope 1/m, or a _Unit tag describing why there is none."""
+class SideFacts(NamedTuple):
+    """What the pair rules read of one side."""
+
+    unit: int | str | None        # a tau side's signed m of slope 1/m, or why there is none
+    annulus: AnnulusType | None   # a rho side's good annulus
+    p: int | None                 # a rho side's torus parameter, None without a torus
+
+
+def side_facts(t: ResolvedTangle) -> SideFacts:
+    """The facts of a side that passed the gate (fits its kind, essential and atoroidal), so
+    ``require`` never fires here and a two-flag profile raises only once the gate let it in."""
+    if t.kind == KIND_RHO:
+        return SideFacts(None, good_annulus(t), t.torus.p if t.torus is not None else None)
     if t.rational is False or t.unit_fraction_slope is False:
-        return _Unit.NO
+        return SideFacts(_NO_UNIT, None, None)
     if t.slope is None:
-        return _Unit.UNKNOWN
+        return SideFacts(_UNKNOWN_UNIT, None, None)
     if abs(t.slope.num) != 1:
-        return _Unit.NO
-    return t.slope.den if t.slope.num > 0 else -t.slope.den
+        return SideFacts(_NO_UNIT, None, None)
+    return SideFacts(t.slope.den if t.slope.num > 0 else -t.slope.den, None, None)
 
 
 # ---------------------------------------------------------------------------
-# Counting rules, one per kind, each reached through the gate below
+# The renderer table: every text a count writes, one row per clause
 
-def _tautau(a: ResolvedTangle, b: ResolvedTangle, special: bool) -> Verdict:
+class Clause(NamedTuple):
+    """A count clause's branch label and texts: ``str.format`` templates over the rule's
+    inputs.  An ``UndeterminedSlope`` refusal has no branch; its note is the detail."""
+
+    branch: str | None
+    annuli: tuple[str, ...]
+    note: str
+
+
+_GOOD_ANNULUS = "good annulus of {annulus.value}"
+_TWISTED_FAMILY = "infinite family from Dehn-twisted rectangle pairings"
+
+_TAUTAU_NOT_SPECIAL = Clause(BRANCH_TAUTAU_HYPERBOLIC, (), (
+    "not special: the decomposing sphere cuts no essential annulus into rectangles, "
+    "and tau exteriors carry no good annulus"))
+_TAUTAU_NO_UNIT = Clause(BRANCH_TAUTAU_HYPERBOLIC, (), (
+    "a side is not rational with a unit-fraction slope, so its exterior admits no good rectangle"))
+_TAUTAU_UNDETERMINED = Clause(None, (), (
+    "a special tau-tau decomposition needs concrete unit-fraction slopes "
+    "(or a definite refutation) to choose a count branch"))
+_TAUTAU_INFINITE = Clause(BRANCH_TAUTAU_INFINITE, (_TWISTED_FAMILY,),
+                          "special with slopes 1/{m} and 1/{n} (equal, +-1/3)")
+_TAUTAU_THREE = Clause(BRANCH_TAUTAU_THREE, ("three annuli from good-rectangle pairings",),
+                       "special with slopes 1/3 and -1/3 (mixed signs)")
+_TAUTAU_ONE = Clause(BRANCH_TAUTAU_ONE, ("annulus from a type I / type I rectangle pairing",), (
+    "special with unit-fraction slopes 1/{m}, 1/{n}, at least one denominator differs from +-3"))
+_TAURHO_HYPERBOLIC = Clause(BRANCH_TAURHO_HYPERBOLIC, (), (
+    "the rho side is not satellite or cable and has no Hopf summand, "
+    "so neither side carries a good annulus"))
+_TAURHO_ONLY = Clause(BRANCH_TAURHO_ONE, (_GOOD_ANNULUS,),
+                      "the good annulus is the only essential annulus; " + UNIQUENESS_NOTE)
+_TAURHO_UNDETERMINED = Clause(None, (), (
+    "a special tau-rho decomposition over a torus rho side needs a concrete tau slope "
+    "(or a definite refutation) to choose a count branch"))
+_TAURHO_INFINITE = Clause(BRANCH_TAURHO_INFINITE, (_GOOD_ANNULUS, _TWISTED_FAMILY),
+                          "special, tau slope 1/{m}, torus parameter p = 2")
+_TAURHO_FOUR = Clause(BRANCH_TAURHO_FOUR, (
+    _GOOD_ANNULUS, "annuli from Moebius-band pairings of type I/II rectangles"),
+    "special, tau slope 1/{m}, torus parameter p = {p} != 2")
+_TAURHO_TWO = Clause(BRANCH_TAURHO_TWO, (
+    _GOOD_ANNULUS, "frontier of the Moebius band from a type I / type I rectangle pairing"),
+    "special, tau slope 1/{m} with denominator != +-3, torus parameter p = {p} != 2")
+_TAURHO_RESIDUAL = Clause(BRANCH_TAURHO_ONE, (_GOOD_ANNULUS,), (
+    "special, tau slope 1/{m} with denominator != +-3 and torus parameter p = 2 "
+    "fall to the residual one-annulus clause"))
+_RHORHO_TWO = Clause(BRANCH_RHORHO_TWO, ("first side: good annulus of {first.value}",
+                                         "second side: good annulus of {second.value}"),
+                     "both sides carry a good annulus")
+_RHORHO_ONE = Clause(BRANCH_RHORHO_ONE, ("{side} side: good annulus of {annulus.value}",),
+                     "exactly one side carries a good annulus")
+_RHORHO_HYPERBOLIC = Clause(BRANCH_RHORHO_HYPERBOLIC, (),
+                            "neither side is satellite or cable or has a Hopf summand")
+
+
+def _render(clause: Clause, count: AnnulusCount | None, inputs: dict) -> Verdict:
+    """The verdict of a clause, its texts filled in from the rule's inputs."""
+    if clause.branch is None:
+        return _inadmissible([Violation("UndeterminedSlope", inputs["sides"], clause.note)])
+    hyperbolic = count.is_zero
+    notes = (ATOROIDAL_NOTE, clause.note.format_map(inputs), IRREDUCIBILITY_NOTE)
+    if hyperbolic:
+        notes += (HYPERBOLICITY_NOTE,)
+    return Verdict(CLASSIFIED, count, hyperbolic, clause.branch,
+                   tuple(text.format_map(inputs) for text in clause.annuli), notes)
+
+
+# ---------------------------------------------------------------------------
+# Pair rules, one per kind: (facts, facts, special) -> (clause, count, inputs)
+
+def _tautau(a: SideFacts, b: SideFacts, special: bool) -> tuple:
     if not special:
-        return _classified(
-            ZERO_ANNULI, BRANCH_TAUTAU_HYPERBOLIC, (),
-            "not special: the decomposing sphere cuts no essential annulus "
-            "into rectangles, and tau exteriors carry no good annulus")
-    m, n = _unit_denominator(a), _unit_denominator(b)
-    if m is _Unit.NO or n is _Unit.NO:
-        return _classified(
-            ZERO_ANNULI, BRANCH_TAUTAU_HYPERBOLIC, (),
-            "a side is not rational with a unit-fraction slope, "
-            "so its exterior admits no good rectangle")
-    undetermined = [p for p, u in (("first", m), ("second", n)) if isinstance(u, _Unit)]
-    if undetermined:
-        return _inadmissible([Violation(
-            "UndeterminedSlope", tuple(undetermined),
-            "a special tau-tau decomposition needs concrete unit-fraction "
-            "slopes (or a definite refutation) to choose a count branch")])
+        return _TAUTAU_NOT_SPECIAL, ZERO_ANNULI, {}
+    m, n = a.unit, b.unit
+    if m is _NO_UNIT or n is _NO_UNIT:
+        return _TAUTAU_NO_UNIT, ZERO_ANNULI, {}
+    if m is _UNKNOWN_UNIT or n is _UNKNOWN_UNIT:
+        return _TAUTAU_UNDETERMINED, None, {"sides": tuple(
+            p for p, u in (("first", m), ("second", n)) if u is _UNKNOWN_UNIT)}
+    inputs = {"m": m, "n": n}
     if abs(m) == 3 and abs(n) == 3:
         if m == n:
-            return _classified(
-                INFINITELY_MANY, BRANCH_TAUTAU_INFINITE,
-                ("infinite family from Dehn-twisted rectangle pairings",),
-                f"special with slopes 1/{m} and 1/{n} (equal, +-1/3)")
-        return _classified(
-            THREE_ANNULI, BRANCH_TAUTAU_THREE,
-            ("three annuli from good-rectangle pairings",),
-            "special with slopes 1/3 and -1/3 (mixed signs)")
-    return _classified(
-        ONE_ANNULUS, BRANCH_TAUTAU_ONE,
-        ("annulus from a type I / type I rectangle pairing",),
-        f"special with unit-fraction slopes 1/{m}, 1/{n}, "
-        "at least one denominator differs from +-3")
+            return _TAUTAU_INFINITE, INFINITELY_MANY, inputs
+        return _TAUTAU_THREE, THREE_ANNULI, inputs
+    return _TAUTAU_ONE, ONE_ANNULUS, inputs
 
 
-def _taurho(t: ResolvedTangle, r: ResolvedTangle, special: bool) -> Verdict:
-    annulus = good_annulus(r)
-    if annulus is None:
-        return _classified(
-            ZERO_ANNULI, BRANCH_TAURHO_HYPERBOLIC, (),
-            "the rho side is not satellite or cable and has no Hopf "
-            "summand, so neither side carries a good annulus")
-    annulus_desc = f"good annulus of {annulus.value}"
-    m = _unit_denominator(t) if special and r.torus is not None else _Unit.NO
-    if m is _Unit.NO:
-        return _classified(
-            ONE_ANNULUS, BRANCH_TAURHO_ONE, (annulus_desc,),
-            "the good annulus is the only essential annulus; " + UNIQUENESS_NOTE)
-    if isinstance(m, _Unit):
-        return _inadmissible([Violation(
-            "UndeterminedSlope", ("first",),
-            "a special tau-rho decomposition over a torus rho side needs a "
-            "concrete tau slope (or a definite refutation) to choose a count branch")])
-    p = r.torus.p
+def _taurho(t: SideFacts, r: SideFacts, special: bool) -> tuple:
+    if r.annulus is None:
+        return _TAURHO_HYPERBOLIC, ZERO_ANNULI, {}
+    m = t.unit if special and r.p is not None else _NO_UNIT
+    if m is _NO_UNIT:
+        return _TAURHO_ONLY, ONE_ANNULUS, {"annulus": r.annulus}
+    if m is _UNKNOWN_UNIT:
+        return _TAURHO_UNDETERMINED, None, {"sides": ("first",)}
+    inputs = {"annulus": r.annulus, "m": m, "p": r.p}
     if abs(m) == 3:
-        if p == 2:
-            return _classified(
-                INFINITELY_MANY, BRANCH_TAURHO_INFINITE,
-                (annulus_desc, "infinite family from Dehn-twisted rectangle pairings"),
-                f"special, tau slope 1/{m}, torus parameter p = 2")
-        return _classified(
-            FOUR_ANNULI, BRANCH_TAURHO_FOUR,
-            (annulus_desc, "annuli from Moebius-band pairings of type I/II rectangles"),
-            f"special, tau slope 1/{m}, torus parameter p = {p} != 2")
-    if p != 2:
-        return _classified(
-            TWO_ANNULI, BRANCH_TAURHO_TWO,
-            (annulus_desc, "frontier of the Moebius band from a type I / type I "
-                           "rectangle pairing"),
-            f"special, tau slope 1/{m} with denominator != +-3, "
-            f"torus parameter p = {p} != 2")
-    return _classified(
-        ONE_ANNULUS, BRANCH_TAURHO_ONE, (annulus_desc,),
-        f"special, tau slope 1/{m} with denominator != +-3 and torus "
-        "parameter p = 2 fall to the residual one-annulus clause")
+        if r.p == 2:
+            return _TAURHO_INFINITE, INFINITELY_MANY, inputs
+        return _TAURHO_FOUR, FOUR_ANNULI, inputs
+    if r.p != 2:
+        return _TAURHO_TWO, TWO_ANNULI, inputs
+    return _TAURHO_RESIDUAL, ONE_ANNULUS, inputs
 
 
-def _rhorho(a: ResolvedTangle, b: ResolvedTangle, special: bool) -> Verdict:
+def _rhorho(a: SideFacts, b: SideFacts, special: bool) -> tuple:
     """``special`` is unread: a special rho-rho decomposition is inadmissible."""
-    annuli = []
-    for position, side in (("first", a), ("second", b)):
-        found = good_annulus(side)
-        if found is not None:
-            annuli.append(f"{position} side: good annulus of {found.value}")
-    if len(annuli) == 2:
-        return _classified(TWO_ANNULI, BRANCH_RHORHO_TWO, tuple(annuli),
-                           "both sides carry a good annulus")
-    if len(annuli) == 1:
-        return _classified(ONE_ANNULUS, BRANCH_RHORHO_ONE, tuple(annuli),
-                           "exactly one side carries a good annulus")
-    return _classified(
-        ZERO_ANNULI, BRANCH_RHORHO_HYPERBOLIC, (),
-        "neither side is satellite or cable or has a Hopf summand")
+    if a.annulus is not None and b.annulus is not None:
+        return _RHORHO_TWO, TWO_ANNULI, {"first": a.annulus, "second": b.annulus}
+    if a.annulus is not None:
+        return _RHORHO_ONE, ONE_ANNULUS, {"side": "first", "annulus": a.annulus}
+    if b.annulus is not None:
+        return _RHORHO_ONE, ONE_ANNULUS, {"side": "second", "annulus": b.annulus}
+    return _RHORHO_HYPERBOLIC, ZERO_ANNULI, {}
 
 
-#: Each decomposition kind's side kinds and counting rule.
-_RULES = {TAUTAU: ((KIND_TAU, KIND_TAU), _tautau), TAURHO: ((KIND_TAU, KIND_RHO), _taurho),
-          RHORHO: ((KIND_RHO, KIND_RHO), _rhorho)}
+#: Each decomposition kind's side kinds and pair rule.
+RULES = {TAUTAU: ((KIND_TAU, KIND_TAU), _tautau), TAURHO: ((KIND_TAU, KIND_RHO), _taurho),
+         RHORHO: ((KIND_RHO, KIND_RHO), _rhorho)}
 
 
 def _count(kind: str, a: ResolvedTangle, b: ResolvedTangle, special: bool) -> Verdict:
-    """The gate of every count: side kinds and essentiality, atoroidality, the kind's rule."""
-    (first_kind, second_kind), rule = _RULES[kind]
+    """The four steps of every count: the gate, each side's facts, the pair rule, the renderer."""
+    (first_kind, second_kind), rule = RULES[kind]
     if a.kind != first_kind or b.kind != second_kind or not (a.essential and b.essential):
         bad = []
         for position, tangle, expected_kind in (("first", a, first_kind),
@@ -290,7 +311,7 @@ def _count(kind: str, a: ResolvedTangle, b: ResolvedTangle, special: bool) -> Ve
         return _inadmissible(bad)
     if not (a.atoroidal and b.atoroidal):
         return Verdict(status=TOROIDAL, notes=("annulus counting requires both sides atoroidal",))
-    return rule(a, b, special)
+    return _render(*rule(side_facts(a), side_facts(b), special))
 
 
 def classify_tautau(a: ResolvedTangle, b: ResolvedTangle, special: bool) -> Verdict:
@@ -311,7 +332,7 @@ def classify_rhorho(a: ResolvedTangle, b: ResolvedTangle) -> Verdict:
 def _structural_violations(d: Decomposition) -> list[Violation]:
     if d.kind not in (TAUTAU, TAURHO, RHORHO):  # not a lookup: a kind may be unhashable
         return [Violation("UnknownKind", ("kind",), f"unknown decomposition kind {d.kind!r}")]
-    expected = _RULES[d.kind][0]
+    expected = RULES[d.kind][0]
     out = []
     for position, descriptor, kind in (("first", d.first, expected[0]),
                                        ("second", d.second, expected[1])):

@@ -7,7 +7,7 @@ import hashlib
 import pytest
 
 from tritangle import BoundsTooLarge, census_csv, census_decomposition, classify, run_census
-from tritangle import census
+from tritangle import census, verdict
 
 
 def rows_as_dict(kind, bound):
@@ -66,21 +66,29 @@ def test_each_side_examined_once_per_table(kind, sides, monkeypatch):
     assert len(set(examined)) == sides
 
 
+@pytest.mark.parametrize("kind, sides", [("tautau", 0), ("taurho", 98), ("rhorho", 99)])
+def test_good_annulus_once_per_side_per_table(kind, sides, monkeypatch):
+    asked = []
+    good_annulus = verdict.good_annulus
+
+    def counted(profile):
+        asked.append(profile)
+        return good_annulus(profile)
+
+    monkeypatch.setattr(verdict, "good_annulus", counted)
+    run_census(kind, 99)
+    assert len(asked) == sides
+    assert len(set(asked)) == sides
+
+
 @pytest.mark.parametrize("kind", ["tautau", "taurho", "rhorho"])
-def test_every_row_matches_classify(kind, monkeypatch):
-    verdicts = []
-    classify_kind = getattr(census, f"classify_{kind}")
-
-    def recorded(*args):
-        verdicts.append(classify_kind(*args))
-        return verdicts[-1]
-
-    monkeypatch.setattr(census, f"classify_{kind}", recorded)
-    rows = run_census(kind, 25)
-    assert len(verdicts) == len(rows)
-    for row, verdict in zip(rows, verdicts):
-        assert verdict == classify(census_decomposition(kind, row.m, row.n))
-        assert (row.branch, row.count) == (verdict.branch, str(verdict.annulus_count))
+def test_every_row_matches_classify(kind):
+    # rows come from the pair rules, never from a Verdict: check each against classify
+    table = run_census(kind, 25)
+    assert len(table) == {"tautau": 24 * 24, "taurho": 12 * 24, "rhorho": 25 * 25}[kind]
+    for row in table:
+        expected = classify(census_decomposition(kind, row.m, row.n))
+        assert (row.branch, row.count) == (expected.branch, str(expected.annulus_count))
 
 
 def test_csv_deterministic_and_sorted():

@@ -303,6 +303,25 @@ def test_direct_classifier_precondition_violation():
     assert v.status == INADMISSIBLE
 
 
+def test_two_flag_profile_raises_only_past_the_gate():
+    # resolve refuses to build this side; a hand-built one raises when a count reads it
+    from tritangle import MutualExclusivityViolation, ResolvedTangle, classify_rhorho
+
+    two_flags = ResolvedTangle(kind="rho", atoroidal=True, trivial=False, essential=True,
+                               satellite=True, cable=True)
+    plain, tau = resolve_rho(rho_plain()), resolve_tau(tau_slope(3))
+    hopf = resolve_rho(RhoDescriptor(RationalPresentation((2, 0))))
+    toroidal = resolve_rho(RhoDescriptor(AbstractRho(atoroidal=False, trivial=False)))
+    with pytest.raises(MutualExclusivityViolation):
+        classify_taurho(tau, two_flags, special=True)
+    with pytest.raises(MutualExclusivityViolation):
+        classify_rhorho(plain, two_flags)
+    assert classify_rhorho(hopf, two_flags).status == INADMISSIBLE
+    assert classify_rhorho(two_flags, toroidal).status == TOROIDAL
+    assert classify_taurho(resolve_tau(TauDescriptor(RationalPresentation((0,)))),
+                           two_flags, special=True).status == INADMISSIBLE
+
+
 def test_classify_evaluates_each_rational_side_once(monkeypatch):
     import tritangle.tangle
 
