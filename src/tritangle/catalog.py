@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import UnknownName
+from .frac import cf_eval, slope_normalize
 from .tangle import (
     AbstractTau,
     RationalPresentation,
@@ -46,15 +47,17 @@ OBSTRUCTION = "obstruction_profile"
 
 @dataclass(frozen=True)
 class ExpectedVerdict:
-    status: str
-    annulus_count: AnnulusCount | None
-    hyperbolic: bool | None
+    annulus_count: AnnulusCount
     branch: str | None
+    status = CLASSIFIED  # every stored verdict is classified: a class attribute, not a field
+
+    @property
+    def hyperbolic(self) -> bool:
+        return self.annulus_count.is_zero
 
     def matches(self, v: Verdict) -> bool:
-        return (v.status == self.status
-                and v.annulus_count == self.annulus_count
-                and v.hyperbolic == self.hyperbolic
+        # a classified verdict is hyperbolic exactly when its count is zero
+        return (v.status == self.status and v.annulus_count == self.annulus_count
                 and v.branch == self.branch)
 
     def __str__(self) -> str:
@@ -67,20 +70,22 @@ class ExpectedVerdict:
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    provenance: str  # DERIVED, STORED or OBSTRUCTION
     source: str
     decomposition: Decomposition | None = None
     expected: ExpectedVerdict | None = None
     profile: AnnulusProfile | None = None
     expected_obstructions: tuple[Obstruction, ...] = ()
 
+    @property
+    def provenance(self) -> str:
+        """OBSTRUCTION with an annulus profile, STORED without a decomposition, else DERIVED."""
+        if self.profile is not None:
+            return OBSTRUCTION
+        return STORED if self.decomposition is None else DERIVED
+
 
 def _tau_rational(*twists: int) -> TauDescriptor:
     return TauDescriptor(RationalPresentation(twists))
-
-
-def _rho_rational(*twists: int) -> RhoDescriptor:
-    return RhoDescriptor(RationalPresentation(twists))
 
 
 _TAU_RATIONAL_NON_UNIT = TauDescriptor(AbstractTau(
@@ -89,66 +94,57 @@ _TAU_RATIONAL_UNSPECIFIED = TauDescriptor(AbstractTau(
     atoroidal=True, trivial=False, rational=True))
 
 
-def _expect_hyperbolic(branch: str) -> ExpectedVerdict:
-    return ExpectedVerdict(CLASSIFIED, ZERO_ANNULI, True, branch)
-
-
 def _special_tautau_non_unit(name: str) -> CatalogEntry:
     return CatalogEntry(
         name=name,
-        provenance=DERIVED,
         source="special tau-tau decomposition with one side rational "
                "but not of unit-fraction slope",
         decomposition=Decomposition(
             kind=TAUTAU, special=True,
             first=_TAU_RATIONAL_NON_UNIT, second=_TAU_RATIONAL_UNSPECIFIED),
-        expected=_expect_hyperbolic(BRANCH_TAUTAU_HYPERBOLIC),
+        expected=ExpectedVerdict(ZERO_ANNULI, BRANCH_TAUTAU_HYPERBOLIC),
     )
 
 
 def _nonspecial_tautau(name: str) -> CatalogEntry:
     return CatalogEntry(
         name=name,
-        provenance=DERIVED,
         source="tau-tau decomposition that is not special",
         decomposition=Decomposition(
             kind=TAUTAU, special=False,
             first=_TAU_RATIONAL_UNSPECIFIED, second=_TAU_RATIONAL_UNSPECIFIED),
-        expected=_expect_hyperbolic(BRANCH_TAUTAU_HYPERBOLIC),
+        expected=ExpectedVerdict(ZERO_ANNULI, BRANCH_TAUTAU_HYPERBOLIC),
     )
 
 
-def _taurho_plain_rho(name: str, twists: tuple[int, ...], slope: str) -> CatalogEntry:
+def _taurho_plain_rho(name: str, *twists: int) -> CatalogEntry:
     return CatalogEntry(
         name=name,
-        provenance=DERIVED,
-        source=f"tau-rho decomposition whose rho side is rational with slope {slope}: "
-               "neither satellite nor cable, no Hopf summand",
+        source=f"tau-rho decomposition whose rho side is rational with slope "
+               f"{slope_normalize(cf_eval(twists))}: neither satellite nor cable, no Hopf summand",
         decomposition=Decomposition(
             kind=TAURHO, special=False,
-            first=_TAU_RATIONAL_UNSPECIFIED, second=_rho_rational(*twists)),
-        expected=_expect_hyperbolic(BRANCH_TAURHO_HYPERBOLIC),
+            first=_TAU_RATIONAL_UNSPECIFIED, second=RhoDescriptor(RationalPresentation(twists))),
+        expected=ExpectedVerdict(ZERO_ANNULI, BRANCH_TAURHO_HYPERBOLIC),
     )
 
 
 _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
         name="4_1",
-        provenance=DERIVED,
         source="special tau-tau decomposition with slopes 1/3 and -1/3",
         decomposition=Decomposition(
             kind=TAUTAU, special=True,
             first=_tau_rational(3, 0), second=_tau_rational(-3, 0)),
-        expected=ExpectedVerdict(CLASSIFIED, AnnulusCount(3), False, BRANCH_TAUTAU_THREE),
+        expected=ExpectedVerdict(AnnulusCount(3), BRANCH_TAUTAU_THREE),
     ),
     CatalogEntry(
         name="5_2",
-        provenance=DERIVED,
         source="special tau-tau decomposition with slopes 1/3 and 1/3",
         decomposition=Decomposition(
             kind=TAUTAU, special=True,
             first=_tau_rational(3, 0), second=_tau_rational(3, 0)),
-        expected=ExpectedVerdict(CLASSIFIED, INFINITELY_MANY, False, BRANCH_TAUTAU_INFINITE),
+        expected=ExpectedVerdict(INFINITELY_MANY, BRANCH_TAUTAU_INFINITE),
     ),
     _special_tautau_non_unit("5_3"),
     _special_tautau_non_unit("6_2"),
@@ -158,24 +154,22 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
     _special_tautau_non_unit("6_7"),
     CatalogEntry(
         name="6_8",
-        provenance=STORED,
         source="hyperbolic by an involution argument; no 3-decomposition data",
-        expected=_expect_hyperbolic(None),
+        expected=ExpectedVerdict(ZERO_ANNULI, None),
     ),
-    _taurho_plain_rho("6_9", (2, 1, 1, 1, -1), "-3/8"),
+    _taurho_plain_rho("6_9", 2, 1, 1, 1, -1),
     _special_tautau_non_unit("7_17"),
     _special_tautau_non_unit("7_18"),
     _special_tautau_non_unit("7_21"),
     _special_tautau_non_unit("7_23"),
-    _taurho_plain_rho("7_26", (3, 2, 1, -1), "-3/10"),
+    _taurho_plain_rho("7_26", 3, 2, 1, -1),
     _special_tautau_non_unit("7_27"),
     _special_tautau_non_unit("7_33"),
-    _taurho_plain_rho("7_37", (2, 1, 1, 1, -1), "-3/8"),
+    _taurho_plain_rho("7_37", 2, 1, 1, 1, -1),
     _special_tautau_non_unit("7_57"),
     _special_tautau_non_unit("7_58"),
     CatalogEntry(
         name="non_3_decomposable",
-        provenance=OBSTRUCTION,
         source="atoroidal knot with two non-separating essential annuli, "
                "neither of type 2",
         profile=AnnulusProfile(
@@ -206,8 +200,7 @@ def catalog_get(name: str) -> CatalogEntry:
 @dataclass(frozen=True)
 class ReportRow:
     name: str
-    checked: bool  # stored facts are reported but not checked
-    passed: bool | None
+    passed: bool | None  # None for a stored fact, which is reported but not checked
     expected: str
     actual: str
 
@@ -222,7 +215,7 @@ class CatalogReport:
 
     @property
     def checked(self) -> int:
-        return sum(1 for row in self.rows if row.checked)
+        return sum(1 for row in self.rows if row.passed is not None)
 
     @property
     def ok(self) -> bool:
@@ -235,20 +228,19 @@ def catalog_verify(entries: Iterable[CatalogEntry] | None = None) -> CatalogRepo
     for entry in (catalog_entries() if entries is None else entries):
         if entry.provenance == STORED:
             rows.append(ReportRow(
-                name=entry.name, checked=False, passed=None,
+                name=entry.name, passed=None,
                 expected=str(entry.expected), actual="stored fact (not re-derived)"))
             continue
         if entry.provenance == OBSTRUCTION:
             found = tuple(obstruction_check(entry.profile))
             passed = found == entry.expected_obstructions
             rows.append(ReportRow(
-                name=entry.name, checked=True, passed=passed,
+                name=entry.name, passed=passed,
                 expected=", ".join(o.name for o in entry.expected_obstructions) or "none",
                 actual=", ".join(o.name for o in found) or "none"))
             continue
         verdict = classify(entry.decomposition)
         rows.append(ReportRow(
-            name=entry.name, checked=True,
-            passed=entry.expected.matches(verdict),
+            name=entry.name, passed=entry.expected.matches(verdict),
             expected=str(entry.expected), actual=verdict.summary()))
     return CatalogReport(tuple(rows))

@@ -1,7 +1,7 @@
 """Command-line surface: calculators, classification, catalog and census.
 
-Exit codes: 0 success/classified, 2 usage, input or output error, 3 inadmissible
-decomposition, 4 toroidal decomposition.
+Exit codes: 0 success/classified, 1 a ``catalog --verify`` mismatch, 2 usage, input or
+output error, 3 inadmissible decomposition, 4 toroidal decomposition.
 """
 
 from __future__ import annotations
@@ -69,13 +69,9 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
-_TANGLE_KEYS = ("kind", "atoroidal", "trivial", "essential", "satellite", "cable", "hopf_summand",
-                "hopf_tangle", "provenance", "rational", "slope", "unit_fraction_slope", "torus")
-
-
 def _resolved_as_dict(t: ResolvedTangle) -> dict:
-    """The profile's fields in printing order, each field that is None left out."""
-    out = {key: getattr(t, key) for key in _TANGLE_KEYS if getattr(t, key) is not None}
+    """The profile's fields in field order, which is printing order, each None left out."""
+    out = {key: value for key, value in t._asdict().items() if value is not None}
     out["provenance"] = list(t.provenance)
     if t.slope is not None:
         out["slope"] = str(t.slope)
@@ -203,10 +199,9 @@ def cmd_catalog(args) -> int:
                 print("decomposition: " +
                       json.dumps(serialize_decomposition(entry.decomposition)))
         return EXIT_OK
-    for name in catalog_mod.catalog_names():
-        entry = catalog_mod.catalog_get(name)
+    for entry in catalog_mod.catalog_entries():
         expected = str(entry.expected) if entry.expected else "obstruction profile"
-        print(f"{name:<22} {expected}")
+        print(f"{entry.name:<22} {expected}")
     return EXIT_OK
 
 
@@ -256,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.set_defaults(func=cmd_classify)
 
     p_catalog = sub.add_parser("catalog", help="show or verify the built-in table")
-    p_catalog.add_argument("name", nargs="?", help="entry name, e.g. 6_9")
+    p_catalog.add_argument("name", nargs="?", help="entry name, e.g. 6_9; with --verify, a prefix")
     p_catalog.add_argument("--verify", action="store_true",
                            help="re-derive every entry and report mismatches")
     p_catalog.add_argument("--json", action="store_true",

@@ -197,21 +197,21 @@ class Violation:
 
 
 class ResolvedTangle(typing.NamedTuple):
-    """Derived semantic profile of one side of a decomposition."""
+    """Derived semantic profile of one side, its fields in ``tritangle tangle``'s order."""
 
     kind: str
     atoroidal: bool
     trivial: bool
     essential: bool
-    rational: bool | None = None
-    slope: ExtFraction | None = None
-    unit_fraction_slope: bool | None = None
-    torus: TorusParams | None = None
     satellite: bool = False
     cable: bool = False
     hopf_summand: bool = False
     hopf_tangle: bool = False
     provenance: tuple[str, ...] = ()
+    rational: bool | None = None
+    slope: ExtFraction | None = None
+    unit_fraction_slope: bool | None = None
+    torus: TorusParams | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +267,8 @@ def _profile(kind: str, notes: list[str], *, atoroidal: bool = True, trivial: bo
     if atoroidal and essential:
         notes.append(ESSENTIAL_NOTE)
     return ResolvedTangle(  # positional, in field order: keywords are slower on this hot path
-        kind, atoroidal, trivial, essential, rational, slope, unit_fraction_slope, torus,
-        satellite, cable, hopf_summand, hopf_tangle, tuple(notes))
+        kind, atoroidal, trivial, essential, satellite, cable, hopf_summand, hopf_tangle,
+        tuple(notes), rational, slope, unit_fraction_slope, torus)
 
 
 def _rational_profile(kind: str, value: ExtFraction) -> ResolvedTangle:
@@ -385,9 +385,11 @@ def examine(d: Descriptor) -> tuple[ResolvedTangle | None, list[Violation]]:
     if isinstance(p, RationalPresentation):
         value = cf_eval(p.twists)
         if value.is_infinite:
+            # an entry too long for str is counted, not written
+            vector = f"of {len(p.twists)} entries" if any(map(too_long_to_print, p.twists)) \
+                else list(p.twists)
             return None, [Violation(
-                "InfiniteSlope", ("twists",),
-                f"twist vector {list(p.twists)} evaluates to infinity")]
+                "InfiniteSlope", ("twists",), f"twist vector {vector} evaluates to infinity")]
         if too_long_to_print(value.den):
             return None, [_slope_too_large("twists")]
         return _rational_profile(d.kind, value), []

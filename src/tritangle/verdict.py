@@ -291,6 +291,14 @@ RULES = {TAUTAU: ((KIND_TAU, KIND_TAU), _tautau), TAURHO: ((KIND_TAU, KIND_RHO),
          RHORHO: ((KIND_RHO, KIND_RHO), _rhorho)}
 
 
+def _kind_mismatch(kind: str, position: str, side, expected: str) -> list[Violation]:
+    """A side's KindMismatch violation, if it is no ``expected``-tangle (descriptor or profile)."""
+    if side.kind == expected:
+        return []
+    return [Violation("KindMismatch", (position,),
+                      f"a {kind} decomposition needs a {expected}-tangle in {position} position")]
+
+
 def _count(kind: str, a: ResolvedTangle, b: ResolvedTangle, special: bool) -> Verdict:
     """The four steps of every count: the gate, each side's facts, the pair rule, the renderer."""
     (first_kind, second_kind), rule = RULES[kind]
@@ -298,10 +306,7 @@ def _count(kind: str, a: ResolvedTangle, b: ResolvedTangle, special: bool) -> Ve
         bad = []
         for position, tangle, expected_kind in (("first", a, first_kind),
                                                 ("second", b, second_kind)):
-            if tangle.kind != expected_kind:
-                bad.append(Violation(
-                    "KindMismatch", (position,),
-                    f"expected a {expected_kind}-tangle, got {tangle.kind}"))
+            bad += _kind_mismatch(kind, position, tangle, expected_kind)
             if not tangle.essential:
                 reason = ("the Hopf tangle is non-trivial but inessential"
                           if tangle.hopf_tangle else "a trivial tangle is inessential")
@@ -332,14 +337,11 @@ def classify_rhorho(a: ResolvedTangle, b: ResolvedTangle) -> Verdict:
 def _structural_violations(d: Decomposition) -> list[Violation]:
     if d.kind not in (TAUTAU, TAURHO, RHORHO):  # not a lookup: a kind may be unhashable
         return [Violation("UnknownKind", ("kind",), f"unknown decomposition kind {d.kind!r}")]
-    expected = RULES[d.kind][0]
+    first, second = RULES[d.kind][0]
     out = []
-    for position, descriptor, kind in (("first", d.first, expected[0]),
-                                       ("second", d.second, expected[1])):
-        if descriptor.kind != kind:
-            out.append(Violation(
-                "KindMismatch", (position,),
-                f"a {d.kind} decomposition needs a {kind}-tangle in {position} position"))
+    if d.first.kind != first or d.second.kind != second:  # the happy path builds no tuples
+        out = (_kind_mismatch(d.kind, "first", d.first, first)
+               + _kind_mismatch(d.kind, "second", d.second, second))
     if d.kind == RHORHO and d.special:
         out.append(Violation(
             "SpecialRhoRho", ("special",),

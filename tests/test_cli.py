@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 
+from tritangle import catalog as catalog_mod
 from tritangle.cli import main
 from tritangle.jsonio import dumps_decomposition, serialize_decomposition
-from tritangle.catalog import catalog_get
+from tritangle.catalog import catalog_get, catalog_names
 
 EXIT_OK, EXIT_USAGE, EXIT_INADMISSIBLE, EXIT_TOROIDAL = 0, 2, 3, 4
 
@@ -333,6 +335,36 @@ def test_tangle_essential_note_only_on_essential_abstract_sides(capsys, tmp_path
             assert "trivial: slope is 0 modulo Z" in provenance
 
 
+def test_tangle_unit_fraction_side_without_slope_has_no_rectangles(capsys, tmp_path):
+    doc = {"kind": "tau", "presentation": {"abstract": {
+        "atoroidal": True, "trivial": False, "rational": True, "unit_fraction_slope": True}}}
+    code, out, err = run(capsys, "tangle", write_doc(tmp_path, "unit.json", json.dumps(doc)))
+    assert (code, err) == (EXIT_OK, "")
+    # the profile's fields in ResolvedTangle's order, then the rectangles and the annulus
+    assert out == (
+        "kind: tau\natoroidal: True\ntrivial: False\nessential: True\nsatellite: False\n"
+        "cable: False\nhopf_summand: False\nhopf_tangle: False\nprovenance:\n"
+        "  - flags: abstract descriptor taken at face value\n"
+        "  - essential: atoroidal, non-trivial and not a Hopf tangle\n"
+        "rational: True\nunit_fraction_slope: True\n"
+        "good_rectangles: n/a (a concrete slope is required to classify tau rectangles)\n"
+        "good_annulus: none\n")
+
+
+def test_abstract_tau_infinite_slope(capsys, tmp_path):
+    side = {"kind": "tau", "presentation": {"abstract": {
+        "atoroidal": True, "trivial": False, "rational": True, "slope": "1/0"}}}
+    doc = {"type": "tautau", "special": True, "tangles": [
+        side, {"kind": "tau", "presentation": {"rational": {"twists": [3, 0]}}}]}
+    detail = "infinite slope does not present a rational 3-tangle"
+    code, out, _ = run(capsys, "classify", write_doc(tmp_path, "dec.json", json.dumps(doc)))
+    assert code == EXIT_INADMISSIBLE
+    assert f"violations:\n  - InfiniteSlope (first, slope): {detail}\n" in out
+    code, out, err = run(capsys, "tangle", write_doc(tmp_path, "side.json", json.dumps(side)))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: InfiniteSlope (slope): {detail}\n"
+
+
 # ---------------------------------------------------------------------------
 # catalog
 
@@ -352,6 +384,40 @@ def test_catalog_single_entry(capsys):
 def test_catalog_unknown_name_exit_two(capsys):
     code, _, err = run(capsys, "catalog", "bogus")
     assert code == EXIT_USAGE
+
+
+def test_catalog_lists_every_entry(capsys):
+    code, out, _ = run(capsys, "catalog")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == list(catalog_names())
+    assert len(lines) == 21
+    assert [line for line in lines if line.endswith("obstruction profile")] == [
+        f"{'non_3_decomposable':<22} obstruction profile"]
+    assert f"{'5_2':<22} inf essential annuli [tautau (i)]" in lines
+
+
+def test_catalog_verify_prefix_filter(capsys):
+    code, out, _ = run(capsys, "catalog", "--verify", "7_")
+    assert code == EXIT_OK
+    assert out.endswith("10 checked, 0 mismatches\nall entries match\n")
+    assert out.count(" pass ") == 10
+    code, out, err = run(capsys, "catalog", "--verify", "zz")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: no catalog entry named 'zz'\n"
+
+
+def test_catalog_verify_mismatch_exit_one(capsys, monkeypatch):
+    # 5_2 paired with 4_1's expected verdict: the classifier disagrees
+    wrong = dataclasses.replace(catalog_get("5_2"), expected=catalog_get("4_1").expected)
+    monkeypatch.setattr(catalog_mod, "catalog_entries", lambda: (wrong, catalog_get("6_8")))
+    code, out, _ = run(capsys, "catalog", "--verify")
+    assert code == 1
+    assert out == (
+        f"{'5_2':<22} {'FAIL':<7} expected: 3 essential annuli [tautau (ii)]\n"
+        f"{'':<22} {'':<7} actual:   infinitely many essential annuli [tautau (i)]\n"
+        f"{'6_8':<22} {'stored':<7} expected: hyperbolic\n"
+        "1 checked, 1 mismatches\n")
 
 
 def test_catalog_entry_json_export_parses(capsys):
@@ -391,6 +457,12 @@ def test_census_bounds_too_large_exit_two(capsys):
     code, _, err = run(capsys, "census", "tautau", "--max-denominator", "100")
     assert code == EXIT_USAGE
     assert "cap" in err
+
+
+def test_census_negative_bound_exit_two(capsys):
+    code, out, err = run(capsys, "census", "rhorho", "--max-denominator", "-1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: census bound must be non-negative, got -1\n"
 
 
 def test_census_out_file(capsys, tmp_path):

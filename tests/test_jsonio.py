@@ -89,6 +89,30 @@ def test_boolean_strictness():
         parse_tangle(doc)
 
 
+@pytest.mark.parametrize("presentation, path, message", [
+    ({"torus_rho": {"p": True, "q": 3}}, "torus_rho.p", "expected an integer"),
+    ({"torus_rho": {"p": "2", "q": 3}}, "torus_rho.p", "expected an integer"),
+    ({"rational": {"twists": {}}}, "rational.twists", "expected a list of integers"),
+])
+def test_torus_parameters_and_twists_must_have_their_json_types(presentation, path, message):
+    with pytest.raises(DocumentError) as err:
+        parse_tangle({"kind": "rho", "presentation": presentation})
+    assert str(err.value) == f"tangle.presentation.{path}: {message}"
+
+
+@pytest.mark.parametrize("slope, message", [
+    (3, 'expected a "p/q" string'),
+    ("0/0", "not a valid fraction: 0/0 is not a projective rational"),
+    ("x/2", "not a valid fraction: invalid literal for int() with base 10: 'x'"),
+])
+def test_abstract_slope_must_be_a_fraction_string(slope, message):
+    doc = {"kind": "tau", "presentation": {"abstract": {
+        "atoroidal": True, "trivial": False, "rational": True, "slope": slope}}}
+    with pytest.raises(DocumentError) as err:
+        parse_tangle(doc)
+    assert str(err.value) == f"tangle.presentation.abstract.slope: {message}"
+
+
 def test_twists_must_be_integers():
     doc = {"kind": "tau", "presentation": {"rational": {"twists": [3, 0.5]}}}
     with pytest.raises(DocumentError):

@@ -14,6 +14,7 @@ from tritangle import (
     AnnulusProfile,
     CensusRow,
     Decomposition,
+    InfiniteSlope,
     Obstruction,
     RationalPresentation,
     RhoDescriptor,
@@ -24,10 +25,12 @@ from tritangle import (
     cf_expand,
     classify,
     classify_taurho,
+    classify_tautau,
     mirror_decomposition,
     obstruction_check,
     resolve_rho,
     resolve_tau,
+    validate_descriptor,
 )
 from tritangle.frac import ExtFraction
 from tritangle.verdict import (
@@ -261,6 +264,17 @@ def test_kind_mismatch_inadmissible():
     assert any(x.rule == "KindMismatch" for x in v.violations)
 
 
+def test_direct_classifier_kind_mismatch_names_the_position():
+    tau, rho = resolve_tau(tau_slope(3)), resolve_rho(rho_plain())
+    v = classify_tautau(tau, rho, True)
+    assert v.status == INADMISSIBLE
+    assert [str(x) for x in v.violations] == [
+        "KindMismatch (second): a tautau decomposition needs a tau-tangle in second position"]
+    # the same text as classify's structural check on the descriptors
+    d = Decomposition(kind="tautau", special=True, first=tau_slope(3), second=rho_plain())
+    assert classify(d).violations == v.violations
+
+
 def test_invalid_descriptor_reported_not_raised():
     d = taurho(False, tau_slope(3), RhoDescriptor(AbstractRho(
         atoroidal=True, trivial=False, satellite=True, cable=True)))
@@ -279,6 +293,30 @@ def test_slope_too_large_to_print_reported_not_raised():
         assert [(x.rule, x.fields[0]) for x in v.violations] == [("SlopeTooLarge", "first")]
     # a denominator of exactly the limit's digits still prints
     assert classify(tautau(True, huge - 1, 5)).branch == BRANCH_TAUTAU_ONE
+
+
+def test_infinite_twist_vector_with_an_entry_too_long_to_print_reported_not_raised():
+    huge = 10 ** sys.get_int_max_str_digits()  # one digit more than str writes
+    side = TauDescriptor(RationalPresentation((0, huge)))  # evaluates to infinity
+    detail = "twist vector of 2 entries evaluates to infinity"
+    v = classify(Decomposition(kind="tautau", special=True, first=side, second=tau_slope(3)))
+    assert v.status == INADMISSIBLE
+    assert [(x.rule, x.fields, x.detail) for x in v.violations] == [
+        ("InfiniteSlope", ("first", "twists"), detail)]
+    assert [str(x) for x in validate_descriptor(side)] == [f"InfiniteSlope (twists): {detail}"]
+    with pytest.raises(InfiniteSlope, match="of 2 entries"):
+        resolve_tau(side)
+    # a vector whose entries all print is still written out
+    assert classify(tautau(True, 3, 0)).violations[0].detail == \
+        "twist vector [0, 0] evaluates to infinity"
+
+
+def test_torus_slope_past_the_limit_reported_not_raised():
+    # p has exactly the limit's digits, so the slope 1/(2p) of a (p, 1) torus arc has one more
+    p = 10 ** sys.get_int_max_str_digits() // 2 + 1
+    v = classify(taurho(False, tau_slope(3), rho_torus(p, 1)))
+    assert v.status == INADMISSIBLE
+    assert [(x.rule, x.fields) for x in v.violations] == [("SlopeTooLarge", ("second", "params"))]
 
 
 def test_torus_parameter_of_the_limits_digits_classifies():
