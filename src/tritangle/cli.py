@@ -12,9 +12,9 @@ import os
 import sys
 from pathlib import Path
 
-from . import catalog as catalog_mod
+# catalog, census and rect are imported by the subcommands that use them, so that cf and
+# classify start without building the catalog
 from .annuli import good_annulus
-from .census import census_csv, run_census
 from .errors import (
     BoundsTooLarge,
     DocumentError,
@@ -29,7 +29,6 @@ from .jsonio import (
     loads_tangle,
     serialize_decomposition,
 )
-from .rect import rect_types_rho, rect_types_tau
 from .tangle import HOPF_SLOPE, KIND_TAU, ResolvedTangle, resolve
 from .verdict import CLASSIFIED, INADMISSIBLE, TOROIDAL, Verdict, classify
 
@@ -91,6 +90,7 @@ def _read(path: str) -> str:
 
 
 def cmd_tangle(args) -> int:
+    from .rect import rect_types_rho, rect_types_tau
     try:
         resolved = resolve(loads_tangle(_read(args.file)))
     except TritangleError as exc:
@@ -158,6 +158,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog as catalog_mod
     if args.verify:
         entries = catalog_mod.catalog_entries()
         if args.name:
@@ -206,6 +207,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_census(args) -> int:
+    from .census import census_csv, run_census
     try:
         rows = run_census(args.type, args.max_denominator)
     except BoundsTooLarge as exc:

@@ -32,7 +32,7 @@ class InvalidTorusParams(TritangleError):
 
 
 class SlopeTooLarge(TritangleError):
-    """A slope's denominator has more digits than ``str`` writes."""
+    """A slope or twist entry has more digits than ``str`` writes."""
 
 
 class NotApplicable(TritangleError):

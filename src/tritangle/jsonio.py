@@ -16,10 +16,11 @@ Document shape::
                 | {"torus_rho": {"p": int, "q": int}}       # rho only
                 | {"abstract": {...flags...}}}
 
-The abstract flags are the fields of ``AbstractTau`` and ``AbstractRho``: a
-field without a default is required, the others are optional and are written
-out only when they differ from their default.  Every flag is a boolean except
-the tau ``slope`` ("p/q" string) and the rho ``torus`` ({"p": int, "q": int}).
+The abstract flags are the slots of ``AbstractTau`` and ``AbstractRho``: one
+without a default in ``__init__`` is required, the others are optional and are
+written out only when they differ from their default.  Every flag is a boolean
+except the tau ``slope`` ("p/q" string) and the rho ``torus`` ({"p": int, "q": int}).
+Serializing an integer with more digits than ``str`` writes raises ``SlopeTooLarge``.
 
 Limits, each a ``DocumentError`` past it: a field name occurs once per object,
 an integer literal has at most ``sys.get_int_max_str_digits()`` (4,300) digits,
@@ -31,12 +32,11 @@ there, an array nested 1,001 deep decodes and the schema refuses it ("expected a
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from typing import Any
 
-from .errors import DocumentError, InvalidTorusParams, ZeroOverZero
-from .frac import ExtFraction, parse_fraction
+from .errors import DocumentError, InvalidTorusParams, SlopeTooLarge, ZeroOverZero
+from .frac import MAX_STR_DIGITS, ExtFraction, parse_fraction, too_long_to_print
 from .tangle import (
     AbstractRho,
     AbstractTau,
@@ -98,26 +98,37 @@ def _torus(obj: Any, path: str) -> TorusParams:
         raise DocumentError(path, str(exc)) from None
 
 
+def _write_slope(s: ExtFraction) -> str:
+    if too_long_to_print(s.num) or too_long_to_print(s.den):
+        raise SlopeTooLarge(f"the slope has more than {MAX_STR_DIGITS} digits, too many to write")
+    return f"{s.num}/{s.den}"
+
+
 # How each non-boolean abstract flag is read from and written to JSON.
 _FLAG_CODECS = {
-    "slope": (_slope, lambda s: f"{s.num}/{s.den}"),
+    "slope": (_slope, _write_slope),
     "torus": (_torus, lambda t: {"p": t.p, "q": t.q}),
 }
+
+
+_REQUIRED = object()  # the default of a flag without one: no flag value equals it
 
 
 def _abstract_schema(cls) -> tuple:
     """An abstract presentation class, its flags in field order, the required and optional names.
 
-    Each flag is (name, default, read, write): the default is ``dataclasses.MISSING`` for a
-    required flag, and a boolean flag has no writer (None) because it is written as it is.
+    Each flag is (name, default, read, write), read from the class's slots and the defaults of
+    its ``__init__``: the default is ``_REQUIRED`` for a required flag, and a boolean flag has
+    no writer (None) because it is written as it is.
     """
-    fields = dataclasses.fields(cls)
-    flags = tuple((f.name, f.default, *_FLAG_CODECS.get(f.name, (_bool, None))) for f in fields)
-    return (cls, flags, tuple(f.name for f in fields if f.default is dataclasses.MISSING),
-            tuple(f.name for f in fields if f.default is not dataclasses.MISSING))
+    names, defaults = cls.__slots__, cls.__init__.__defaults__
+    required = len(names) - len(defaults)
+    flags = tuple((name, default, *_FLAG_CODECS.get(name, (_bool, None)))
+                  for name, default in zip(names, (_REQUIRED,) * required + defaults))
+    return cls, flags, names[:required], names[required:]
 
 
-# kind -> the schema above; built once, since reading the dataclass fields on every call
+# kind -> the schema above; built once, since reading the class's fields on every call
 # would tax the documents path
 _ABSTRACT = {KIND_TAU: _abstract_schema(AbstractTau), KIND_RHO: _abstract_schema(AbstractRho)}
 
@@ -224,7 +235,7 @@ def serialize_tangle(d: Descriptor) -> dict:
         flags = {}
         for name, default, _, write in _ABSTRACT[d.kind][1]:  # the flags in field order
             value = getattr(p, name)
-            if value != default:  # a required flag's default is MISSING
+            if value != default:  # a required flag's default is _REQUIRED
                 flags[name] = write(value) if write else value
         body = {"abstract": flags}
     return {"kind": d.kind, "presentation": body}
@@ -239,4 +250,8 @@ def serialize_decomposition(d: Decomposition) -> dict:
 
 
 def dumps_decomposition(d: Decomposition) -> str:
-    return json.dumps(serialize_decomposition(d))
+    try:
+        return json.dumps(serialize_decomposition(d))
+    except ValueError:  # json.dumps's only one here: a twist entry past the int-str digit limit
+        raise SlopeTooLarge(f"a twist entry has more than {MAX_STR_DIGITS} digits, "
+                            "too many to write") from None

@@ -4,7 +4,9 @@ A 3-decomposition splits a genus-two handlebody-knot into two 3-tangles:
 a tau-tangle (a cone on three boundary points) or a rho-tangle (an arc
 plus a loop with a whisker).  A tangle side is described either by a
 rational twist presentation, by torus curve parameters (rho only), or by
-abstract geometric flags taken at face value after validation.
+abstract geometric flags taken at face value after validation.  Descriptors and
+presentations are immutable values (``value.Value``) that check their fields' types
+and values when built, ``mirror_descriptor``'s ``_replace`` copies included.
 
 ``examine`` makes one pass over a descriptor.  A rational side's twist
 vector is evaluated once and its profile is built from that value; an
@@ -25,7 +27,6 @@ from __future__ import annotations
 import math
 import operator
 import typing
-from dataclasses import dataclass, replace
 
 from .errors import (
     InconsistentFlags,
@@ -37,6 +38,7 @@ from .errors import (
 )
 from .frac import MAX_STR_DIGITS, ExtFraction, TwistVector, cf_eval, slope_normalize, \
     too_long_to_print
+from .value import Value
 
 KIND_TAU = "tau"
 KIND_RHO = "rho"
@@ -44,8 +46,7 @@ KIND_RHO = "rho"
 HOPF_SLOPE = ExtFraction(1, 2)
 
 
-@dataclass(frozen=True)
-class TorusParams:
+class TorusParams(Value):
     """Curve parameters (p, q) of a torus rho-tangle.
 
     Canonical form of the equivalence (p, q) ~ (-p, -q): p > 0 always.
@@ -53,25 +54,20 @@ class TorusParams:
     be presented through the rational path.
     """
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        p, q = self.p, self.q
+    def __init__(self, p: int, q: int):
         for name, value in (("p", p), ("q", q)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"TorusParams.{name} must be an int, got {type(value).__name__}")
             if too_long_to_print(value):  # the notes and documents write p and q as text
                 raise InvalidTorusParams(f"torus parameter {name} has more than "
                                          f"{MAX_STR_DIGITS} digits, too many to write as text")
-        if p < 0:
-            p, q = -p, -q
-        if p < 2:
-            raise InvalidTorusParams(f"torus parameter p must be >= 2, got ({self.p}, {self.q})")
-        if math.gcd(p, abs(q)) != 1:
-            raise InvalidTorusParams(f"torus parameters must be coprime, got ({self.p}, {self.q})")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        if abs(p) < 2:
+            raise InvalidTorusParams(f"torus parameter p must be >= 2, got ({p}, {q})")
+        if math.gcd(p, q) != 1:
+            raise InvalidTorusParams(f"torus parameters must be coprime, got ({p}, {q})")
+        self._set(abs(p), q if p > 0 else -q)
 
     def mirrored(self) -> "TorusParams":
         return TorusParams(self.p, -self.q)
@@ -90,107 +86,93 @@ def twist_rho(t: TorusParams, r: int) -> TorusParams:
 # Descriptors
 
 
-@dataclass(frozen=True)
-class RationalPresentation:
+class RationalPresentation(Value):
     """A rational tangle given by its twist vector."""
 
-    twists: TwistVector
+    __slots__ = ("twists",)
 
-    def __post_init__(self):
-        twists = tuple(self.twists)
+    def __init__(self, twists: TwistVector):
+        twists = tuple(twists)
         if bool in map(type, twists):  # operator.index(True) is 1
             raise TypeError("a twist entry must be an integer, not a bool")
         # operator.index, not int: int(3.9) would quietly present the twist 3
         object.__setattr__(self, "twists", tuple(map(operator.index, twists)))
 
 
-@dataclass(frozen=True)
-class TorusRhoPresentation:
+class TorusRhoPresentation(Value):
     """A rho-tangle given by torus curve parameters."""
 
-    params: TorusParams
+    __slots__ = ("params",)
+
+    def __init__(self, params: TorusParams):
+        object.__setattr__(self, "params", params)
 
 
-@dataclass(frozen=True)
-class AbstractTau:
-    """Face-value flags for a tau-tangle the engine cannot compute from."""
-
-    atoroidal: bool
-    trivial: bool
-    rational: bool
-    slope: ExtFraction | None = None
-    unit_fraction_slope: bool | None = None
-
-    def __post_init__(self):
-        _check_types(self, _TAU_TYPES)
-
-
-@dataclass(frozen=True)
-class AbstractRho:
-    """Face-value flags for a rho-tangle."""
-
-    atoroidal: bool
-    trivial: bool
-    hopf_tangle: bool = False
-    satellite: bool = False
-    cable: bool = False
-    hopf_summand: bool = False
-    torus: TorusParams | None = None
-
-    def __post_init__(self):
-        _check_types(self, _RHO_TYPES)
-
-
-def _field_types(cls) -> tuple:
-    """Each field's name, the types its annotation allows and the annotation's text."""
-    return tuple((name, typing.get_args(hint) or hint, cls.__annotations__[name])
-                 for name, hint in typing.get_type_hints(cls).items())
-
-
-# read from the annotations once: a per-call lookup would tax the documents path
-_TAU_TYPES, _RHO_TYPES = _field_types(AbstractTau), _field_types(AbstractRho)
-
-
-def _check_types(flags, types: tuple):
-    """Raise TypeError naming the first field of ``flags`` whose value its annotation refuses."""
-    for name, allowed, text in types:
-        value = getattr(flags, name)
+def _set_flags(flags, values: tuple):
+    """Store ``values`` in ``flags``, raising TypeError at the first one its ``_types`` refuse."""
+    for name, value, allowed in zip(flags.__slots__, values, flags._types):
         if not isinstance(value, allowed):
+            text = " | ".join(t.__name__ for t in allowed).replace("NoneType", "None")
             raise TypeError(f"{type(flags).__name__}.{name} must be {text}, "
                             f"got {type(value).__name__}")
+        object.__setattr__(flags, name, value)
 
 
-@dataclass(frozen=True)
-class TauDescriptor:
-    presentation: RationalPresentation | AbstractTau
+class AbstractTau(Value):
+    """Face-value flags for a tau-tangle the engine cannot compute from."""
+
+    __slots__ = ("atoroidal", "trivial", "rational", "slope", "unit_fraction_slope")
+    _types = ((bool,), (bool,), (bool,), (ExtFraction, type(None)), (bool, type(None)))
+
+    def __init__(self, atoroidal: bool, trivial: bool, rational: bool,
+                 slope: ExtFraction | None = None, unit_fraction_slope: bool | None = None):
+        _set_flags(self, (atoroidal, trivial, rational, slope, unit_fraction_slope))
+
+
+class AbstractRho(Value):
+    """Face-value flags for a rho-tangle."""
+
+    __slots__ = ("atoroidal", "trivial", "hopf_tangle", "satellite", "cable", "hopf_summand",
+                 "torus")
+    _types = ((bool,),) * 6 + ((TorusParams, type(None)),)
+
+    def __init__(self, atoroidal: bool, trivial: bool, hopf_tangle: bool = False,
+                 satellite: bool = False, cable: bool = False, hopf_summand: bool = False,
+                 torus: TorusParams | None = None):
+        _set_flags(self, (atoroidal, trivial, hopf_tangle, satellite, cable, hopf_summand, torus))
+
+
+class TauDescriptor(Value):
+    __slots__ = ("presentation",)
     kind = KIND_TAU  # a class attribute, not a field
 
-    def __post_init__(self):
-        if not isinstance(self.presentation, (RationalPresentation, AbstractTau)):
-            raise TypeError(f"{type(self.presentation).__name__} does not present a tau-tangle")
+    def __init__(self, presentation: RationalPresentation | AbstractTau):
+        if not isinstance(presentation, (RationalPresentation, AbstractTau)):
+            raise TypeError(f"{type(presentation).__name__} does not present a tau-tangle")
+        object.__setattr__(self, "presentation", presentation)  # no _set loop: the hot path
 
 
-@dataclass(frozen=True)
-class RhoDescriptor:
-    presentation: RationalPresentation | TorusRhoPresentation | AbstractRho
+class RhoDescriptor(Value):
+    __slots__ = ("presentation",)
     kind = KIND_RHO
 
-    def __post_init__(self):
-        if not isinstance(self.presentation, (RationalPresentation, TorusRhoPresentation,
-                                              AbstractRho)):
-            raise TypeError(f"{type(self.presentation).__name__} does not present a rho-tangle")
+    def __init__(self, presentation: RationalPresentation | TorusRhoPresentation | AbstractRho):
+        if not isinstance(presentation, (RationalPresentation, TorusRhoPresentation,
+                                         AbstractRho)):
+            raise TypeError(f"{type(presentation).__name__} does not present a rho-tangle")
+        object.__setattr__(self, "presentation", presentation)  # no _set loop: the hot path
 
 
 Descriptor = TauDescriptor | RhoDescriptor
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Value):
     """One broken descriptor invariant: the rule name plus the fields at fault."""
 
-    rule: str
-    fields: tuple[str, ...]
-    detail: str
+    __slots__ = ("rule", "fields", "detail")
+
+    def __init__(self, rule: str, fields: tuple[str, ...], detail: str):
+        self._set(rule, fields, detail)
 
     def __str__(self) -> str:
         return f"{self.rule} ({', '.join(self.fields)}): {self.detail}"
@@ -271,13 +253,16 @@ def _profile(kind: str, notes: list[str], *, atoroidal: bool = True, trivial: bo
         tuple(notes), rational, slope, unit_fraction_slope, torus)
 
 
+_RATIONAL_NOTES = ("slope: twist-vector value normalized to (-1/2, 1/2]",
+                   "atoroidal: rational tangles are atoroidal")
+
+
 def _rational_profile(kind: str, value: ExtFraction) -> ResolvedTangle:
     slope = slope_normalize(value)
     trivial = slope.is_zero
     hopf = kind == KIND_RHO and slope == HOPF_SLOPE
     torus = _torus_from_slope(slope) if kind == KIND_RHO else None
-    notes = ["slope: twist-vector value normalized to (-1/2, 1/2]",
-             "atoroidal: rational tangles are atoroidal"]
+    notes = list(_RATIONAL_NOTES)
     if trivial:
         notes.append("trivial: slope is 0 modulo Z")
     if hopf:
@@ -441,7 +426,7 @@ def mirror_descriptor(d: Descriptor) -> Descriptor:
     elif isinstance(p, TorusRhoPresentation):
         mirrored = TorusRhoPresentation(p.params.mirrored())
     elif isinstance(p, AbstractTau):
-        mirrored = replace(p, slope=-p.slope if p.slope is not None else None)
+        mirrored = p._replace(slope=-p.slope if p.slope is not None else None)
     else:
-        mirrored = replace(p, torus=p.torus.mirrored() if p.torus is not None else None)
+        mirrored = p._replace(torus=p.torus.mirrored() if p.torus is not None else None)
     return type(d)(mirrored)

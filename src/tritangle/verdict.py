@@ -23,7 +23,6 @@ pin the reasoning, not just the number), annulus text and note.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -37,6 +36,7 @@ from .tangle import (
     examine,
     mirror_descriptor,
 )
+from .value import Value
 
 TAUTAU = "tautau"
 TAURHO = "taurho"
@@ -78,15 +78,15 @@ def mirror_decomposition(d: Decomposition) -> Decomposition:
     return d._replace(first=mirror_descriptor(d.first), second=mirror_descriptor(d.second))
 
 
-@dataclass(frozen=True)
-class AnnulusCount:
+class AnnulusCount(Value):
     """Zero, a finite positive number, or infinitely many (value None)."""
 
-    value: int | None
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if self.value is not None and self.value < 0:
+    def __init__(self, value: int | None):
+        if value is not None and value < 0:
             raise ValueError("annulus count cannot be negative")
+        self._set(value)
 
     @property
     def is_infinite(self) -> bool:
@@ -379,21 +379,20 @@ class Obstruction(Enum):
         "essential annuli outside the twist family L"
 
 
-@dataclass(frozen=True)
-class AnnulusProfile:
+class AnnulusProfile(Value):
     """Externally supplied facts about the essential annuli of a knot exterior."""
 
-    nonseparating_count: int
-    nonseparating_all_type2: bool
-    infinitely_many: bool
-    in_family_L: bool
-    atoroidal: bool
+    __slots__ = ("nonseparating_count", "nonseparating_all_type2", "infinitely_many",
+                 "in_family_L", "atoroidal")
 
-    def __post_init__(self):
-        if not 0 <= self.nonseparating_count <= 2:
+    def __init__(self, nonseparating_count: int, nonseparating_all_type2: bool,
+                 infinitely_many: bool, in_family_L: bool, atoroidal: bool):
+        if not 0 <= nonseparating_count <= 2:
             raise ValueError(
                 "an atoroidal genus-two exterior has at most two "
                 "non-separating essential annuli")
+        self._set(nonseparating_count, nonseparating_all_type2, infinitely_many, in_family_L,
+                  atoroidal)
 
 
 def obstruction_check(profile: AnnulusProfile) -> list[Obstruction]:

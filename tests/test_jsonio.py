@@ -15,6 +15,7 @@ from tritangle import (
     ExtFraction,
     RationalPresentation,
     RhoDescriptor,
+    SlopeTooLarge,
     TauDescriptor,
     TorusParams,
     TorusRhoPresentation,
@@ -281,6 +282,19 @@ def test_serialize_tangle_shapes():
     obj = serialize_tangle(rho)
     assert obj["kind"] == "rho"
     assert obj["presentation"]["abstract"]["torus"] == {"p": 3, "q": 2}
+
+
+def test_serializing_an_integer_too_long_to_write_raises_slope_too_large():
+    # Python-built sides: JSON input cannot reach this, since the decoder caps literals
+    huge = 10 ** sys.get_int_max_str_digits()
+    slope_side = TauDescriptor(AbstractTau(True, False, True, ExtFraction(huge + 1, 2)))
+    twist_side = TauDescriptor(RationalPresentation((huge, 0)))
+    with pytest.raises(SlopeTooLarge, match="the slope has more than"):
+        serialize_tangle(slope_side)
+    for side in (slope_side, twist_side):
+        d = Decomposition("tautau", True, side, TauDescriptor(RationalPresentation((3, 0))))
+        with pytest.raises(SlopeTooLarge, match="has more than .* digits, too many to write"):
+            dumps_decomposition(d)
 
 
 # ---------------------------------------------------------------------------

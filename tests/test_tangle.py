@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import sys
 
 import pytest
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 from tritangle import (
     AbstractRho,
     AbstractTau,
+    AnnulusCount,
+    AnnulusProfile,
     ExtFraction,
     InconsistentFlags,
     InfiniteSlope,
@@ -22,6 +26,7 @@ from tritangle import (
     TauDescriptor,
     TorusParams,
     TorusRhoPresentation,
+    Violation,
     cf_eval,
     mirror_descriptor,
     mod_z_equal,
@@ -260,6 +265,66 @@ def test_abstract_flags_and_torus_params_refuse_wrong_types():
     # None stays allowed where the annotation allows it
     assert AbstractTau(True, False, True, None, None).slope is None
     assert AbstractRho(True, False, torus=TorusParams(2, 3)).torus == TorusParams(2, 3)
+
+
+# ---------------------------------------------------------------------------
+# Immutable values
+
+VALUES = (
+    lambda: ExtFraction(6, -4),
+    lambda: TorusParams(-3, 2),
+    lambda: RationalPresentation([3, 0]),
+    lambda: TorusRhoPresentation(TorusParams(2, 3)),
+    lambda: AbstractTau(True, False, True, ExtFraction(1, 3)),
+    lambda: AbstractRho(True, False, torus=TorusParams(2, 1)),
+    lambda: TauDescriptor(RationalPresentation((3, 0))),
+    lambda: RhoDescriptor(AbstractRho(True, False, cable=True)),
+    lambda: Violation("InfiniteSlope", ("twists",), "twist vector [0, 0] evaluates to infinity"),
+    lambda: AnnulusCount(None),
+    lambda: AnnulusProfile(2, False, True, False, True),
+)
+
+
+@pytest.mark.parametrize("build", VALUES, ids=lambda build: type(build()).__name__)
+def test_values_are_immutable_and_equal_by_fields(build):
+    value, twin = build(), build()
+    assert value is not twin and value == twin and hash(value) == hash(twin)
+    assert not value != twin
+    name = type(value).__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    assert copy.copy(value) == value and pickle.loads(pickle.dumps(value)) == value
+    assert value._replace() == value
+    assert value != (getattr(value, name),) and value != object()
+
+
+def test_descriptor_kinds_differ_on_the_same_presentation():
+    presentation = RationalPresentation((3, 0))
+    assert TauDescriptor(presentation) != RhoDescriptor(presentation)
+    assert repr(TauDescriptor(presentation)) == \
+        "TauDescriptor(presentation=RationalPresentation(twists=(3, 0)))"
+    assert repr(ExtFraction(6, -4)) == "ExtFraction(num=-3, den=2)"
+    assert repr(AbstractRho(True, False)) == (
+        "AbstractRho(atoroidal=True, trivial=False, hopf_tangle=False, satellite=False, "
+        "cable=False, hopf_summand=False, torus=None)")
+
+
+def test_mirror_and_replace_of_an_abstract_side_check_its_flags():
+    side = TauDescriptor(AbstractTau(True, False, True, ExtFraction(1, 3)))
+    assert mirror_descriptor(side) == TauDescriptor(AbstractTau(True, False, True,
+                                                                ExtFraction(-1, 3)))
+    rho = RhoDescriptor(AbstractRho(True, False, torus=TorusParams(3, 2)))
+    assert mirror_descriptor(rho).presentation.torus == TorusParams(3, -2)
+    with pytest.raises(TypeError, match="AbstractTau.rational"):
+        side.presentation._replace(rational=1)
+    with pytest.raises(TypeError, match="AbstractRho.torus"):
+        rho.presentation._replace(torus=(3, -2))
+    with pytest.raises(TypeError):
+        rho.presentation._replace(no_such_flag=True)
+    with pytest.raises(InvalidTorusParams):
+        TorusParams(3, 2)._replace(q=3)
 
 
 # ---------------------------------------------------------------------------
