@@ -10,8 +10,7 @@ decomposition and is excluded from classifier-agreement checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import UnknownName
 from .frac import cf_eval, slope_normalize
@@ -45,8 +44,7 @@ STORED = "stored_fact"
 OBSTRUCTION = "obstruction_profile"
 
 
-@dataclass(frozen=True)
-class ExpectedVerdict:
+class ExpectedVerdict(NamedTuple):
     annulus_count: AnnulusCount
     branch: str | None
     status = CLASSIFIED  # every stored verdict is classified: a class attribute, not a field
@@ -67,8 +65,7 @@ class ExpectedVerdict:
         return f"{self.annulus_count} essential annuli{tag}"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     source: str
     decomposition: Decomposition | None = None
@@ -197,16 +194,14 @@ def catalog_get(name: str) -> CatalogEntry:
         raise UnknownName(f"no catalog entry named {name!r}") from None
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     name: str
     passed: bool | None  # None for a stored fact, which is reported but not checked
     expected: str
     actual: str
 
 
-@dataclass(frozen=True)
-class CatalogReport:
+class CatalogReport(NamedTuple):
     rows: tuple[ReportRow, ...]
 
     @property

@@ -1,5 +1,8 @@
 """Command-line surface: calculators, classification, catalog and census.
 
+``tangle``, ``classify`` and ``catalog NAME`` each build one record, a plain dict, and print
+it with ``_emit``: as JSON with ``--json``, else as ``key: value`` lines.
+
 Exit codes: 0 success/classified, 1 a ``catalog --verify`` mismatch, 2 usage, input or
 output error, 3 inadmissible decomposition, 4 toroidal decomposition.
 """
@@ -29,8 +32,8 @@ from .jsonio import (
     loads_tangle,
     serialize_decomposition,
 )
-from .tangle import HOPF_SLOPE, KIND_TAU, ResolvedTangle, resolve
-from .verdict import CLASSIFIED, INADMISSIBLE, TOROIDAL, Verdict, classify
+from .tangle import HOPF_SLOPE, KIND_TAU, resolve
+from .verdict import CLASSIFIED, INADMISSIBLE, TOROIDAL, classify
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -68,17 +71,6 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def _resolved_as_dict(t: ResolvedTangle) -> dict:
-    """The profile's fields in field order, which is printing order, each None left out."""
-    out = {key: value for key, value in t._asdict().items() if value is not None}
-    out["provenance"] = list(t.provenance)
-    if t.slope is not None:
-        out["slope"] = str(t.slope)
-    if t.torus is not None:
-        out["torus"] = {"p": t.torus.p, "q": t.torus.q}
-    return out
-
-
 def _read(path: str) -> str:
     """The text of a document file; an unreadable or non-UTF-8 file is a DocumentError."""
     try:
@@ -89,62 +81,49 @@ def _read(path: str) -> str:
         raise DocumentError(path, f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def _emit(record: dict, as_json: bool):
+    """Print one record: as indented JSON, or as ``key: value`` lines.
+
+    In text a list prints as ``key:`` and then one ``  - item`` line per item, or as
+    ``key: none`` when empty, and a None value prints nothing.
+    """
+    if as_json:
+        print(json.dumps(record, indent=2))
+        return
+    for key, value in record.items():
+        if value == []:
+            value = "none"
+        if isinstance(value, list):
+            print(f"{key}:", *(f"  - {item}" for item in value), sep="\n")
+        elif value is not None:
+            print(f"{key}: {value}")
+
+
 def cmd_tangle(args) -> int:
     from .rect import rect_types_rho, rect_types_tau
     try:
-        resolved = resolve(loads_tangle(_read(args.file)))
+        t = resolve(loads_tangle(_read(args.file)))
     except TritangleError as exc:
         return _fail(str(exc))
-    extras: dict = {}
+    # the profile's fields in field order, which is printing order, each None left out
+    record = {key: value for key, value in t._asdict().items() if value is not None}
+    record["provenance"] = list(t.provenance)
+    if t.slope is not None:
+        record["slope"] = str(t.slope)
+    if t.torus is not None:
+        record["torus"] = {"p": t.torus.p, "q": t.torus.q}
     try:
-        rect = rect_types_tau(resolved) if resolved.kind == KIND_TAU \
-            else rect_types_rho(resolved)
-        extras["good_rectangles"] = sorted(r.value for r in rect)
+        rect = rect_types_tau(t) if t.kind == KIND_TAU else rect_types_rho(t)
+        record["good_rectangles"] = sorted(r.value for r in rect)
     except NotApplicable as exc:
-        extras["good_rectangles"] = f"n/a ({exc})"
+        record["good_rectangles"] = f"n/a ({exc})"
     try:
-        annulus = good_annulus(resolved)
-        extras["good_annulus"] = annulus.value if annulus else "none"
+        annulus = good_annulus(t)
+        record["good_annulus"] = annulus.value if annulus else "none"
     except NotApplicable as exc:
-        extras["good_annulus"] = f"n/a ({exc})"
-    info = _resolved_as_dict(resolved) | extras
-    if args.json:
-        print(json.dumps(info, indent=2))
-    else:
-        for key, value in info.items():
-            if key == "provenance":
-                print("provenance:")
-                for note in value:
-                    print(f"  - {note}")
-            else:
-                print(f"{key}: {value}")
+        record["good_annulus"] = f"n/a ({exc})"
+    _emit(record, args.json)
     return EXIT_OK
-
-
-def _verdict_exit(v: Verdict) -> int:
-    return {CLASSIFIED: EXIT_OK, INADMISSIBLE: EXIT_INADMISSIBLE,
-            TOROIDAL: EXIT_TOROIDAL}[v.status]
-
-
-def _print_verdict(v: Verdict, as_json: bool):
-    if as_json:
-        out = {"status": v.status, "summary": v.summary(), **v._asdict()}
-        out["annulus_count"] = str(v.annulus_count) if v.annulus_count is not None else None
-        out["violations"] = [str(x) for x in v.violations]
-        print(json.dumps(out, indent=2))
-        return
-    print(f"status: {v.status}")
-    print(f"verdict: {v.summary()}")
-    if v.status == CLASSIFIED:
-        print(f"count: {v.annulus_count}")
-        print(f"hyperbolic: {'yes' if v.hyperbolic else 'no'}")
-        print(f"branch: {v.branch}")
-    for label, items in (("annuli", v.annuli), ("notes", v.notes),
-                         ("violations", v.violations)):
-        if items:
-            print(f"{label}:")
-            for item in items:
-                print(f"  - {item}")
 
 
 def cmd_classify(args) -> int:
@@ -152,9 +131,13 @@ def cmd_classify(args) -> int:
         decomposition = loads_decomposition(_read(args.file))
     except DocumentError as exc:
         return _fail(str(exc))
-    verdict = classify(decomposition)
-    _print_verdict(verdict, args.json)
-    return _verdict_exit(verdict)
+    v = classify(decomposition)
+    _emit({"status": v.status, "summary": v.summary(),
+           "annulus_count": None if v.annulus_count is None else str(v.annulus_count),
+           "hyperbolic": v.hyperbolic, "branch": v.branch, "annuli": list(v.annuli),
+           "notes": list(v.notes), "violations": [str(x) for x in v.violations]}, args.json)
+    return {CLASSIFIED: EXIT_OK, INADMISSIBLE: EXIT_INADMISSIBLE,
+            TOROIDAL: EXIT_TOROIDAL}[v.status]
 
 
 def cmd_catalog(args) -> int:
@@ -184,21 +167,15 @@ def cmd_catalog(args) -> int:
             entry = catalog_mod.catalog_get(args.name)
         except UnknownName as exc:
             return _fail(str(exc))
-        print(f"name: {entry.name}")
-        print(f"provenance: {entry.provenance}")
-        print(f"source: {entry.source}")
-        if entry.expected is not None:
-            print(f"expected: {entry.expected}")
-        if entry.expected_obstructions:
-            print("expected obstructions:")
-            for o in entry.expected_obstructions:
-                print(f"  - {o.name}")
-        if entry.decomposition is not None:
-            if args.json:
-                print(json.dumps(serialize_decomposition(entry.decomposition), indent=2))
-            else:
-                print("decomposition: " +
-                      json.dumps(serialize_decomposition(entry.decomposition)))
+        document = entry.decomposition and serialize_decomposition(entry.decomposition)
+        _emit({"name": entry.name, "provenance": entry.provenance, "source": entry.source,
+               "expected": entry.expected and str(entry.expected),
+               # None, not [], so that an entry without obstructions prints no line
+               "expected obstructions": [o.name for o in entry.expected_obstructions] or None,
+               "decomposition": None if args.json or not document else json.dumps(document)},
+              as_json=False)  # text in both forms; --json indents the document below
+        if document and args.json:
+            print(json.dumps(document, indent=2))
         return EXIT_OK
     for entry in catalog_mod.catalog_entries():
         expected = str(entry.expected) if entry.expected else "obstruction profile"

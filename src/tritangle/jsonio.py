@@ -24,15 +24,13 @@ Serializing an integer with more digits than ``str`` writes raises ``SlopeTooLar
 
 Limits, each a ``DocumentError`` past it: a field name occurs once per object,
 an integer literal has at most ``sys.get_int_max_str_digits()`` (4,300) digits,
-and nesting deeper than the decoder's recursion bound is refused as "nested too deeply".
-That bound is ``sys.getrecursionlimit()`` (1,000) less the caller's depth on Python 3.11,
-and the C recursion limit from 3.12 (about 1,500 levels on 3.12.1, 10,000 on 3.13.0):
-there, an array nested 1,001 deep decodes and the schema refuses it ("expected an object").
+and arrays and objects nest at most ``MAX_DEPTH`` deep, on every Python version.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 from .errors import DocumentError, InvalidTorusParams, SlopeTooLarge, ZeroOverZero
@@ -199,19 +197,47 @@ def _unique_fields(pairs: list[tuple[str, Any]]) -> dict:
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_fields)
 
+# The deepest nesting a document may have (RFC 8259 section 9 lets a parser limit it).  The
+# decoder's own bound differs between Python versions and lies deeper on all of them, so
+# nesting is also checked here; schema documents nest at most 6 deep.
+MAX_DEPTH = 500
+_TOO_DEEP = "arrays or objects nested too deeply"
+# A string literal, skipped, or a bracket; compiled on first use, not at import.
+_BRACKETS = r'"(?:[^"\\]|\\.)*"|[\[\]{}]'
+_DEPTH_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
+def _refuse_deep_nesting(text: str, path: str):
+    # counting the opening brackets is cheap and spares every real document the scan
+    if text.count("[") + text.count("{") <= MAX_DEPTH:
+        return
+    depth = 0
+    for match in re.finditer(_BRACKETS, text):
+        depth += _DEPTH_STEP.get(match.group(), 0)
+        if depth > MAX_DEPTH:
+            raise DocumentError(path, _TOO_DEEP)
+
 
 def _decode(text: str, path: str) -> Any:
     if text.startswith("\ufeff"):  # json.loads refuses a BOM; JSONDecoder.decode does not check
         raise DocumentError("line 1, column 1", "Unexpected UTF-8 BOM (decode using utf-8-sig)")
+    error = None
     try:
-        return _DECODER.decode(text)
+        value = _DECODER.decode(text)
+    except RecursionError:  # the decoder's own bound, deeper than MAX_DEPTH on every version
+        raise DocumentError(path, _TOO_DEEP) from None
     except json.JSONDecodeError as exc:
-        raise DocumentError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from None
+        error = DocumentError(f"line {exc.lineno}, column {exc.colno}", exc.msg)
     except ValueError as exc:  # an integer literal past the int-string digit limit
         # keep the reason, drop the interpreter's advice to raise the limit
-        raise DocumentError(path, str(exc).partition(";")[0]) from None
-    except RecursionError:
-        raise DocumentError(path, "arrays or objects nested too deeply") from None
+        error = DocumentError(path, str(exc).partition(";")[0])
+    except DocumentError as exc:  # a repeated field
+        error = exc
+    # before any other error, which a version whose decoder stops at a smaller depth never meets
+    _refuse_deep_nesting(text, path)
+    if error is not None:
+        raise error
+    return value
 
 
 def loads_decomposition(text: str) -> Decomposition:
@@ -228,6 +254,10 @@ def loads_tangle(text: str) -> Descriptor:
 def serialize_tangle(d: Descriptor) -> dict:
     p = d.presentation
     if isinstance(p, RationalPresentation):
+        # the entry of largest magnitude is the least or the greatest
+        if p.twists and (too_long_to_print(min(p.twists)) or too_long_to_print(max(p.twists))):
+            raise SlopeTooLarge(f"a twist entry has more than {MAX_STR_DIGITS} digits, "
+                                "too many to write")
         body = {"rational": {"twists": list(p.twists)}}
     elif isinstance(p, TorusRhoPresentation):
         body = {"torus_rho": {"p": p.params.p, "q": p.params.q}}
@@ -250,8 +280,4 @@ def serialize_decomposition(d: Decomposition) -> dict:
 
 
 def dumps_decomposition(d: Decomposition) -> str:
-    try:
-        return json.dumps(serialize_decomposition(d))
-    except ValueError:  # json.dumps's only one here: a twist entry past the int-str digit limit
-        raise SlopeTooLarge(f"a twist entry has more than {MAX_STR_DIGITS} digits, "
-                            "too many to write") from None
+    return json.dumps(serialize_decomposition(d))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from tritangle import (
@@ -93,8 +91,7 @@ def test_verify_detects_fault_injection():
     entries = []
     for entry in catalog_entries():
         if entry.name == "5_2":
-            corrupted = dataclasses.replace(
-                entry,
+            corrupted = entry._replace(
                 decomposition=Decomposition(
                     kind="tautau", special=True,
                     first=TauDescriptor(RationalPresentation((5, 0))),

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -409,7 +408,7 @@ def test_catalog_verify_prefix_filter(capsys):
 
 def test_catalog_verify_mismatch_exit_one(capsys, monkeypatch):
     # 5_2 paired with 4_1's expected verdict: the classifier disagrees
-    wrong = dataclasses.replace(catalog_get("5_2"), expected=catalog_get("4_1").expected)
+    wrong = catalog_get("5_2")._replace(expected=catalog_get("4_1").expected)
     monkeypatch.setattr(catalog_mod, "catalog_entries", lambda: (wrong, catalog_get("6_8")))
     code, out, _ = run(capsys, "catalog", "--verify")
     assert code == 1
@@ -491,3 +490,8 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout.strip() == "1/3 (slope 1/3)"
+    result = subprocess.run(
+        [sys.executable, "-m", "tritangle", "catalog", "--verify"],
+        capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.endswith("20 checked, 0 mismatches\nall entries match\n")

@@ -3,7 +3,7 @@
 ``import tritangle`` resolves its public names on first use, and the CLI
 imports the catalog, census and rectangle modules only in the subcommands
 that use them, so a process that classifies one document never imports
-them, nor ``dataclasses`` (and with it ``inspect``).
+them.  No module of the package imports ``dataclasses`` (and with it ``inspect``).
 """
 
 from __future__ import annotations
@@ -84,3 +84,18 @@ def test_star_import_and_module_names():
     # a module reached as an attribute of the package, as the eager imports bound them
     assert tritangle.verdict.classify is tritangle.classify
     assert tritangle.__version__ == "0.1.0"
+
+
+def test_no_module_imports_dataclasses():
+    # every module but __main__, which runs the command when imported
+    modules = sorted(f"tritangle.{path.stem}" for path in (SRC / "tritangle").glob("*.py")
+                     if path.stem != "__main__")
+    probe = ("import importlib, sys\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "for name in sys.argv[2:]:\n"
+             "    importlib.import_module(name)\n"
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-I", "-c", probe, str(SRC), *modules],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert "tritangle.catalog" in modules
+    assert done.stdout == "[]\n"

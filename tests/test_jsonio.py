@@ -226,6 +226,23 @@ def test_nesting_within_and_past_the_recursion_limit():
     assert "nested too deeply" in str(err.value)
 
 
+def test_nesting_bound_is_fixed_and_skips_string_literals():
+    from tritangle.jsonio import MAX_DEPTH
+
+    at_bound = "[" * MAX_DEPTH + "]" * MAX_DEPTH
+    with pytest.raises(DocumentError, match="expected an object"):
+        loads_tangle(at_bound)
+    too_deep = ("[" + at_bound + "]", "[ " * (MAX_DEPTH + 1), '{"a": ' * (MAX_DEPTH + 1) + "1",
+                '{"a": 1, "a": 2, "b": ' + at_bound + "}")  # before any other error
+    for text in too_deep:
+        with pytest.raises(DocumentError, match="^tangle: arrays or objects nested too deeply$"):
+            loads_tangle(text)
+    # brackets in a string literal do not nest, also after an escaped quote
+    in_string = '{"kind": "\\"' + "[" * (MAX_DEPTH + 1) + '"}'
+    with pytest.raises(DocumentError, match="presentation: required field is missing"):
+        loads_tangle(in_string)
+
+
 def test_deep_nesting_is_a_document_error():
     deep = "[" * 100_000 + "]" * 100_000
     with pytest.raises(DocumentError):
@@ -295,6 +312,20 @@ def test_serializing_an_integer_too_long_to_write_raises_slope_too_large():
         d = Decomposition("tautau", True, side, TauDescriptor(RationalPresentation((3, 0))))
         with pytest.raises(SlopeTooLarge, match="has more than .* digits, too many to write"):
             dumps_decomposition(d)
+
+
+def test_serialize_tangle_refuses_a_twist_entry_too_long_to_write():
+    # the least and the greatest entry, since either may be the longest; a shorter one passes
+    huge = 10 ** sys.get_int_max_str_digits()
+    for twists in ((huge, 0), (3, -huge), (-huge + 1, huge)):
+        with pytest.raises(SlopeTooLarge, match="a twist entry has more than .* digits"):
+            serialize_tangle(TauDescriptor(RationalPresentation(twists)))
+        with pytest.raises(SlopeTooLarge, match="a twist entry has more than .* digits"):
+            serialize_decomposition(Decomposition(
+                "taurho", False, TauDescriptor(RationalPresentation((3, 0))),
+                RhoDescriptor(RationalPresentation(twists))))
+    longest = TauDescriptor(RationalPresentation((huge - 1, 1 - huge)))
+    assert serialize_tangle(longest)["presentation"]["rational"]["twists"] == [huge - 1, 1 - huge]
 
 
 # ---------------------------------------------------------------------------
