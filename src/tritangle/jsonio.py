@@ -24,7 +24,8 @@ Serializing an integer with more digits than ``str`` writes raises ``SlopeTooLar
 
 Limits, each a ``DocumentError`` past it: a field name occurs once per object,
 an integer literal has at most ``sys.get_int_max_str_digits()`` (4,300) digits,
-and arrays and objects nest at most ``MAX_DEPTH`` deep, on every Python version.
+and arrays and objects nest at most ``MAX_DEPTH`` deep, or less where the interpreter's
+recursion limit is lowered or the caller's stack is already deep.
 """
 
 from __future__ import annotations
@@ -202,8 +203,10 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_unique_fields)
 # nesting is also checked here; schema documents nest at most 6 deep.
 MAX_DEPTH = 500
 _TOO_DEEP = "arrays or objects nested too deeply"
-# A string literal, skipped, or a bracket; compiled on first use, not at import.
-_BRACKETS = r'"(?:[^"\\]|\\.)*"|[\[\]{}]'
+# A string literal, skipped, or a bracket; compiled on first use, not at import.  The string
+# branch cannot fail: an unterminated literal, even one ending in a lone backslash, runs to the
+# end of the text, so its brackets do not count and no match is retried from inside it.
+_BRACKETS = r'"(?:[^"\\]|\\[\s\S]?)*(?:"|\Z)|[\[\]{}]'
 _DEPTH_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 
@@ -224,7 +227,9 @@ def _decode(text: str, path: str) -> Any:
     error = None
     try:
         value = _DECODER.decode(text)
-    except RecursionError:  # the decoder's own bound, deeper than MAX_DEPTH on every version
+    except RecursionError:
+        # the decoder's own bound: deeper than MAX_DEPTH at the default recursion limit and a
+        # shallow caller stack, but on 3.10 and 3.11 it is the limit less the caller's depth
         raise DocumentError(path, _TOO_DEEP) from None
     except json.JSONDecodeError as exc:
         error = DocumentError(f"line {exc.lineno}, column {exc.colno}", exc.msg)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 
 import pytest
 
@@ -241,6 +242,23 @@ def test_nesting_bound_is_fixed_and_skips_string_literals():
     in_string = '{"kind": "\\"' + "[" * (MAX_DEPTH + 1) + '"}'
     with pytest.raises(DocumentError, match="presentation: required field is missing"):
         loads_tangle(in_string)
+
+
+def test_nesting_scan_takes_an_unterminated_string_to_the_end():
+    from tritangle.jsonio import MAX_DEPTH
+
+    # past the bracket count, an unterminated string of escaped quotes, also one ending in a
+    # lone backslash: a scan that retried a string match at each escaped quote would be
+    # quadratic, about 10 s here against a few ms
+    shallow = "[]" * (MAX_DEPTH + 1)
+    for tail in ("", "\\"):
+        start = time.perf_counter()
+        with pytest.raises(DocumentError, match="^line 1, column 3: Extra data$"):
+            loads_tangle(shallow + '"' + '\\"' * 20_000 + tail)
+        assert time.perf_counter() - start < 1.0
+    # the brackets of an unterminated string do not nest
+    with pytest.raises(DocumentError, match="Unterminated string"):
+        loads_tangle('"' + "[" * (MAX_DEPTH + 1))
 
 
 def test_deep_nesting_is_a_document_error():
