@@ -222,20 +222,15 @@ def catalog_verify(entries: Iterable[CatalogEntry] | None = None) -> CatalogRepo
     rows = []
     for entry in (catalog_entries() if entries is None else entries):
         if entry.provenance == STORED:
-            rows.append(ReportRow(
-                name=entry.name, passed=None,
-                expected=str(entry.expected), actual="stored fact (not re-derived)"))
-            continue
-        if entry.provenance == OBSTRUCTION:
+            passed, expected, actual = None, str(entry.expected), "stored fact (not re-derived)"
+        elif entry.provenance == OBSTRUCTION:
             found = tuple(obstruction_check(entry.profile))
             passed = found == entry.expected_obstructions
-            rows.append(ReportRow(
-                name=entry.name, passed=passed,
-                expected=", ".join(o.name for o in entry.expected_obstructions) or "none",
-                actual=", ".join(o.name for o in found) or "none"))
-            continue
-        verdict = classify(entry.decomposition)
-        rows.append(ReportRow(
-            name=entry.name, passed=entry.expected.matches(verdict),
-            expected=str(entry.expected), actual=verdict.summary()))
+            expected = ", ".join(o.name for o in entry.expected_obstructions) or "none"
+            actual = ", ".join(o.name for o in found) or "none"
+        else:
+            verdict = classify(entry.decomposition)
+            passed = entry.expected.matches(verdict)
+            expected, actual = str(entry.expected), verdict.summary()
+        rows.append(ReportRow(entry.name, passed, expected, actual))
     return CatalogReport(tuple(rows))

@@ -1,7 +1,7 @@
 """Command-line surface: calculators, classification, catalog and census.
 
-``tangle``, ``classify`` and ``catalog NAME`` each build one record, a plain dict, and print
-it with ``_emit``: as JSON with ``--json``, else as ``key: value`` lines.
+``tangle``, ``classify`` and ``catalog NAME`` each build one record from the value they report
+and print it with ``_emit``: one JSON document with ``--json``, else ``key: value`` lines.
 
 Exit codes: 0 success/classified, 1 a ``catalog --verify`` mismatch, 2 usage, input or
 output error, 3 inadmissible decomposition, 4 toroidal decomposition.
@@ -84,17 +84,19 @@ def _read(path: str) -> str:
 def _emit(record: dict, as_json: bool):
     """Print one record: as indented JSON, or as ``key: value`` lines.
 
-    In text a list prints as ``key:`` and then one ``  - item`` line per item, or as
-    ``key: none`` when empty, and a None value prints nothing.
+    In text a list or tuple prints as ``  - item`` lines (``none`` when empty), a dict as one
+    line of JSON, None not at all, and any other value as its ``str``, as JSON prints it too.
     """
     if as_json:
-        print(json.dumps(record, indent=2))
+        print(json.dumps(record, indent=2, default=str))
         return
     for key, value in record.items():
-        if value == []:
+        if value in ([], ()):
             value = "none"
-        if isinstance(value, list):
+        if isinstance(value, (list, tuple)):
             print(f"{key}:", *(f"  - {item}" for item in value), sep="\n")
+        elif isinstance(value, dict):
+            print(f"{key}: {json.dumps(value)}")
         elif value is not None:
             print(f"{key}: {value}")
 
@@ -107,10 +109,7 @@ def cmd_tangle(args) -> int:
         return _fail(str(exc))
     # the profile's fields in field order, which is printing order, each None left out
     record = {key: value for key, value in t._asdict().items() if value is not None}
-    record["provenance"] = list(t.provenance)
-    if t.slope is not None:
-        record["slope"] = str(t.slope)
-    if t.torus is not None:
+    if t.torus is not None:  # the str of TorusParams is its repr
         record["torus"] = {"p": t.torus.p, "q": t.torus.q}
     try:
         rect = rect_types_tau(t) if t.kind == KIND_TAU else rect_types_rho(t)
@@ -132,10 +131,8 @@ def cmd_classify(args) -> int:
     except DocumentError as exc:
         return _fail(str(exc))
     v = classify(decomposition)
-    _emit({"status": v.status, "summary": v.summary(),
-           "annulus_count": None if v.annulus_count is None else str(v.annulus_count),
-           "hyperbolic": v.hyperbolic, "branch": v.branch, "annuli": list(v.annuli),
-           "notes": list(v.notes), "violations": [str(x) for x in v.violations]}, args.json)
+    # the verdict's fields overwrite status in place, so summary stays right after it
+    _emit({"status": v.status, "summary": v.summary()} | v._asdict(), args.json)
     return {CLASSIFIED: EXIT_OK, INADMISSIBLE: EXIT_INADMISSIBLE,
             TOROIDAL: EXIT_TOROIDAL}[v.status]
 
@@ -150,10 +147,7 @@ def cmd_catalog(args) -> int:
                 return _fail(f"no catalog entry named {args.name!r}")
         report = catalog_mod.catalog_verify(entries)
         for row in report.rows:
-            if row.passed is None:
-                state = "stored"
-            else:
-                state = "pass" if row.passed else "FAIL"
+            state = {None: "stored", True: "pass", False: "FAIL"}[row.passed]
             print(f"{row.name:<22} {state:<7} expected: {row.expected}")
             if row.passed is False:
                 print(f"{'':<22} {'':<7} actual:   {row.actual}")
@@ -172,10 +166,7 @@ def cmd_catalog(args) -> int:
                "expected": entry.expected and str(entry.expected),
                # None, not [], so that an entry without obstructions prints no line
                "expected obstructions": [o.name for o in entry.expected_obstructions] or None,
-               "decomposition": None if args.json or not document else json.dumps(document)},
-              as_json=False)  # text in both forms; --json indents the document below
-        if document and args.json:
-            print(json.dumps(document, indent=2))
+               "decomposition": document}, args.json)
         return EXIT_OK
     for entry in catalog_mod.catalog_entries():
         expected = str(entry.expected) if entry.expected else "obstruction profile"
@@ -234,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_catalog.add_argument("--verify", action="store_true",
                            help="re-derive every entry and report mismatches")
     p_catalog.add_argument("--json", action="store_true",
-                           help="print the entry's decomposition document")
+                           help="machine-readable output")
     p_catalog.set_defaults(func=cmd_catalog)
 
     p_census = sub.add_parser("census", help="enumerate the counting rules as CSV")

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import accumulate
 from typing import Any
 
 from .errors import DocumentError, InvalidTorusParams, SlopeTooLarge, ZeroOverZero
@@ -203,10 +204,12 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_unique_fields)
 # nesting is also checked here; schema documents nest at most 6 deep.
 MAX_DEPTH = 500
 _TOO_DEEP = "arrays or objects nested too deeply"
-# A string literal, skipped, or a bracket; compiled on first use, not at import.  The string
-# branch cannot fail: an unterminated literal, even one ending in a lone backslash, runs to the
-# end of the text, so its brackets do not count and no match is retried from inside it.
-_BRACKETS = r'"(?:[^"\\]|\\[\s\S]?)*(?:"|\Z)|[\[\]{}]'
+# The nesting scan deletes every string literal, then every run of characters that are not
+# brackets; both patterns compile on first use, not at import.  The string pattern cannot
+# fail: an unterminated literal, even one ending in a lone backslash, runs to the end of the
+# text, so its brackets do not count and no match is retried from inside it.
+_STRING = r'"(?:[^"\\]|\\[\s\S]?)*(?:"|\Z)'
+_NOT_BRACKETS = r'[^\[\]{}]+'
 _DEPTH_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 
@@ -214,11 +217,9 @@ def _refuse_deep_nesting(text: str, path: str):
     # counting the opening brackets is cheap and spares every real document the scan
     if text.count("[") + text.count("{") <= MAX_DEPTH:
         return
-    depth = 0
-    for match in re.finditer(_BRACKETS, text):
-        depth += _DEPTH_STEP.get(match.group(), 0)
-        if depth > MAX_DEPTH:
-            raise DocumentError(path, _TOO_DEEP)
+    brackets = re.sub(_NOT_BRACKETS, "", re.sub(_STRING, "", text))
+    if max(accumulate(map(_DEPTH_STEP.__getitem__, brackets)), default=0) > MAX_DEPTH:
+        raise DocumentError(path, _TOO_DEEP)
 
 
 def _decode(text: str, path: str) -> Any:

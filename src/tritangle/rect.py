@@ -81,8 +81,8 @@ def boundary_arc_count(tv: Sequence[int], which: RectangleType) -> int:
         if slope.is_zero:
             raise InfiniteValue("the twist prefix of a slope-0 tangle is infinite")
         prefix = cf_expand(slope.reciprocal())
+        # always finite: |1/slope| >= 2, so the expansion's integer part is at least 2 in size
+        # and every other entry is at least 1
         reversed_value = cf_eval(tuple(reversed(prefix)))
-        if reversed_value.is_infinite:
-            raise InfiniteValue("the reversed twist prefix evaluates to infinity")
         return 2 * reversed_value.den
     raise NotApplicable(f"no intersection-count formula for {which.value}")

@@ -9,7 +9,7 @@ import sys
 
 from tritangle import catalog as catalog_mod
 from tritangle.cli import main
-from tritangle.jsonio import dumps_decomposition, serialize_decomposition
+from tritangle.jsonio import dumps_decomposition, parse_decomposition
 from tritangle.catalog import catalog_get, catalog_names
 
 EXIT_OK, EXIT_USAGE, EXIT_INADMISSIBLE, EXIT_TOROIDAL = 0, 2, 3, 4
@@ -420,19 +420,30 @@ def test_catalog_verify_mismatch_exit_one(capsys, monkeypatch):
 
 
 def test_catalog_entry_json_export_parses(capsys):
-    code, out, _ = run(capsys, "catalog", "6_9", "--json")
-    assert code == EXIT_OK
-    from tritangle import loads_decomposition
-
-    start = out.index("{")
-    assert loads_decomposition(out[start:]).kind == "taurho"
+    # every entry's --json output is one JSON object whose decomposition reads back as the entry's
+    for entry in catalog_mod.catalog_entries():
+        code, out, err = run(capsys, "catalog", entry.name, "--json")
+        assert (code, err) == (EXIT_OK, "")
+        record = json.loads(out)
+        assert record == {
+            "name": entry.name, "provenance": entry.provenance, "source": entry.source,
+            "expected": str(entry.expected) if entry.expected else None,
+            "expected obstructions": [o.name for o in entry.expected_obstructions] or None,
+            "decomposition": record["decomposition"]}
+        if entry.name in ("6_8", "non_3_decomposable"):
+            assert record["decomposition"] is None and entry.decomposition is None
+        else:
+            assert parse_decomposition(record["decomposition"]) == entry.decomposition
 
 
 def test_catalog_entry_json_export_is_indented(capsys):
-    code, out, _ = run(capsys, "catalog", "6_9", "--json")
-    assert code == EXIT_OK
-    expected = json.dumps(serialize_decomposition(catalog_get("6_9").decomposition), indent=2)
-    assert out[out.index("\n{") + 1:] == expected + "\n"
+    for entry in catalog_mod.catalog_entries():
+        code, out, _ = run(capsys, "catalog", entry.name, "--json")
+        assert code == EXIT_OK
+        record = json.loads(out)
+        assert list(record) == ["name", "provenance", "source", "expected",
+                                "expected obstructions", "decomposition"]
+        assert out == json.dumps(record, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

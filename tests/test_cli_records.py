@@ -185,3 +185,25 @@ violations:
 @pytest.mark.parametrize("name", sorted(CLASSIFY_TEXT))
 def test_classify_text(capsys, tmp_path, name):
     assert run(capsys, "classify", document(tmp_path, name)) == CLASSIFY_TEXT[name]
+
+
+def test_tangle_text_of_a_torus_side(capsys, tmp_path):
+    # the torus parameters print as one line of JSON, not as a Python dict
+    provenance = "".join(f"  - {note}\n" for note in TORUS_PROVENANCE)
+    assert run(capsys, "tangle", document(tmp_path, "torus_side")) == (0, f"""\
+kind: rho
+atoroidal: True
+trivial: False
+essential: True
+satellite: True
+cable: False
+hopf_summand: False
+hopf_tangle: False
+provenance:
+{provenance}rational: False
+torus: {{"p": 3, "q": 2}}
+good_rectangles:
+  - rho type I
+  - rho type I*
+good_annulus: type I (satellite)
+""")

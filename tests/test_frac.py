@@ -59,6 +59,14 @@ def test_construction_always_canonical(p, q):
     assert ExtFraction(p, q).is_canonical()
 
 
+def test_is_canonical_audits_each_invariant():
+    from tritangle.frac import _canonical  # the trusted constructor, which checks nothing
+
+    assert _canonical(1, 2).is_canonical() and _canonical(1, 0).is_canonical()
+    for num, den in ((1, -2), (5, 0), (2, 4)):
+        assert not _canonical(num, den).is_canonical()
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 

@@ -261,6 +261,19 @@ def test_nesting_scan_takes_an_unterminated_string_to_the_end():
         loads_tangle('"' + "[" * (MAX_DEPTH + 1))
 
 
+def test_nesting_scan_measures_depth_across_a_wide_document():
+    from tritangle.jsonio import MAX_DEPTH
+
+    # far more brackets than MAX_DEPTH, some inside strings, but never more than 2 deep
+    shallow = ", ".join(["[]", '"[[{"'] * 2_500)
+    with pytest.raises(DocumentError, match="^tangle: expected an object, got list$"):
+        loads_tangle("[" + shallow + "]")
+    # one nest of MAX_DEPTH + 1 after the shallow part
+    nest = "[" * MAX_DEPTH + "]" * MAX_DEPTH
+    with pytest.raises(DocumentError, match="^tangle: arrays or objects nested too deeply$"):
+        loads_tangle("[" + shallow + ", " + nest + "]")
+
+
 def test_deep_nesting_is_a_document_error():
     deep = "[" * 100_000 + "]" * 100_000
     with pytest.raises(DocumentError):

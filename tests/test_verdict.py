@@ -360,6 +360,25 @@ def test_two_flag_profile_raises_only_past_the_gate():
                            two_flags, special=True).status == INADMISSIBLE
 
 
+def test_tau_slope_readers_agree_on_a_rational_non_unit_slope():
+    # a hand-built side that leaves unit_fraction_slope open: both readers go by the slope 2/5
+    from tritangle import ResolvedTangle, rect_types_tau
+
+    x = ResolvedTangle(kind="tau", atoroidal=True, trivial=False, essential=True, rational=True,
+                       slope=ExtFraction(2, 5), unit_fraction_slope=None)
+    v = classify_tautau(x, resolve_tau(tau_slope(3)), True)
+    assert (v.status, v.branch, v.annulus_count) == (CLASSIFIED, BRANCH_TAUTAU_HYPERBOLIC,
+                                                     ZERO_ANNULI)
+    assert ("a side is not rational with a unit-fraction slope, so its exterior admits no good "
+            "rectangle") in v.notes
+    assert rect_types_tau(x) == frozenset()
+
+
+def test_annulus_count_refuses_a_negative_value():
+    with pytest.raises(ValueError, match="cannot be negative"):
+        AnnulusCount(-1)
+
+
 def test_classify_evaluates_each_rational_side_once(monkeypatch):
     import tritangle.tangle
 
