@@ -139,6 +139,8 @@ def cmd_classify(args) -> int:
 
 def cmd_catalog(args) -> int:
     from . import catalog as catalog_mod
+    if args.json and (args.verify or not args.name):  # the list and the report are text only
+        return _fail("--json works only with a NAME and without --verify")
     if args.verify:
         entries = catalog_mod.catalog_entries()
         if args.name:
@@ -225,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_catalog.add_argument("--verify", action="store_true",
                            help="re-derive every entry and report mismatches")
     p_catalog.add_argument("--json", action="store_true",
-                           help="machine-readable output")
+                           help="the entry NAME as one JSON document (not with --verify)")
     p_catalog.set_defaults(func=cmd_catalog)
 
     p_census = sub.add_parser("census", help="enumerate the counting rules as CSV")

@@ -19,7 +19,8 @@ Document shape::
 The abstract flags are the slots of ``AbstractTau`` and ``AbstractRho``: one
 without a default in ``__init__`` is required, the others are optional and are
 written out only when they differ from their default.  Every flag is a boolean
-except the tau ``slope`` ("p/q" string) and the rho ``torus`` ({"p": int, "q": int}).
+except the tau ``slope`` and the rho ``torus`` ({"p": int, "q": int}).  A slope is a string
+"p/q" or "p" of ASCII digits, with "-" as the only sign; it need not be reduced.
 Serializing an integer with more digits than ``str`` writes raises ``SlopeTooLarge``.
 
 Limits, each a ``DocumentError`` past it: a field name occurs once per object,
@@ -48,30 +49,33 @@ from .tangle import (
     TauDescriptor,
     TorusParams,
     TorusRhoPresentation,
+    _trusted_rational,
 )
 from .verdict import Decomposition, RHORHO, TAURHO, TAUTAU
 
 
-def _require_object(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise DocumentError(path, f"expected an object, got {type(value).__name__}")
-    return value
+# Each fixed schema's field names as the keys of a dict: iterated in order, and compared with
+# an object's keys in one C call
+_DOCUMENT, _TANGLE, _RATIONAL, _TORUS = (dict.fromkeys(names).keys() for names in (
+    ("type", "special", "tangles"), ("kind", "presentation"), ("twists",), ("p", "q")))
+_INT_ONLY = frozenset({int})  # holds the types of a list's entries iff each is a plain int
 
 
-def _check_fields(obj: dict, path: str, required: tuple[str, ...],
-                  optional: tuple[str, ...] = ()):
+# Each parser compares an exact dict's keys with its schema in one C call and checks twist and
+# boolean types inline; _fields and the per-index loop run only to name a fault, or for a dict
+# or list subclass built in Python.
+
+def _fields(obj: Any, path: str, required, allowed=None):
+    """Refuse all but an object with every ``required`` field and none outside ``allowed``."""
+    if not isinstance(obj, dict):
+        raise DocumentError(path, f"expected an object, got {type(obj).__name__}")
+    allowed = allowed or required
     for key in obj:
-        if key not in required and key not in optional:
+        if key not in allowed:
             raise DocumentError(f"{path}.{key}", "unknown field")
     for key in required:
         if key not in obj:
             raise DocumentError(f"{path}.{key}", "required field is missing")
-
-
-def _bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise DocumentError(path, "expected a boolean")
-    return value
 
 
 def _int(value: Any, path: str) -> int:
@@ -80,20 +84,29 @@ def _int(value: Any, path: str) -> int:
     return value
 
 
+# what int() takes that a slope may not hold: signs other than a leading "-", spaces,
+# underscores and digits other than ASCII ones
+_FRACTION_TEXT = r"-?[0-9]+(?:/[0-9]+)?"
+
+
 def _slope(value: Any, path: str) -> ExtFraction:
     if not isinstance(value, str):
         raise DocumentError(path, 'expected a "p/q" string')
     try:
-        return parse_fraction(value)
+        slope = parse_fraction(value)
     except (ValueError, ZeroOverZero) as exc:
         raise DocumentError(path, f"not a valid fraction: {exc}") from None
+    if not re.fullmatch(_FRACTION_TEXT, value):
+        raise DocumentError(path, f'not a valid fraction: {value!r} is not "p/q" or "p" '
+                                  "in ASCII digits")
+    return slope
 
 
 def _torus(obj: Any, path: str) -> TorusParams:
-    fields = _require_object(obj, path)
-    _check_fields(fields, path, required=("p", "q"))
+    if type(obj) is not dict or obj.keys() != _TORUS:
+        _fields(obj, path, _TORUS)
     try:
-        return TorusParams(_int(fields["p"], f"{path}.p"), _int(fields["q"], f"{path}.q"))
+        return TorusParams(_int(obj["p"], f"{path}.p"), _int(obj["q"], f"{path}.q"))
     except InvalidTorusParams as exc:
         raise DocumentError(path, str(exc)) from None
 
@@ -115,17 +128,17 @@ _REQUIRED = object()  # the default of a flag without one: no flag value equals 
 
 
 def _abstract_schema(cls) -> tuple:
-    """An abstract presentation class, its flags in field order, the required and optional names.
+    """An abstract presentation class, its flags in field order, the required and all names.
 
     Each flag is (name, default, read, write), read from the class's slots and the defaults of
     its ``__init__``: the default is ``_REQUIRED`` for a required flag, and a boolean flag has
-    no writer (None) because it is written as it is.
+    neither reader nor writer (None): it is checked inline and written as it is.
     """
     names, defaults = cls.__slots__, cls.__init__.__defaults__
     required = len(names) - len(defaults)
-    flags = tuple((name, default, *_FLAG_CODECS.get(name, (_bool, None)))
+    flags = tuple((name, default, *_FLAG_CODECS.get(name, (None, None)))
                   for name, default in zip(names, (_REQUIRED,) * required + defaults))
-    return cls, flags, names[:required], names[required:]
+    return cls, flags, dict.fromkeys(names[:required]).keys(), dict.fromkeys(names).keys()
 
 
 # kind -> the schema above; built once, since reading the class's fields on every call
@@ -134,58 +147,68 @@ _ABSTRACT = {KIND_TAU: _abstract_schema(AbstractTau), KIND_RHO: _abstract_schema
 
 
 def parse_tangle(obj: Any, path: str = "tangle") -> Descriptor:
-    doc = _require_object(obj, path)
-    _check_fields(doc, path, required=("kind", "presentation"))
-    kind = doc["kind"]
+    if type(obj) is not dict or obj.keys() != _TANGLE:
+        _fields(obj, path, _TANGLE)
+    kind, pres = obj["kind"], obj["presentation"]
     if kind not in (KIND_TAU, KIND_RHO):
         raise DocumentError(f"{path}.kind", f'expected "tau" or "rho", got {kind!r}')
-    pres = _require_object(doc["presentation"], f"{path}.presentation")
+    if not isinstance(pres, dict):
+        raise DocumentError(f"{path}.presentation",
+                            f"expected an object, got {type(pres).__name__}")
     if len(pres) != 1:
         raise DocumentError(f"{path}.presentation",
                             "exactly one presentation variant is required")
-    variant, body = next(iter(pres.items()))
-    vpath = f"{path}.presentation.{variant}"
+    (variant, body), = pres.items()
     if variant == "rational":
-        body = _require_object(body, vpath)
-        _check_fields(body, vpath, required=("twists",))
+        if type(body) is not dict or body.keys() != _RATIONAL:
+            _fields(body, f"{path}.presentation.rational", _RATIONAL)
         twists = body["twists"]
-        if not isinstance(twists, list):
-            raise DocumentError(f"{vpath}.twists", "expected a list of integers")
-        for i, a in enumerate(twists):
-            if type(a) is not int:  # also rejects bool, as _int does
-                raise DocumentError(f"{vpath}.twists[{i}]", "expected an integer")
-        presentation = RationalPresentation(tuple(twists))
+        if type(twists) is not list or not _INT_ONLY.issuperset(map(type, twists)):
+            if not isinstance(twists, list):
+                raise DocumentError(f"{path}.presentation.rational.twists",
+                                    "expected a list of integers")
+            for i, a in enumerate(twists):
+                if type(a) is not int:  # also rejects bool, as _int does
+                    raise DocumentError(f"{path}.presentation.rational.twists[{i}]",
+                                        "expected an integer")
+        presentation = _trusted_rational(tuple(twists))  # each entry is checked above
     elif variant == "torus_rho":
         if kind != KIND_RHO:
-            raise DocumentError(vpath, "torus parameters only present rho-tangles")
-        presentation = TorusRhoPresentation(_torus(body, vpath))
+            raise DocumentError(f"{path}.presentation.torus_rho",
+                                "torus parameters only present rho-tangles")
+        presentation = TorusRhoPresentation(_torus(body, f"{path}.presentation.torus_rho"))
     elif variant == "abstract":
-        body = _require_object(body, vpath)
-        cls, schema, required, optional = _ABSTRACT[kind]
-        _check_fields(body, vpath, required, optional)
-        presentation = cls(**{name: read(body[name], f"{vpath}.{name}")
-                              for name, _, read, _ in schema if name in body})
+        cls, schema, required, names = _ABSTRACT[kind]
+        if type(body) is not dict or not required <= body.keys() <= names:
+            _fields(body, f"{path}.presentation.abstract", required, names)
+        flags = {}
+        for name, _, read, _ in schema:
+            if name in body:
+                value = flags[name] = body[name]
+                if read is not None:
+                    flags[name] = read(value, f"{path}.presentation.abstract.{name}")
+                elif type(value) is not bool:
+                    raise DocumentError(f"{path}.presentation.abstract.{name}",
+                                        "expected a boolean")
+        presentation = cls(**flags)
     else:
-        raise DocumentError(vpath, "unknown presentation variant")
-    if kind == KIND_TAU:
-        return TauDescriptor(presentation)
-    return RhoDescriptor(presentation)
+        raise DocumentError(f"{path}.presentation.{variant}", "unknown presentation variant")
+    return (TauDescriptor if kind == KIND_TAU else RhoDescriptor)(presentation)
 
 
 def parse_decomposition(obj: Any, path: str = "document") -> Decomposition:
-    doc = _require_object(obj, path)
-    _check_fields(doc, path, required=("type", "special", "tangles"))
-    kind = doc["type"]
+    if type(obj) is not dict or obj.keys() != _DOCUMENT:
+        _fields(obj, path, _DOCUMENT)
+    kind, special, tangles = obj["type"], obj["special"], obj["tangles"]
     if kind not in (TAUTAU, TAURHO, RHORHO):
         raise DocumentError(f"{path}.type",
                             f'expected "tautau", "taurho" or "rhorho", got {kind!r}')
-    special = _bool(doc["special"], f"{path}.special")
-    tangles = doc["tangles"]
+    if type(special) is not bool:
+        raise DocumentError(f"{path}.special", "expected a boolean")
     if not isinstance(tangles, list) or len(tangles) != 2:
         raise DocumentError(f"{path}.tangles", "expected a list of exactly two tangles")
-    first = parse_tangle(tangles[0], f"{path}.tangles[0]")
-    second = parse_tangle(tangles[1], f"{path}.tangles[1]")
-    return Decomposition(kind=kind, special=special, first=first, second=second)
+    return Decomposition(kind, special, parse_tangle(tangles[0], f"{path}.tangles[0]"),
+                         parse_tangle(tangles[1], f"{path}.tangles[1]"))
 
 
 def _unique_fields(pairs: list[tuple[str, Any]]) -> dict:
@@ -285,5 +308,9 @@ def serialize_decomposition(d: Decomposition) -> dict:
     }
 
 
+# the serializer builds fresh containers, so no cycle can occur: skip the encoder's cycle check
+_ENCODER = json.JSONEncoder(check_circular=False)
+
+
 def dumps_decomposition(d: Decomposition) -> str:
-    return json.dumps(serialize_decomposition(d))
+    return _ENCODER.encode(serialize_decomposition(d))

@@ -99,6 +99,13 @@ class RationalPresentation(Value):
         object.__setattr__(self, "twists", tuple(map(operator.index, twists)))
 
 
+def _trusted_rational(twists: TwistVector) -> RationalPresentation:
+    """Trusted: a tuple of plain ints, unchecked (as ``frac._canonical``)."""
+    p = object.__new__(RationalPresentation)
+    object.__setattr__(p, "twists", twists)
+    return p
+
+
 class TorusRhoPresentation(Value):
     """A rho-tangle given by torus curve parameters."""
 
@@ -232,7 +239,7 @@ def _torus_from_slope(slope: ExtFraction) -> TorusParams | None:
     return None
 
 
-def _profile(kind: str, notes: list[str], *, atoroidal: bool = True, trivial: bool = False,
+def _profile(kind: str, notes: list[str], atoroidal: bool = True, trivial: bool = False,
              hopf_tangle: bool = False, torus: TorusParams | None = None,
              satellite: bool = False, cable: bool = False, hopf_summand: bool = False,
              rational: bool | None = None, slope: ExtFraction | None = None,
@@ -275,8 +282,9 @@ def _rational_profile(kind: str, value: ExtFraction) -> ResolvedTangle:
         notes.append("satellite/cable/hopf_summand: absent for rational "
                      "slopes other than +-1/(2k); a rational presentation "
                      "keeps the loop unknotted, so never cable")
-    return _profile(kind, notes, trivial=trivial, hopf_tangle=hopf, torus=torus, rational=True,
-                    slope=slope, unit_fraction_slope=abs(slope.num) == 1)
+    # positional, in parameter order (atoroidal ... unit_fraction_slope): keywords cost more here
+    return _profile(kind, notes, True, trivial, hopf, torus, False, False, False, True, slope,
+                    abs(slope.num) == 1)
 
 
 def _torus_profile(t: TorusParams) -> ResolvedTangle:

@@ -234,7 +234,7 @@ def _render(clause: Clause, count: AnnulusCount | None, inputs: dict) -> Verdict
     if hyperbolic:
         notes += (HYPERBOLICITY_NOTE,)
     return Verdict(CLASSIFIED, count, hyperbolic, clause.branch,
-                   tuple(text.format_map(inputs) for text in clause.annuli), notes)
+                   tuple([text.format_map(inputs) for text in clause.annuli]), notes)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +358,9 @@ def classify(d: Decomposition) -> Verdict:
     """
     (a, first), (b, second) = examine(d.first), examine(d.second)
     violations = _structural_violations(d)
-    for position, found in (("first", first), ("second", second)):
-        violations += [Violation(v.rule, (position,) + v.fields, v.detail) for v in found]
+    if first or second:  # each side's violations, their fields prefixed with its position
+        for position, found in (("first", first), ("second", second)):
+            violations += [Violation(v.rule, (position,) + v.fields, v.detail) for v in found]
     if violations:
         return _inadmissible(violations)
     if d.kind == TAUTAU:

@@ -446,6 +446,15 @@ def test_catalog_entry_json_export_is_indented(capsys):
         assert out == json.dumps(record, indent=2) + "\n"
 
 
+def test_catalog_json_refused_for_the_list_and_the_report(capsys):
+    # the list and the --verify report are text tables, so --json there is a usage error
+    for argv in (["catalog", "--json"], ["catalog", "--verify", "--json"],
+                 ["catalog", "--verify", "7_", "--json"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: --json works only with a NAME and without --verify\n"
+
+
 # ---------------------------------------------------------------------------
 # census
 

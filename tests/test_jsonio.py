@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import enum
 import json
 import sys
 import time
@@ -106,6 +107,9 @@ def test_torus_parameters_and_twists_must_have_their_json_types(presentation, pa
     (3, 'expected a "p/q" string'),
     ("0/0", "not a valid fraction: 0/0 is not a projective rational"),
     ("x/2", "not a valid fraction: invalid literal for int() with base 10: 'x'"),
+    # int() reads each of these, a slope holds only ASCII digits, one "/" and a leading "-"
+    *((text, f'not a valid fraction: {text!r} is not "p/q" or "p" in ASCII digits')
+      for text in ("\u0661/\u0663", "1_0/3", " 1/3 ", "+1/3", "1/-3", "\uff11")),
 ])
 def test_abstract_slope_must_be_a_fraction_string(slope, message):
     doc = {"kind": "tau", "presentation": {"abstract": {
@@ -113,6 +117,16 @@ def test_abstract_slope_must_be_a_fraction_string(slope, message):
     with pytest.raises(DocumentError) as err:
         parse_tangle(doc)
     assert str(err.value) == f"tangle.presentation.abstract.slope: {message}"
+
+
+@pytest.mark.parametrize("text, slope", [
+    ("6/9", ExtFraction(2, 3)), ("-4/6", ExtFraction(-2, 3)), ("5", ExtFraction(5)),
+    ("007/3", ExtFraction(7, 3)), ("1/0", ExtFraction(1, 0)),
+])
+def test_unreduced_and_integer_slopes_are_read(text, slope):
+    doc = {"kind": "tau", "presentation": {"abstract": {
+        "atoroidal": True, "trivial": False, "rational": True, "slope": text}}}
+    assert parse_tangle(doc).presentation.slope == slope
 
 
 def test_twists_must_be_integers():
@@ -282,6 +296,83 @@ def test_deep_nesting_is_a_document_error():
         loads_tangle(deep)
 
 
+# ---------------------------------------------------------------------------
+# The parser's fast path (exact dicts and lists of plain ints) against its slow path
+
+class _Object(dict):
+    """A dict subclass: parsed as a dict, through the field-by-field checks."""
+
+
+class _List(list):
+    pass
+
+
+class _Twist(enum.IntEnum):
+    THREE = 3
+
+
+def _as_subclasses(value):
+    """``value`` with every dict an ``_Object`` and every list a list subclass."""
+    if isinstance(value, dict):
+        return _Object({key: _as_subclasses(item) for key, item in value.items()})
+    if isinstance(value, list):
+        return _List(map(_as_subclasses, value))
+    return value
+
+
+@pytest.mark.parametrize("twists", [[], [0], [3, 0], [-2, 1, 1, 1, -1], [10 ** 40, -7, 0]])
+def test_parsed_rational_side_is_the_checked_presentation(twists):
+    parsed = parse_tangle({"kind": "rho", "presentation": {"rational": {"twists": twists}}})
+    built = RationalPresentation(tuple(twists))
+    assert parsed.presentation == built
+    assert hash(parsed.presentation) == hash(built)
+    assert repr(parsed.presentation) == repr(built)
+    assert type(parsed.presentation.twists) is tuple
+
+
+def test_document_of_subclasses_parses_as_the_plain_document():
+    abstract = dict(GOOD_DOC, tangles=[
+        {"kind": "tau", "presentation": {"abstract": {
+            "atoroidal": True, "trivial": False, "rational": True, "slope": "1/3"}}},
+        {"kind": "rho", "presentation": {"abstract": {
+            "atoroidal": True, "trivial": False, "torus": {"p": 3, "q": 2}}}}])
+    for doc in (GOOD_DOC, abstract):
+        assert parse_decomposition(_as_subclasses(doc)) == parse_decomposition(doc)
+
+
+def _with_first(tangle: dict) -> dict:
+    return dict(GOOD_DOC, tangles=[tangle, GOOD_DOC["tangles"][1]])
+
+
+def _rational(twists, **extra) -> dict:
+    return {"kind": "tau", "presentation": {"rational": {"twists": twists, **extra}}}
+
+
+_TWISTS = "document.tangles[0].presentation.rational.twists"
+
+
+@pytest.mark.parametrize("doc, error", [
+    (_Object(GOOD_DOC, extra=1), "document.extra: unknown field"),
+    (_Object(type="tautau", tangles=[]), "document.special: required field is missing"),
+    (_with_first(_rational([1, _Twist.THREE, 0])), f"{_TWISTS}[1]: expected an integer"),
+    (_with_first(_rational([1, 2, True])), f"{_TWISTS}[2]: expected an integer"),
+    (_with_first(_rational([2.0])), f"{_TWISTS}[0]: expected an integer"),
+    (_with_first(_rational([3, 0], sign=1)),
+     "document.tangles[0].presentation.rational.sign: unknown field"),
+    (_with_first({"kind": "tau", "presentation": {"rational": {}}}),
+     f"{_TWISTS}: required field is missing"),
+    (_with_first({"presentation": {"rational": {"twists": [3, 0]}}}),
+     "document.tangles[0].kind: required field is missing"),
+    (_with_first({"kind": "tau", "presentation": [3, 0]}),
+     "document.tangles[0].presentation: expected an object, got list"),
+], ids=["dict-subclass", "missing-in-subclass", "int-enum", "bool", "float", "extra-key",
+        "missing-twists", "missing-kind", "non-object-presentation"])
+def test_fault_off_the_fast_path_keeps_its_path_and_message(doc, error):
+    with pytest.raises(DocumentError) as err:
+        parse_decomposition(doc)
+    assert str(err.value) == error
+
+
 def test_round_trip_document():
     d = parse_decomposition(GOOD_DOC)
     assert parse_decomposition(serialize_decomposition(d)) == d
@@ -447,6 +538,13 @@ def _check_abstract_side(side):
             assert after == before, key
     written = serialize_tangle(side)["presentation"]["abstract"]
     assert list(written) == [key for key in keys if _written(p, key)]
+
+
+@given(decompositions())
+def test_text_round_trip_generated_documents(d):
+    text = dumps_decomposition(d)
+    assert loads_decomposition(text) == d
+    assert text == json.dumps(serialize_decomposition(d))  # the cycle-checking encoder's text
 
 
 @given(decompositions())
