@@ -9,8 +9,8 @@ Three censuses, one per decomposition kind:
 * rhorho: sides indexed 0 (a plain rational rho of slope 3/8, no good
   annulus) or p >= 2 (a (p, 1)-torus rho, satellite).
 
-Each distinct side of a table is built, examined, gated and reduced to its
-side facts once (``verdict.side_facts``).  A row is the kind's pair rule applied
+Each distinct side of a table is built, examined and reduced to its side
+facts once (``verdict.side_facts``).  A row is the kind's pair rule applied
 to two sides' facts: its clause's branch and its count, with no Verdict built
 and no text rendered.  Rows come out sorted by (m, n) because the sides are
 enumerated in ascending order, so the CSV output is byte-identical across runs.
@@ -21,8 +21,8 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .errors import BoundsTooLarge
-from .tangle import KIND_RHO, KIND_TAU, RationalPresentation, RhoDescriptor, TauDescriptor, \
-    TorusParams, TorusRhoPresentation, examine, require
+from .tangle import RationalPresentation, RhoDescriptor, TauDescriptor, TorusParams, \
+    TorusRhoPresentation, examine
 from .verdict import RHORHO, RULES, TAURHO, TAUTAU, Decomposition, side_facts
 
 HARD_CAP = 99  # keeps the enumeration instant and far from any practical limit
@@ -59,47 +59,50 @@ def _rho_side(index: int) -> RhoDescriptor:
     return RhoDescriptor(TorusRhoPresentation(TorusParams(index, 1)))
 
 
-#: Each census kind's specialness and the side builder of each position.
-_LAYOUT = {TAUTAU: (True, _tau_of_slope, _tau_of_slope), TAURHO: (True, _tau_of_slope, _rho_side),
-           RHORHO: (False, _rho_side, _rho_side)}
-
-
-def census_decomposition(kind: str, m: int, n: int) -> Decomposition:
-    """The decomposition behind census row (m, n) of the given kind."""
-    if kind not in (TAUTAU, TAURHO, RHORHO):  # not a lookup: a kind may be unhashable
-        raise ValueError(f"unknown census kind {kind!r}")
-    special, first, second = _LAYOUT[kind]
-    return Decomposition(kind, special, first(m), second(n))
-
-
 def _odd_denominators(bound: int) -> list[int]:
     magnitudes = range(3, bound + 1, 2)
     return sorted([m for k in magnitudes for m in (k, -k)])
 
 
-def _facts(build, indices: Iterable[int], kind: str) -> dict:
-    """Each side index mapped to its facts: the side is examined and gated once per table."""
-    out = {}
-    for index in indices:
-        profile = examine(build(index))[0]
-        require(profile, "a census table", kind)
-        out[index] = side_facts(profile)
-    return out
+# A position of a census table: the function that makes its sides, and its side indices
+# up to a bound
+_SIGNED_TAU = (_tau_of_slope, _odd_denominators)
+_RHO = (_rho_side, lambda bound: [0, *range(2, bound + 1)])
+
+#: Each census kind's specialness, then its two positions.
+_LAYOUT = {TAUTAU: (True, _SIGNED_TAU, _SIGNED_TAU),
+           TAURHO: (True, (_tau_of_slope, lambda bound: range(3, bound + 1, 2)),
+                    (_rho_side, lambda bound: range(2, bound + 1))),
+           RHORHO: (False, _RHO, _RHO)}
+
+
+def _layout(kind: str) -> tuple:
+    if kind not in (TAUTAU, TAURHO, RHORHO):  # not a lookup: a kind may be unhashable
+        raise ValueError(f"unknown census kind {kind!r}")
+    return _LAYOUT[kind]
+
+
+def census_decomposition(kind: str, m: int, n: int) -> Decomposition:
+    """The decomposition behind census row (m, n) of the given kind."""
+    special, (first, _), (second, _) = _layout(kind)
+    return Decomposition(kind, special, first(m), second(n))
+
+
+def _facts(position, bound: int) -> dict:
+    """Each side index of a position mapped to its facts: each side is examined once per table.
+
+    Every census side is essential, atoroidal and of its position's kind, so none is gated."""
+    build, indices = position
+    return {index: side_facts(examine(build(index))[0]) for index in indices(bound)}
 
 
 def run_census(kind: str, bound: int) -> list[CensusRow]:
     """Every decomposition in the configured range: its clause's branch and count, sorted rows."""
     _check_bound(bound)
-    if kind == TAUTAU:
-        firsts = seconds = _facts(_tau_of_slope, _odd_denominators(bound), KIND_TAU)
-    elif kind == TAURHO:
-        firsts = _facts(_tau_of_slope, range(3, bound + 1, 2), KIND_TAU)
-        seconds = _facts(_rho_side, range(2, bound + 1), KIND_RHO)
-    elif kind == RHORHO:
-        firsts = seconds = _facts(_rho_side, [0, *range(2, bound + 1)], KIND_RHO)
-    else:
-        raise ValueError(f"unknown census kind {kind!r}")
-    rule, special = RULES[kind][1], _LAYOUT[kind][0]
+    special, first, second = _layout(kind)
+    firsts = _facts(first, bound)
+    seconds = firsts if second is first else _facts(second, bound)
+    rule = RULES[kind][1]
     rows = []
     for m, a in firsts.items():
         for n, b in seconds.items():

@@ -16,6 +16,7 @@ Fractions are reduced at construction and never repaired afterwards.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from typing import Iterable, Sequence
 
@@ -176,10 +177,19 @@ def palindrome_numerators(tv: Sequence[int]) -> tuple[int, int]:
     return abs(forward.num), abs(backward.num)
 
 
+# the text parse_fraction reads: int() also takes signs other than a leading "-", spaces,
+# underscores and digits other than ASCII ones
+_FRACTION_TEXT = r"-?[0-9]+(?:/[0-9]+)?"
+
+
 def parse_fraction(text: str) -> ExtFraction:
-    """Parse 'p/q' or a bare integer string into an ExtFraction."""
-    s = text.strip()
-    if "/" in s:
-        head, _, tail = s.partition("/")
-        return ExtFraction(int(head), int(tail))
-    return ExtFraction(int(s), 1)
+    """Parse "p/q" or "p" of ASCII digits, with "-" as the only sign, into an ExtFraction; it
+    need not be reduced.  Other text raises ``ValueError``, and "0/0" ``ZeroOverZero``."""
+    head, slash, tail = text.partition("/")
+    try:
+        fraction = ExtFraction(int(head), int(tail) if slash else 1)
+    except ValueError as exc:  # keep the reason, drop the interpreter's advice to raise a limit
+        raise ValueError(str(exc).partition(";")[0]) from None
+    if not re.fullmatch(_FRACTION_TEXT, text):
+        raise ValueError(f'{text!r} is not "p/q" or "p" in ASCII digits')
+    return fraction

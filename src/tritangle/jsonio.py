@@ -78,35 +78,23 @@ def _fields(obj: Any, path: str, required, allowed=None):
             raise DocumentError(f"{path}.{key}", "required field is missing")
 
 
-def _int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(path, "expected an integer")
-    return value
-
-
-# what int() takes that a slope may not hold: signs other than a leading "-", spaces,
-# underscores and digits other than ASCII ones
-_FRACTION_TEXT = r"-?[0-9]+(?:/[0-9]+)?"
-
-
 def _slope(value: Any, path: str) -> ExtFraction:
     if not isinstance(value, str):
         raise DocumentError(path, 'expected a "p/q" string')
     try:
-        slope = parse_fraction(value)
+        return parse_fraction(value)
     except (ValueError, ZeroOverZero) as exc:
         raise DocumentError(path, f"not a valid fraction: {exc}") from None
-    if not re.fullmatch(_FRACTION_TEXT, value):
-        raise DocumentError(path, f'not a valid fraction: {value!r} is not "p/q" or "p" '
-                                  "in ASCII digits")
-    return slope
 
 
 def _torus(obj: Any, path: str) -> TorusParams:
     if type(obj) is not dict or obj.keys() != _TORUS:
         _fields(obj, path, _TORUS)
     try:
-        return TorusParams(_int(obj["p"], f"{path}.p"), _int(obj["q"], f"{path}.q"))
+        return TorusParams(obj["p"], obj["q"])
+    except TypeError:  # name the first value that is not an integer, in TorusParams' order
+        name = next(k for k in _TORUS if isinstance(obj[k], bool) or not isinstance(obj[k], int))
+        raise DocumentError(f"{path}.{name}", "expected an integer") from None
     except InvalidTorusParams as exc:
         raise DocumentError(path, str(exc)) from None
 
@@ -168,7 +156,7 @@ def parse_tangle(obj: Any, path: str = "tangle") -> Descriptor:
                 raise DocumentError(f"{path}.presentation.rational.twists",
                                     "expected a list of integers")
             for i, a in enumerate(twists):
-                if type(a) is not int:  # also rejects bool, as _int does
+                if type(a) is not int:  # also rejects bool
                     raise DocumentError(f"{path}.presentation.rational.twists[{i}]",
                                         "expected an integer")
         presentation = _trusted_rational(tuple(twists))  # each entry is checked above

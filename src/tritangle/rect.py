@@ -2,7 +2,7 @@
 
 A good rectangle in a tangle exterior meets the decomposing pair of pants
 and the frontier of the tangle in two essential arcs each.  For tau-tangles
-the taxonomy is: type I (slope +-1/k, k odd) and type II (slope +-1/3).
+the taxonomy is: type I (slope +-1/k, k odd, k >= 3) and type II (slope +-1/3).
 For rho-tangles: types I and I* exist exactly for torus arcs, and type II
 additionally when the canonical torus parameter p equals 2.
 
@@ -20,6 +20,7 @@ from typing import Sequence
 from .errors import InfiniteValue, NotApplicable
 from .frac import cf_eval, cf_expand, slope_normalize
 from .tangle import KIND_RHO, KIND_TAU, ResolvedTangle, require
+from .verdict import NO_UNIT, UNKNOWN_UNIT, side_facts
 
 
 class RectangleType(Enum):
@@ -33,19 +34,13 @@ class RectangleType(Enum):
 def rect_types_tau(t: ResolvedTangle) -> frozenset[RectangleType]:
     """Good rectangle types admitted by a tau-tangle exterior."""
     require(t, "rectangle taxonomy", KIND_TAU)
-    if t.rational is False or t.unit_fraction_slope is False:
-        return frozenset()
-    if t.slope is None:
-        # rational with unit-fraction slope declared but no concrete value:
-        # type I needs the parity of the denominator
+    m = side_facts(t).unit  # the signed m of a slope 1/m
+    if m is UNKNOWN_UNIT:  # a unit-fraction slope declared with no value: type I needs its parity
         raise NotApplicable("a concrete slope is required to classify tau rectangles")
-    out = set()
-    k = t.slope.den
-    if abs(t.slope.num) == 1 and k % 2 == 1 and k >= 3:
-        out.add(RectangleType.TAU_I)
-        if k == 3:
-            out.add(RectangleType.TAU_II)
-    return frozenset(out)
+    if m is NO_UNIT or m % 2 == 0 or abs(m) < 3:
+        return frozenset()
+    return frozenset({RectangleType.TAU_I, RectangleType.TAU_II} if abs(m) == 3
+                     else {RectangleType.TAU_I})
 
 
 def rect_types_rho(t: ResolvedTangle) -> frozenset[RectangleType]:

@@ -142,8 +142,8 @@ def _inadmissible(violations: list[Violation]) -> Verdict:
 
 # Why a tau side has no unit denominator: plain strings, not an Enum, whose member
 # lookup costs about 0.1 us a time on Python 3.11, several times a census row.
-_NO_UNIT = "no"             # definitely not rational with a unit-fraction slope
-_UNKNOWN_UNIT = "unknown"   # no concrete slope to read the unit fraction from
+NO_UNIT = "no"             # definitely not rational with a unit-fraction slope
+UNKNOWN_UNIT = "unknown"   # no concrete slope to read the unit fraction from
 
 
 class SideFacts(NamedTuple):
@@ -160,11 +160,11 @@ def side_facts(t: ResolvedTangle) -> SideFacts:
     if t.kind == KIND_RHO:
         return SideFacts(None, good_annulus(t), t.torus.p if t.torus is not None else None)
     if t.rational is False or t.unit_fraction_slope is False:
-        return SideFacts(_NO_UNIT, None, None)
+        return SideFacts(NO_UNIT, None, None)
     if t.slope is None:
-        return SideFacts(_UNKNOWN_UNIT, None, None)
+        return SideFacts(UNKNOWN_UNIT, None, None)
     if abs(t.slope.num) != 1:
-        return SideFacts(_NO_UNIT, None, None)
+        return SideFacts(NO_UNIT, None, None)
     return SideFacts(t.slope.den if t.slope.num > 0 else -t.slope.den, None, None)
 
 
@@ -244,11 +244,11 @@ def _tautau(a: SideFacts, b: SideFacts, special: bool) -> tuple:
     if not special:
         return _TAUTAU_NOT_SPECIAL, ZERO_ANNULI, {}
     m, n = a.unit, b.unit
-    if m is _NO_UNIT or n is _NO_UNIT:
+    if m is NO_UNIT or n is NO_UNIT:
         return _TAUTAU_NO_UNIT, ZERO_ANNULI, {}
-    if m is _UNKNOWN_UNIT or n is _UNKNOWN_UNIT:
+    if m is UNKNOWN_UNIT or n is UNKNOWN_UNIT:
         return _TAUTAU_UNDETERMINED, None, {"sides": tuple(
-            p for p, u in (("first", m), ("second", n)) if u is _UNKNOWN_UNIT)}
+            p for p, u in (("first", m), ("second", n)) if u is UNKNOWN_UNIT)}
     inputs = {"m": m, "n": n}
     if abs(m) == 3 and abs(n) == 3:
         if m == n:
@@ -260,10 +260,10 @@ def _tautau(a: SideFacts, b: SideFacts, special: bool) -> tuple:
 def _taurho(t: SideFacts, r: SideFacts, special: bool) -> tuple:
     if r.annulus is None:
         return _TAURHO_HYPERBOLIC, ZERO_ANNULI, {}
-    m = t.unit if special and r.p is not None else _NO_UNIT
-    if m is _NO_UNIT:
+    m = t.unit if special and r.p is not None else NO_UNIT
+    if m is NO_UNIT:
         return _TAURHO_ONLY, ONE_ANNULUS, {"annulus": r.annulus}
-    if m is _UNKNOWN_UNIT:
+    if m is UNKNOWN_UNIT:
         return _TAURHO_UNDETERMINED, None, {"sides": ("first",)}
     inputs = {"annulus": r.annulus, "m": m, "p": r.p}
     if abs(m) == 3:

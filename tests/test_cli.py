@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from tritangle import catalog as catalog_mod
 from tritangle.cli import main
 from tritangle.jsonio import dumps_decomposition, parse_decomposition
@@ -82,6 +84,25 @@ def test_expand_rejects_garbage(capsys):
 def test_expand_rejects_infinity(capsys):
     code, _, err = run(capsys, "expand", "1/0")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("text", ["+7/2", " 7/2", "\u0667/\u0662", "1_0/3"],
+                         ids=["plus", "space", "arabic-indic", "underscore"])
+def test_expand_reads_only_ascii_digits_and_a_leading_minus(capsys, text):
+    # int() reads each of these; a document's slope refuses them in the same words
+    code, out, err = run(capsys, "expand", "--", text)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f'error: not a valid fraction {text!r}: {text!r} is not "p/q" or "p" in ASCII digits\n'
+
+
+def test_expand_refuses_a_too_long_integer_without_the_interpreter_advice(capsys):
+    digits = sys.get_int_max_str_digits() + 1
+    text = "7" * digits
+    code, out, err = run(capsys, "expand", text)
+    assert (code, out) == (EXIT_USAGE, "")
+    # the reason's wording differs between Python versions; the advice after it is dropped
+    assert err.startswith(f"error: not a valid fraction {text!r}: Exceeds the limit (")
+    assert err.endswith(f"for integer string conversion: value has {digits} digits\n")
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +187,14 @@ def test_classify_unknown_field_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "classify", path)
     assert code == EXIT_USAGE
     assert "bogus" in err
+
+
+def test_classify_non_boolean_special_exit_two(capsys, tmp_path):
+    doc = dumps_decomposition(catalog_get("6_9").decomposition)
+    path = write_doc(tmp_path, "special.json", doc.replace('"special": false', '"special": 0'))
+    code, out, err = run(capsys, "classify", path)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: document.special: expected a boolean\n"
 
 
 def test_non_utf8_file_exit_two(capsys, tmp_path):

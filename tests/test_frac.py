@@ -289,3 +289,10 @@ def test_desk_scale_vectors_stay_exact(tv):
     else:
         assert Fraction(value.num, value.den) == expected
         assert cf_eval(cf_expand(value)) == value
+
+
+@pytest.mark.parametrize("text", [" 7/2", "7/2 ", "+7/2", "1_0/3", "\u0667/\u0662", "1/-3"])
+def test_parse_fraction_reads_only_ascii_digits_and_a_leading_minus(text):
+    # int() reads each part of every one of these
+    with pytest.raises(ValueError, match=r'is not "p/q" or "p" in ASCII digits'):
+        parse_fraction(text)

@@ -378,6 +378,39 @@ def test_round_trip_document():
     assert parse_decomposition(serialize_decomposition(d)) == d
 
 
+@pytest.mark.parametrize("special", ["1", '"true"', "null"])
+def test_special_must_be_a_boolean(special):
+    text = json.dumps(GOOD_DOC).replace('"special": true', f'"special": {special}')
+    with pytest.raises(DocumentError) as err:
+        loads_decomposition(text)
+    assert str(err.value) == "document.special: expected a boolean"
+
+
+def _torus_side(variant: str, body: dict) -> dict:
+    if variant == "torus_rho":
+        return {"kind": "rho", "presentation": {"torus_rho": body}}
+    return {"kind": "rho", "presentation": {"abstract": {
+        "atoroidal": True, "trivial": False, "satellite": True, "torus": body}}}
+
+
+@pytest.mark.parametrize("variant, path", [("torus_rho", "torus_rho"),
+                                           ("abstract", "abstract.torus")])
+@pytest.mark.parametrize("body, bad", [
+    ({"p": 2, "q": "3"}, "q"), ({"p": 2, "q": True}, "q"), ({"p": 2, "q": 3.0}, "q"),
+    # p is named before q
+    ({"p": "2", "q": True}, "p"), ({"p": 2.0, "q": "3"}, "p"),
+    # types are checked before values: p = 1 alone would be an invalid parameter
+    ({"p": 1, "q": "x"}, "q"),
+    # an int subclass is an integer, so the bad q is named
+    ({"p": _Twist.THREE, "q": "x"}, "q"),
+], ids=["q-string", "q-bool", "q-float", "both-p-string", "both-p-float", "p-invalid-q-string",
+        "p-int-enum"])
+def test_torus_parameter_that_is_not_an_integer_is_named(variant, path, body, bad):
+    with pytest.raises(DocumentError) as err:
+        parse_tangle(_torus_side(variant, body))
+    assert str(err.value) == f"tangle.presentation.{path}.{bad}: expected an integer"
+
+
 def test_round_trip_all_presentations():
     d = Decomposition(
         kind="taurho", special=False,
