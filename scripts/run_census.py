@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from tritangle import BoundsTooLarge, census_csv, run_census
+from tritangle.verdict import KINDS
 
 
 def main() -> int:
@@ -22,8 +23,7 @@ def main() -> int:
     parser.add_argument("--out-dir", default=".")
     args = parser.parse_args()
     try:
-        tables = {kind: run_census(kind, args.max_denominator)
-                  for kind in ("tautau", "taurho", "rhorho")}
+        tables = {kind: run_census(kind, args.max_denominator) for kind in KINDS}
     except BoundsTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple
 from .errors import BoundsTooLarge
 from .tangle import RationalPresentation, RhoDescriptor, TauDescriptor, TorusParams, \
     TorusRhoPresentation, examine
-from .verdict import RHORHO, RULES, TAURHO, TAUTAU, Decomposition, side_facts
+from .verdict import KINDS, RHORHO, RULES, TAURHO, TAUTAU, Decomposition, side_facts
 
 HARD_CAP = 99  # keeps the enumeration instant and far from any practical limit
 
@@ -77,7 +77,7 @@ _LAYOUT = {TAUTAU: (True, _SIGNED_TAU, _SIGNED_TAU),
 
 
 def _layout(kind: str) -> tuple:
-    if kind not in (TAUTAU, TAURHO, RHORHO):  # not a lookup: a kind may be unhashable
+    if kind not in KINDS:
         raise ValueError(f"unknown census kind {kind!r}")
     return _LAYOUT[kind]
 

@@ -33,7 +33,7 @@ from .jsonio import (
     serialize_decomposition,
 )
 from .tangle import HOPF_SLOPE, KIND_TAU, resolve
-from .verdict import CLASSIFIED, INADMISSIBLE, TOROIDAL, classify
+from .verdict import CLASSIFIED, INADMISSIBLE, KINDS, TOROIDAL, classify
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -64,7 +64,7 @@ def cmd_expand(args) -> int:
     try:
         fraction = parse_fraction(args.fraction)
     except (ValueError, TritangleError) as exc:
-        return _fail(f"not a valid fraction {args.fraction!r}: {exc}")
+        return _fail(f"not a valid fraction: {exc}")
     if fraction.is_infinite:
         return _fail("cannot expand the infinite slope")
     print(" ".join(str(a) for a in cf_expand(fraction)))
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_catalog.set_defaults(func=cmd_catalog)
 
     p_census = sub.add_parser("census", help="enumerate the counting rules as CSV")
-    p_census.add_argument("type", choices=["tautau", "taurho", "rhorho"])
+    p_census.add_argument("type", choices=KINDS)
     p_census.add_argument("--max-denominator", type=int, default=25, metavar="N",
                           help="range bound (default 25, hard cap 99)")
     p_census.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")

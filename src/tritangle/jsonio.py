@@ -51,7 +51,7 @@ from .tangle import (
     TorusRhoPresentation,
     _trusted_rational,
 )
-from .verdict import Decomposition, RHORHO, TAURHO, TAUTAU
+from .verdict import KINDS, Decomposition
 
 
 # Each fixed schema's field names as the keys of a dict: iterated in order, and compared with
@@ -61,9 +61,9 @@ _DOCUMENT, _TANGLE, _RATIONAL, _TORUS = (dict.fromkeys(names).keys() for names i
 _INT_ONLY = frozenset({int})  # holds the types of a list's entries iff each is a plain int
 
 
-# Each parser compares an exact dict's keys with its schema in one C call and checks twist and
-# boolean types inline; _fields and the per-index loop run only to name a fault, or for a dict
-# or list subclass built in Python.
+# Each parser compares an exact dict's keys with its schema in one C call and checks twist types
+# inline; _fields and the per-index loop run only to name a fault, or for a dict or list subclass
+# built in Python.  An abstract flag's type is checked by its class alone.
 
 def _fields(obj: Any, path: str, required, allowed=None):
     """Refuse all but an object with every ``required`` field and none outside ``allowed``."""
@@ -106,10 +106,8 @@ def _write_slope(s: ExtFraction) -> str:
 
 
 # How each non-boolean abstract flag is read from and written to JSON.
-_FLAG_CODECS = {
-    "slope": (_slope, _write_slope),
-    "torus": (_torus, lambda t: {"p": t.p, "q": t.q}),
-}
+_READ_FLAG = {"slope": _slope, "torus": _torus}
+_WRITE_FLAG = {"slope": _write_slope, "torus": lambda t: {"p": t.p, "q": t.q}}
 
 
 _REQUIRED = object()  # the default of a flag without one: no flag value equals it
@@ -118,13 +116,13 @@ _REQUIRED = object()  # the default of a flag without one: no flag value equals 
 def _abstract_schema(cls) -> tuple:
     """An abstract presentation class, its flags in field order, the required and all names.
 
-    Each flag is (name, default, read, write), read from the class's slots and the defaults of
-    its ``__init__``: the default is ``_REQUIRED`` for a required flag, and a boolean flag has
-    neither reader nor writer (None): it is checked inline and written as it is.
+    Each flag is (name, default, write), read from the class's slots and the defaults of its
+    ``__init__``: the default is ``_REQUIRED`` for a required flag, and a boolean flag has no
+    writer (None): it is written as it is.
     """
     names, defaults = cls.__slots__, cls.__init__.__defaults__
     required = len(names) - len(defaults)
-    flags = tuple((name, default, *_FLAG_CODECS.get(name, (None, None)))
+    flags = tuple((name, default, _WRITE_FLAG.get(name))
                   for name, default in zip(names, (_REQUIRED,) * required + defaults))
     return cls, flags, dict.fromkeys(names[:required]).keys(), dict.fromkeys(names).keys()
 
@@ -166,19 +164,19 @@ def parse_tangle(obj: Any, path: str = "tangle") -> Descriptor:
                                 "torus parameters only present rho-tangles")
         presentation = TorusRhoPresentation(_torus(body, f"{path}.presentation.torus_rho"))
     elif variant == "abstract":
-        cls, schema, required, names = _ABSTRACT[kind]
+        cls, _, required, names = _ABSTRACT[kind]
+        at = f"{path}.presentation.abstract"
         if type(body) is not dict or not required <= body.keys() <= names:
-            _fields(body, f"{path}.presentation.abstract", required, names)
-        flags = {}
-        for name, _, read, _ in schema:
-            if name in body:
-                value = flags[name] = body[name]
-                if read is not None:
-                    flags[name] = read(value, f"{path}.presentation.abstract.{name}")
-                elif type(value) is not bool:
-                    raise DocumentError(f"{path}.presentation.abstract.{name}",
-                                        "expected a boolean")
-        presentation = cls(**flags)
+            _fields(body, at, required, names)
+        flags = dict(body)
+        for name in _READ_FLAG.keys() & flags.keys():  # slope or torus, read first
+            flags[name] = _READ_FLAG[name](flags[name], f"{at}.{name}")
+        try:
+            presentation = cls(**flags)
+        except TypeError as exc:  # the refused flag is a boolean: slope and torus were read above
+            raise DocumentError(f"{at}.{exc.field}", "expected a boolean") from None
+        if flags.get("unit_fraction_slope", False) is None:  # the class reads null as unstated
+            raise DocumentError(f"{at}.unit_fraction_slope", "expected a boolean")
     else:
         raise DocumentError(f"{path}.presentation.{variant}", "unknown presentation variant")
     return (TauDescriptor if kind == KIND_TAU else RhoDescriptor)(presentation)
@@ -188,7 +186,7 @@ def parse_decomposition(obj: Any, path: str = "document") -> Decomposition:
     if type(obj) is not dict or obj.keys() != _DOCUMENT:
         _fields(obj, path, _DOCUMENT)
     kind, special, tangles = obj["type"], obj["special"], obj["tangles"]
-    if kind not in (TAUTAU, TAURHO, RHORHO):
+    if kind not in KINDS:
         raise DocumentError(f"{path}.type",
                             f'expected "tautau", "taurho" or "rhorho", got {kind!r}')
     if type(special) is not bool:
@@ -280,7 +278,7 @@ def serialize_tangle(d: Descriptor) -> dict:
         body = {"torus_rho": {"p": p.params.p, "q": p.params.q}}
     else:
         flags = {}
-        for name, default, _, write in _ABSTRACT[d.kind][1]:  # the flags in field order
+        for name, default, write in _ABSTRACT[d.kind][1]:  # the flags in field order
             value = getattr(p, name)
             if value != default:  # a required flag's default is _REQUIRED
                 flags[name] = write(value) if write else value

@@ -116,12 +116,14 @@ class TorusRhoPresentation(Value):
 
 
 def _set_flags(flags, values: tuple):
-    """Store ``values`` in ``flags``, raising TypeError at the first one its ``_types`` refuse."""
+    """Store ``values`` in ``flags``; a TypeError's ``field`` is the first one ``_types`` refuse."""
     for name, value, allowed in zip(flags.__slots__, values, flags._types):
         if not isinstance(value, allowed):
             text = " | ".join(t.__name__ for t in allowed).replace("NoneType", "None")
-            raise TypeError(f"{type(flags).__name__}.{name} must be {text}, "
-                            f"got {type(value).__name__}")
+            error = TypeError(f"{type(flags).__name__}.{name} must be {text}, "
+                              f"got {type(value).__name__}")
+            error.field = name  # a caller such as jsonio reports the flag at its own path
+            raise error
         object.__setattr__(flags, name, value)
 
 

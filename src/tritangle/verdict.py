@@ -290,6 +290,10 @@ def _rhorho(a: SideFacts, b: SideFacts, special: bool) -> tuple:
 RULES = {TAUTAU: ((KIND_TAU, KIND_TAU), _tautau), TAURHO: ((KIND_TAU, KIND_RHO), _taurho),
          RHORHO: ((KIND_RHO, KIND_RHO), _rhorho)}
 
+#: The decomposition kinds, in the order above: a tuple, so that ``kind in KINDS`` refuses an
+#: unhashable kind where a lookup in ``RULES`` would raise TypeError.
+KINDS = tuple(RULES)
+
 
 def _kind_mismatch(kind: str, position: str, side, expected: str) -> list[Violation]:
     """A side's KindMismatch violation, if it is no ``expected``-tangle (descriptor or profile)."""
@@ -335,7 +339,7 @@ def classify_rhorho(a: ResolvedTangle, b: ResolvedTangle) -> Verdict:
 # Entry point
 
 def _structural_violations(d: Decomposition) -> list[Violation]:
-    if d.kind not in (TAUTAU, TAURHO, RHORHO):  # not a lookup: a kind may be unhashable
+    if d.kind not in KINDS:
         return [Violation("UnknownKind", ("kind",), f"unknown decomposition kind {d.kind!r}")]
     first, second = RULES[d.kind][0]
     out = []

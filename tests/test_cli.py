@@ -92,7 +92,8 @@ def test_expand_reads_only_ascii_digits_and_a_leading_minus(capsys, text):
     # int() reads each of these; a document's slope refuses them in the same words
     code, out, err = run(capsys, "expand", "--", text)
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == f'error: not a valid fraction {text!r}: {text!r} is not "p/q" or "p" in ASCII digits\n'
+    # the reason quotes the argument, so the prefix does not: a document slope reads the same
+    assert err == f'error: not a valid fraction: {text!r} is not "p/q" or "p" in ASCII digits\n'
 
 
 def test_expand_refuses_a_too_long_integer_without_the_interpreter_advice(capsys):
@@ -101,7 +102,7 @@ def test_expand_refuses_a_too_long_integer_without_the_interpreter_advice(capsys
     code, out, err = run(capsys, "expand", text)
     assert (code, out) == (EXIT_USAGE, "")
     # the reason's wording differs between Python versions; the advice after it is dropped
-    assert err.startswith(f"error: not a valid fraction {text!r}: Exceeds the limit (")
+    assert err.startswith("error: not a valid fraction: Exceeds the limit (")
     assert err.endswith(f"for integer string conversion: value has {digits} digits\n")
 
 
@@ -187,6 +188,16 @@ def test_classify_unknown_field_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "classify", path)
     assert code == EXIT_USAGE
     assert "bogus" in err
+
+
+def test_classify_non_boolean_abstract_flag_exit_two(capsys, tmp_path):
+    doc = json.dumps({"type": "tautau", "special": False, "tangles": [
+        {"kind": "tau", "presentation": {"abstract": {
+            "atoroidal": 1, "trivial": False, "rational": True}}},
+        {"kind": "tau", "presentation": {"rational": {"twists": [3, 0]}}}]})
+    code, out, err = run(capsys, "classify", write_doc(tmp_path, "flag.json", doc))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: document.tangles[0].presentation.abstract.atoroidal: expected a boolean\n"
 
 
 def test_classify_non_boolean_special_exit_two(capsys, tmp_path):
@@ -511,6 +522,15 @@ def test_census_negative_bound_exit_two(capsys):
     code, out, err = run(capsys, "census", "rhorho", "--max-denominator", "-1")
     assert (code, out) == (EXIT_USAGE, "")
     assert err == "error: census bound must be non-negative, got -1\n"
+
+
+def test_census_refuses_a_kind_and_offers_the_decomposition_kinds(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["census", "sigma"])
+    assert exit_.value.code == EXIT_USAGE
+    err = capsys.readouterr().err  # argparse's wording differs between Python versions
+    assert "invalid choice: 'sigma'" in err
+    assert all(kind in err for kind in ("tautau", "taurho", "rhorho"))
 
 
 def test_census_out_file(capsys, tmp_path):

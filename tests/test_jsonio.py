@@ -92,6 +92,61 @@ def test_boolean_strictness():
         parse_tangle(doc)
 
 
+# the smallest valid abstract body of each kind
+_ABSTRACT_BODY = {AbstractTau: ("tau", {"atoroidal": True, "trivial": False, "rational": True}),
+                  AbstractRho: ("rho", {"atoroidal": True, "trivial": False})}
+
+
+def _abstract(cls, **flags) -> dict:
+    kind, body = _ABSTRACT_BODY[cls]
+    return {"kind": kind, "presentation": {"abstract": body | flags}}
+
+
+def test_null_unit_fraction_slope_is_refused_although_the_class_reads_it_as_unstated():
+    assert AbstractTau(True, False, True, unit_fraction_slope=None).unit_fraction_slope is None
+    text = json.dumps(_abstract(AbstractTau, unit_fraction_slope=None))
+    assert '"unit_fraction_slope": null' in text
+    with pytest.raises(DocumentError) as err:
+        loads_tangle(text)
+    assert str(err.value) == \
+        "tangle.presentation.abstract.unit_fraction_slope: expected a boolean"
+
+
+@pytest.mark.parametrize("cls, name", [
+    (cls, name) for cls in (AbstractTau, AbstractRho)
+    for name, allowed in zip(cls.__slots__, cls._types) if bool in allowed])
+@pytest.mark.parametrize("value", ["1", '"true"', "null"])
+def test_each_boolean_flag_of_another_type_is_refused_at_its_own_path(cls, name, value):
+    text = json.dumps(_abstract(cls, **{name: False})).replace(
+        f'"{name}": false', f'"{name}": {value}')
+    with pytest.raises(DocumentError) as err:
+        loads_tangle(text)
+    assert str(err.value) == f"tangle.presentation.abstract.{name}: expected a boolean"
+
+
+@pytest.mark.parametrize("cls, flags, error", [
+    # slope and torus are read first, then the class checks the flags' types
+    (AbstractTau, {"atoroidal": 1, "slope": "x/2"},
+     "slope: not a valid fraction: invalid literal for int() with base 10: 'x'"),
+    (AbstractTau, {"trivial": "no", "slope": 3}, 'slope: expected a "p/q" string'),
+    (AbstractRho, {"cable": 1, "torus": {"p": 1, "q": 1}},
+     "torus: torus parameter p must be >= 2, got (1, 1)"),
+    (AbstractRho, {"atoroidal": None, "torus": {"p": "2", "q": 3}},
+     "torus.p: expected an integer"),
+    # the class names the first flag in its field order, whatever the body's order
+    (AbstractTau, {"rational": 0, "atoroidal": "yes"}, "atoroidal: expected a boolean"),
+    # null is refused after the class has checked the flags' types
+    (AbstractTau, {"atoroidal": 1, "unit_fraction_slope": None}, "atoroidal: expected a boolean"),
+    (AbstractTau, {"slope": "0/0", "unit_fraction_slope": None},
+     "slope: not a valid fraction: 0/0 is not a projective rational"),
+], ids=["bool-and-slope-text", "bool-and-slope-type", "bool-and-torus-value",
+        "null-bool-and-torus-type", "field-order", "bool-and-null", "slope-and-null"])
+def test_a_body_with_several_faults_reports_codecs_then_class_then_null(cls, flags, error):
+    with pytest.raises(DocumentError) as err:
+        parse_tangle(_abstract(cls, **flags))
+    assert str(err.value) == f"tangle.presentation.abstract.{error}"
+
+
 @pytest.mark.parametrize("presentation, path, message", [
     ({"torus_rho": {"p": True, "q": 3}}, "torus_rho.p", "expected an integer"),
     ({"torus_rho": {"p": "2", "q": 3}}, "torus_rho.p", "expected an integer"),

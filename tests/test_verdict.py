@@ -14,6 +14,7 @@ from tritangle import (
     AnnulusProfile,
     CensusRow,
     Decomposition,
+    DocumentError,
     InfiniteSlope,
     Obstruction,
     RationalPresentation,
@@ -22,14 +23,17 @@ from tritangle import (
     TorusParams,
     TorusRhoPresentation,
     Verdict,
+    census_decomposition,
     cf_expand,
     classify,
     classify_taurho,
     classify_tautau,
     mirror_decomposition,
     obstruction_check,
+    parse_decomposition,
     resolve_rho,
     resolve_tau,
+    run_census,
     validate_descriptor,
 )
 from tritangle.frac import ExtFraction
@@ -449,6 +453,24 @@ def test_unhashable_kind_reported_not_raised():
     v = classify(Decomposition(["tautau"], True, tau_slope(3), tau_slope(3)))
     assert v.status == INADMISSIBLE
     assert [x.rule for x in v.violations] == ["UnknownKind"]
+
+
+@pytest.mark.parametrize("kind", ["sigma", "TAUTAU", ["tautau"], {"tautau": 1}],
+                         ids=["unknown", "upper-case", "list", "dict"])
+def test_every_reader_of_the_kind_set_refuses_an_unknown_kind_in_its_own_words(kind):
+    v = classify(Decomposition(kind, True, tau_slope(3), tau_slope(3)))
+    assert [str(x) for x in v.violations] == [
+        f"UnknownKind (kind): unknown decomposition kind {kind!r}"]
+    for census_call in (lambda: run_census(kind, 5), lambda: census_decomposition(kind, 3, 3)):
+        with pytest.raises(ValueError) as err:
+            census_call()
+        assert str(err.value) == f"unknown census kind {kind!r}"
+    document = {"type": kind, "special": True, "tangles": [
+        {"kind": "tau", "presentation": {"rational": {"twists": [3, 0]}}}] * 2}
+    with pytest.raises(DocumentError) as err:
+        parse_decomposition(document)
+    assert str(err.value) == \
+        f'document.type: expected "tautau", "taurho" or "rhorho", got {kind!r}'
 
 
 # ---------------------------------------------------------------------------
