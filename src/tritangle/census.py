@@ -11,9 +11,9 @@ Three censuses, one per decomposition kind:
 
 Each distinct side of a table is built, examined and reduced to its side
 facts once (``verdict.side_facts``).  A row is the kind's pair rule applied
-to two sides' facts: its clause's branch and its count, with no Verdict built
-and no text rendered.  Rows come out sorted by (m, n) because the sides are
-enumerated in ascending order, so the CSV output is byte-identical across runs.
+to two sides' facts: its clause's branch and count text, rendered once per
+clause and table, with no Verdict built.  Rows come out sorted by (m, n), as
+the sides are enumerated in ascending order: the CSV output is deterministic.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ HARD_CAP = 99  # keeps the enumeration instant and far from any practical limit
 # a rho side with no good annulus: rational of slope 3/8
 _PLAIN_RHO_TWISTS = (2, 1, 2, 0)
 
+_LINE = "%d,%d,%s,%s"  # a row's CSV line, filled in by one C call per row
+
 
 class CensusRow(NamedTuple):
     m: int
@@ -38,7 +40,7 @@ class CensusRow(NamedTuple):
     count: str
 
     def csv(self) -> str:
-        return f"{self.m},{self.n},{self.branch},{self.count}"
+        return _LINE % self
 
 
 def _check_bound(bound: int):
@@ -60,8 +62,7 @@ def _rho_side(index: int) -> RhoDescriptor:
 
 
 def _odd_denominators(bound: int) -> list[int]:
-    magnitudes = range(3, bound + 1, 2)
-    return sorted([m for k in magnitudes for m in (k, -k)])
+    return sorted([m for k in range(3, bound + 1, 2) for m in (k, -k)])
 
 
 # A position of a census table: the function that makes its sides, and its side indices
@@ -103,13 +104,18 @@ def run_census(kind: str, bound: int) -> list[CensusRow]:
     firsts = _facts(first, bound)
     seconds = firsts if second is first else _facts(second, bound)
     rule = RULES[kind][1]
+    texts = {}  # id of each clause met -> its (branch, count text), rendered once per table
     rows = []
     for m, a in firsts.items():
         for n, b in seconds.items():
-            clause, count, _ = rule(a, b, special)
-            rows.append(CensusRow(m, n, clause.branch, str(count)))
+            clause = rule(a, b, special)[0]
+            text = texts.get(id(clause))
+            if text is None:
+                text = texts[id(clause)] = (clause.branch, str(clause.count))
+            # trusted fields, so the row is built in C, not by the generated __new__
+            rows.append(tuple.__new__(CensusRow, (m, n) + text))
     return rows
 
 
 def census_csv(rows: Iterable[CensusRow]) -> str:
-    return "\n".join(["m,n,branch,count"] + [row.csv() for row in rows]) + "\n"
+    return "\n".join(["m,n,branch,count", *map(_LINE.__mod__, rows)]) + "\n"

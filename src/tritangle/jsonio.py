@@ -92,9 +92,8 @@ def _torus(obj: Any, path: str) -> TorusParams:
         _fields(obj, path, _TORUS)
     try:
         return TorusParams(obj["p"], obj["q"])
-    except TypeError:  # name the first value that is not an integer, in TorusParams' order
-        name = next(k for k in _TORUS if isinstance(obj[k], bool) or not isinstance(obj[k], int))
-        raise DocumentError(f"{path}.{name}", "expected an integer") from None
+    except TypeError as exc:  # the first value that is not an integer, in TorusParams' order
+        raise DocumentError(f"{path}.{exc.field}", "expected an integer") from None
     except InvalidTorusParams as exc:
         raise DocumentError(path, str(exc)) from None
 

@@ -46,6 +46,12 @@ KIND_RHO = "rho"
 HOPF_SLOPE = ExtFraction(1, 2)
 
 
+def _type_error(owner: str, name: str, expected: str, value) -> TypeError:
+    error = TypeError(f"{owner}.{name} must be {expected}, got {type(value).__name__}")
+    error.field = name  # a caller such as jsonio reports the refused value at its own path
+    return error
+
+
 class TorusParams(Value):
     """Curve parameters (p, q) of a torus rho-tangle.
 
@@ -59,7 +65,7 @@ class TorusParams(Value):
     def __init__(self, p: int, q: int):
         for name, value in (("p", p), ("q", q)):
             if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"TorusParams.{name} must be an int, got {type(value).__name__}")
+                raise _type_error("TorusParams", name, "an int", value)
             if too_long_to_print(value):  # the notes and documents write p and q as text
                 raise InvalidTorusParams(f"torus parameter {name} has more than "
                                          f"{MAX_STR_DIGITS} digits, too many to write as text")
@@ -120,10 +126,7 @@ def _set_flags(flags, values: tuple):
     for name, value, allowed in zip(flags.__slots__, values, flags._types):
         if not isinstance(value, allowed):
             text = " | ".join(t.__name__ for t in allowed).replace("NoneType", "None")
-            error = TypeError(f"{type(flags).__name__}.{name} must be {text}, "
-                              f"got {type(value).__name__}")
-            error.field = name  # a caller such as jsonio reports the flag at its own path
-            raise error
+            raise _type_error(type(flags).__name__, name, text, value)
         object.__setattr__(flags, name, value)
 
 

@@ -4,7 +4,7 @@
 and hands both profiles to the kind's classifier: one gate (side kinds and
 essentiality, else inadmissible; atoroidality, else the toroidal verdict), then
 ``side_facts`` per side, then the kind's pure pair rule from (facts, facts,
-special) to (clause, count, inputs):
+special) to (clause, inputs):
 
 * tau-tau: infinitely many annuli iff special with both slopes +-1/3 of
   the same sign; three for mixed-sign 1/3, -1/3; one for any other pair
@@ -18,7 +18,7 @@ special) to (clause, count, inputs):
 
 A renderer fills in the clause's texts from the renderer table, which holds every
 branch label (like ``"tautau (ii)"``, stored verbatim in the Verdict so golden tests
-pin the reasoning, not just the number), annulus text and note.
+pin the reasoning, not just the number), count, annulus text and note.
 """
 
 from __future__ import annotations
@@ -172,10 +172,11 @@ def side_facts(t: ResolvedTangle) -> SideFacts:
 # The renderer table: every text a count writes, one row per clause
 
 class Clause(NamedTuple):
-    """A count clause's branch label and texts: ``str.format`` templates over the rule's
-    inputs.  An ``UndeterminedSlope`` refusal has no branch; its note is the detail."""
+    """A count clause's branch label, count and texts: ``str.format`` templates over the rule's
+    inputs.  An ``UndeterminedSlope`` refusal has no branch and no count; its note is the detail."""
 
     branch: str | None
+    count: AnnulusCount | None
     annuli: tuple[str, ...]
     note: str
 
@@ -183,107 +184,106 @@ class Clause(NamedTuple):
 _GOOD_ANNULUS = "good annulus of {annulus.value}"
 _TWISTED_FAMILY = "infinite family from Dehn-twisted rectangle pairings"
 
-_TAUTAU_NOT_SPECIAL = Clause(BRANCH_TAUTAU_HYPERBOLIC, (), (
+_TAUTAU_NOT_SPECIAL = Clause(BRANCH_TAUTAU_HYPERBOLIC, ZERO_ANNULI, (), (
     "not special: the decomposing sphere cuts no essential annulus into rectangles, "
     "and tau exteriors carry no good annulus"))
-_TAUTAU_NO_UNIT = Clause(BRANCH_TAUTAU_HYPERBOLIC, (), (
+_TAUTAU_NO_UNIT = Clause(BRANCH_TAUTAU_HYPERBOLIC, ZERO_ANNULI, (), (
     "a side is not rational with a unit-fraction slope, so its exterior admits no good rectangle"))
-_TAUTAU_UNDETERMINED = Clause(None, (), (
+_TAUTAU_UNDETERMINED = Clause(None, None, (), (
     "a special tau-tau decomposition needs concrete unit-fraction slopes "
     "(or a definite refutation) to choose a count branch"))
-_TAUTAU_INFINITE = Clause(BRANCH_TAUTAU_INFINITE, (_TWISTED_FAMILY,),
+_TAUTAU_INFINITE = Clause(BRANCH_TAUTAU_INFINITE, INFINITELY_MANY, (_TWISTED_FAMILY,),
                           "special with slopes 1/{m} and 1/{n} (equal, +-1/3)")
-_TAUTAU_THREE = Clause(BRANCH_TAUTAU_THREE, ("three annuli from good-rectangle pairings",),
+_TAUTAU_THREE = Clause(BRANCH_TAUTAU_THREE, THREE_ANNULI,
+                       ("three annuli from good-rectangle pairings",),
                        "special with slopes 1/3 and -1/3 (mixed signs)")
-_TAUTAU_ONE = Clause(BRANCH_TAUTAU_ONE, ("annulus from a type I / type I rectangle pairing",), (
+_TAUTAU_ONE = Clause(BRANCH_TAUTAU_ONE, ONE_ANNULUS,
+                     ("annulus from a type I / type I rectangle pairing",), (
     "special with unit-fraction slopes 1/{m}, 1/{n}, at least one denominator differs from +-3"))
-_TAURHO_HYPERBOLIC = Clause(BRANCH_TAURHO_HYPERBOLIC, (), (
+_TAURHO_HYPERBOLIC = Clause(BRANCH_TAURHO_HYPERBOLIC, ZERO_ANNULI, (), (
     "the rho side is not satellite or cable and has no Hopf summand, "
     "so neither side carries a good annulus"))
-_TAURHO_ONLY = Clause(BRANCH_TAURHO_ONE, (_GOOD_ANNULUS,),
+_TAURHO_ONLY = Clause(BRANCH_TAURHO_ONE, ONE_ANNULUS, (_GOOD_ANNULUS,),
                       "the good annulus is the only essential annulus; " + UNIQUENESS_NOTE)
-_TAURHO_UNDETERMINED = Clause(None, (), (
+_TAURHO_UNDETERMINED = Clause(None, None, (), (
     "a special tau-rho decomposition over a torus rho side needs a concrete tau slope "
     "(or a definite refutation) to choose a count branch"))
-_TAURHO_INFINITE = Clause(BRANCH_TAURHO_INFINITE, (_GOOD_ANNULUS, _TWISTED_FAMILY),
+_TAURHO_INFINITE = Clause(BRANCH_TAURHO_INFINITE, INFINITELY_MANY,
+                          (_GOOD_ANNULUS, _TWISTED_FAMILY),
                           "special, tau slope 1/{m}, torus parameter p = 2")
-_TAURHO_FOUR = Clause(BRANCH_TAURHO_FOUR, (
+_TAURHO_FOUR = Clause(BRANCH_TAURHO_FOUR, FOUR_ANNULI, (
     _GOOD_ANNULUS, "annuli from Moebius-band pairings of type I/II rectangles"),
     "special, tau slope 1/{m}, torus parameter p = {p} != 2")
-_TAURHO_TWO = Clause(BRANCH_TAURHO_TWO, (
+_TAURHO_TWO = Clause(BRANCH_TAURHO_TWO, TWO_ANNULI, (
     _GOOD_ANNULUS, "frontier of the Moebius band from a type I / type I rectangle pairing"),
     "special, tau slope 1/{m} with denominator != +-3, torus parameter p = {p} != 2")
-_TAURHO_RESIDUAL = Clause(BRANCH_TAURHO_ONE, (_GOOD_ANNULUS,), (
+_TAURHO_RESIDUAL = Clause(BRANCH_TAURHO_ONE, ONE_ANNULUS, (_GOOD_ANNULUS,), (
     "special, tau slope 1/{m} with denominator != +-3 and torus parameter p = 2 "
     "fall to the residual one-annulus clause"))
-_RHORHO_TWO = Clause(BRANCH_RHORHO_TWO, ("first side: good annulus of {first.value}",
-                                         "second side: good annulus of {second.value}"),
+_RHORHO_TWO = Clause(BRANCH_RHORHO_TWO, TWO_ANNULI,
+                     ("first side: good annulus of {first.value}",
+                      "second side: good annulus of {second.value}"),
                      "both sides carry a good annulus")
-_RHORHO_ONE = Clause(BRANCH_RHORHO_ONE, ("{side} side: good annulus of {annulus.value}",),
+_RHORHO_ONE = Clause(BRANCH_RHORHO_ONE, ONE_ANNULUS,
+                     ("{side} side: good annulus of {annulus.value}",),
                      "exactly one side carries a good annulus")
-_RHORHO_HYPERBOLIC = Clause(BRANCH_RHORHO_HYPERBOLIC, (),
+_RHORHO_HYPERBOLIC = Clause(BRANCH_RHORHO_HYPERBOLIC, ZERO_ANNULI, (),
                             "neither side is satellite or cable or has a Hopf summand")
 
 
-def _render(clause: Clause, count: AnnulusCount | None, inputs: dict) -> Verdict:
+def _render(clause: Clause, inputs: dict) -> Verdict:
     """The verdict of a clause, its texts filled in from the rule's inputs."""
     if clause.branch is None:
         return _inadmissible([Violation("UndeterminedSlope", inputs["sides"], clause.note)])
-    hyperbolic = count.is_zero
+    hyperbolic = clause.count.is_zero
     notes = (ATOROIDAL_NOTE, clause.note.format_map(inputs), IRREDUCIBILITY_NOTE)
     if hyperbolic:
         notes += (HYPERBOLICITY_NOTE,)
-    return Verdict(CLASSIFIED, count, hyperbolic, clause.branch,
+    return Verdict(CLASSIFIED, clause.count, hyperbolic, clause.branch,
                    tuple([text.format_map(inputs) for text in clause.annuli]), notes)
 
 
 # ---------------------------------------------------------------------------
-# Pair rules, one per kind: (facts, facts, special) -> (clause, count, inputs)
+# Pair rules, one per kind: (facts, facts, special) -> (clause, inputs)
 
 def _tautau(a: SideFacts, b: SideFacts, special: bool) -> tuple:
     if not special:
-        return _TAUTAU_NOT_SPECIAL, ZERO_ANNULI, {}
+        return _TAUTAU_NOT_SPECIAL, {}
     m, n = a.unit, b.unit
     if m is NO_UNIT or n is NO_UNIT:
-        return _TAUTAU_NO_UNIT, ZERO_ANNULI, {}
+        return _TAUTAU_NO_UNIT, {}
     if m is UNKNOWN_UNIT or n is UNKNOWN_UNIT:
-        return _TAUTAU_UNDETERMINED, None, {"sides": tuple(
+        return _TAUTAU_UNDETERMINED, {"sides": tuple(
             p for p, u in (("first", m), ("second", n)) if u is UNKNOWN_UNIT)}
     inputs = {"m": m, "n": n}
     if abs(m) == 3 and abs(n) == 3:
-        if m == n:
-            return _TAUTAU_INFINITE, INFINITELY_MANY, inputs
-        return _TAUTAU_THREE, THREE_ANNULI, inputs
-    return _TAUTAU_ONE, ONE_ANNULUS, inputs
+        return (_TAUTAU_INFINITE if m == n else _TAUTAU_THREE), inputs
+    return _TAUTAU_ONE, inputs
 
 
 def _taurho(t: SideFacts, r: SideFacts, special: bool) -> tuple:
     if r.annulus is None:
-        return _TAURHO_HYPERBOLIC, ZERO_ANNULI, {}
+        return _TAURHO_HYPERBOLIC, {}
     m = t.unit if special and r.p is not None else NO_UNIT
     if m is NO_UNIT:
-        return _TAURHO_ONLY, ONE_ANNULUS, {"annulus": r.annulus}
+        return _TAURHO_ONLY, {"annulus": r.annulus}
     if m is UNKNOWN_UNIT:
-        return _TAURHO_UNDETERMINED, None, {"sides": ("first",)}
+        return _TAURHO_UNDETERMINED, {"sides": ("first",)}
     inputs = {"annulus": r.annulus, "m": m, "p": r.p}
     if abs(m) == 3:
-        if r.p == 2:
-            return _TAURHO_INFINITE, INFINITELY_MANY, inputs
-        return _TAURHO_FOUR, FOUR_ANNULI, inputs
-    if r.p != 2:
-        return _TAURHO_TWO, TWO_ANNULI, inputs
-    return _TAURHO_RESIDUAL, ONE_ANNULUS, inputs
+        return (_TAURHO_INFINITE if r.p == 2 else _TAURHO_FOUR), inputs
+    return (_TAURHO_TWO if r.p != 2 else _TAURHO_RESIDUAL), inputs
 
 
 def _rhorho(a: SideFacts, b: SideFacts, special: bool) -> tuple:
     """``special`` is unread: a special rho-rho decomposition is inadmissible."""
     if a.annulus is not None and b.annulus is not None:
-        return _RHORHO_TWO, TWO_ANNULI, {"first": a.annulus, "second": b.annulus}
+        return _RHORHO_TWO, {"first": a.annulus, "second": b.annulus}
     if a.annulus is not None:
-        return _RHORHO_ONE, ONE_ANNULUS, {"side": "first", "annulus": a.annulus}
+        return _RHORHO_ONE, {"side": "first", "annulus": a.annulus}
     if b.annulus is not None:
-        return _RHORHO_ONE, ONE_ANNULUS, {"side": "second", "annulus": b.annulus}
-    return _RHORHO_HYPERBOLIC, ZERO_ANNULI, {}
+        return _RHORHO_ONE, {"side": "second", "annulus": b.annulus}
+    return _RHORHO_HYPERBOLIC, {}
 
 
 #: Each decomposition kind's side kinds and pair rule.

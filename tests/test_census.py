@@ -91,6 +91,43 @@ def test_every_row_matches_classify(kind):
         assert (row.branch, row.count) == (expected.branch, str(expected.annulus_count))
 
 
+@pytest.mark.parametrize("kind", ["tautau", "taurho", "rhorho"])
+def test_a_row_costs_one_rule_call(kind, monkeypatch):
+    sides, rule = verdict.RULES[kind]
+    clauses, calls = [], {"str": 0, "csv": 0, "new": 0}
+
+    def counted_rule(a, b, special):
+        clause, inputs = rule(a, b, special)
+        clauses.append(clause)
+        return clause, inputs
+
+    def counter(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    monkeypatch.setitem(verdict.RULES, kind, (sides, counted_rule))
+    monkeypatch.setattr(verdict.AnnulusCount, "__str__",
+                        counter("str", verdict.AnnulusCount.__str__))
+    monkeypatch.setattr(census.CensusRow, "csv", counter("csv", census.CensusRow.csv))
+    monkeypatch.setattr(census.CensusRow, "__new__",
+                        staticmethod(counter("new", census.CensusRow.__new__)))
+    rows = run_census(kind, 25)
+    census_csv(rows)
+    assert len(clauses) == len(rows)
+    assert all(type(clause) is verdict.Clause for clause in clauses)
+    assert 0 < calls["str"] <= len({id(clause) for clause in clauses})
+    assert (calls["csv"], calls["new"]) == (0, 0)
+
+
+@pytest.mark.parametrize("kind", ["tautau", "taurho", "rhorho"])
+def test_row_csv_is_its_census_csv_line(kind):
+    rows = run_census(kind, 9)
+    assert census_csv(rows).splitlines()[1:] == [row.csv() for row in rows]
+    assert census.CensusRow(3, -3, "tautau (ii)", "3").csv() == "3,-3,tautau (ii),3"
+
+
 def test_csv_deterministic_and_sorted():
     first = census_csv(run_census("tautau", 9))
     second = census_csv(run_census("tautau", 9))

@@ -251,6 +251,20 @@ def test_classify_into_closed_pipe_exit_two(tmp_path):
     assert result.stderr.startswith("error:")
 
 
+def test_census_into_closed_pipe_exit_two():
+    # a census into a pipe with no reader, whatever its buffer size: cli.main's closed-pipe branch
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "tritangle", "census", "tautau", "--max-denominator", "99"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert result.returncode == EXIT_USAGE
+    assert result.stderr == "error: standard output was closed before all output was written\n"
+
+
 def test_missing_file_exit_two(capsys, tmp_path):
     for command in ("classify", "tangle"):
         code, _, err = run(capsys, command, str(tmp_path / "absent.json"))

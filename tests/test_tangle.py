@@ -259,9 +259,11 @@ def test_abstract_flags_and_torus_params_refuse_wrong_types():
             (lambda: AbstractTau(True, False, True, unit_fraction_slope=1),
              "AbstractTau.unit_fraction_slope"),
             (lambda: TorusParams(3, True), "TorusParams.q"),
-            (lambda: TorusParams(3.0, 1), "TorusParams.p")):
-        with pytest.raises(TypeError, match=field):
+            (lambda: TorusParams(3.0, 1), "TorusParams.p"),
+            (lambda: TorusParams(1, "x"), "TorusParams.q")):
+        with pytest.raises(TypeError, match=field) as err:
             build()
+        assert err.value.field == field.split(".")[1]  # jsonio names the value by this field
     # None stays allowed where the annotation allows it
     assert AbstractTau(True, False, True, None, None).slope is None
     assert AbstractRho(True, False, torus=TorusParams(2, 3)).torus == TorusParams(2, 3)

@@ -36,6 +36,7 @@ from tritangle import (
     run_census,
     validate_descriptor,
 )
+from tritangle import verdict
 from tritangle.frac import ExtFraction
 from tritangle.verdict import (
     BRANCH_RHORHO_HYPERBOLIC,
@@ -471,6 +472,23 @@ def test_every_reader_of_the_kind_set_refuses_an_unknown_kind_in_its_own_words(k
         parse_decomposition(document)
     assert str(err.value) == \
         f'document.type: expected "tautau", "taurho" or "rhorho", got {kind!r}'
+
+
+def test_each_clause_states_its_count():
+    # a count is stated once, in its clause: the pair rules return (clause, inputs)
+    clauses = [c for c in vars(verdict).values() if type(c) is verdict.Clause]
+    assert len(clauses) == 16
+    counts = {}
+    for clause in clauses:
+        if clause.branch is None:  # an UndeterminedSlope refusal
+            assert clause.count is None
+        else:
+            assert type(clause.count) is AnnulusCount
+            counts.setdefault(clause.branch, set()).add(clause.count)
+    assert sum(clause.branch is None for clause in clauses) == 2
+    assert all(len(shared) == 1 for shared in counts.values())
+    assert counts[BRANCH_TAURHO_ONE] == {AnnulusCount(1)}
+    assert counts[BRANCH_TAUTAU_HYPERBOLIC] == {ZERO_ANNULI}
 
 
 # ---------------------------------------------------------------------------
