@@ -108,7 +108,7 @@ def run_census(kind: str, bound: int) -> list[CensusRow]:
     rows = []
     for m, a in firsts.items():
         for n, b in seconds.items():
-            clause = rule(a, b, special)[0]
+            clause = rule(a, b, special)
             text = texts.get(id(clause))
             if text is None:
                 text = texts[id(clause)] = (clause.branch, str(clause.count))

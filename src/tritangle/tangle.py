@@ -122,11 +122,10 @@ class TorusRhoPresentation(Value):
 
 
 def _set_flags(flags, values: tuple):
-    """Store ``values`` in ``flags``; a TypeError's ``field`` is the first one ``_types`` refuse."""
+    """Store ``values`` in ``flags``; the first one ``_types`` refuse raises, as ``_texts`` say."""
     for name, value, allowed in zip(flags.__slots__, values, flags._types):
         if not isinstance(value, allowed):
-            text = " | ".join(t.__name__ for t in allowed).replace("NoneType", "None")
-            raise _type_error(type(flags).__name__, name, text, value)
+            raise _type_error(type(flags).__name__, name, flags._texts[name], value)
         object.__setattr__(flags, name, value)
 
 
@@ -135,6 +134,7 @@ class AbstractTau(Value):
 
     __slots__ = ("atoroidal", "trivial", "rational", "slope", "unit_fraction_slope")
     _types = ((bool,), (bool,), (bool,), (ExtFraction, type(None)), (bool, type(None)))
+    _texts = dict(zip(__slots__, ("bool", "bool", "bool", "ExtFraction | None", "bool | None")))
 
     def __init__(self, atoroidal: bool, trivial: bool, rational: bool,
                  slope: ExtFraction | None = None, unit_fraction_slope: bool | None = None):
@@ -147,6 +147,7 @@ class AbstractRho(Value):
     __slots__ = ("atoroidal", "trivial", "hopf_tangle", "satellite", "cable", "hopf_summand",
                  "torus")
     _types = ((bool,),) * 6 + ((TorusParams, type(None)),)
+    _texts = dict(zip(__slots__, ("bool",) * 6 + ("TorusParams | None",)))
 
     def __init__(self, atoroidal: bool, trivial: bool, hopf_tangle: bool = False,
                  satellite: bool = False, cable: bool = False, hopf_summand: bool = False,

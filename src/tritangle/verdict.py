@@ -4,7 +4,7 @@
 and hands both profiles to the kind's classifier: one gate (side kinds and
 essentiality, else inadmissible; atoroidality, else the toroidal verdict), then
 ``side_facts`` per side, then the kind's pure pair rule from (facts, facts,
-special) to (clause, inputs):
+special) to a Clause:
 
 * tau-tau: infinitely many annuli iff special with both slopes +-1/3 of
   the same sign; three for mixed-sign 1/3, -1/3; one for any other pair
@@ -16,9 +16,9 @@ special) to (clause, inputs):
   special rho-rho decomposition is impossible (the complement would be
   disconnected) and is rejected as inadmissible.
 
-A renderer fills in the clause's texts from the renderer table, which holds every
-branch label (like ``"tautau (ii)"``, stored verbatim in the Verdict so golden tests
-pin the reasoning, not just the number), count, annulus text and note.
+A renderer fills in the clause's texts from both sides' facts.  The renderer table
+holds every branch label (like ``"tautau (ii)"``, stored verbatim in the Verdict so
+golden tests pin the reasoning, not just the number), count, annulus text and note.
 """
 
 from __future__ import annotations
@@ -172,8 +172,8 @@ def side_facts(t: ResolvedTangle) -> SideFacts:
 # The renderer table: every text a count writes, one row per clause
 
 class Clause(NamedTuple):
-    """A count clause's branch label, count and texts: ``str.format`` templates over the rule's
-    inputs.  An ``UndeterminedSlope`` refusal has no branch and no count; its note is the detail."""
+    """A count clause's branch label, count and texts: ``str.format`` templates over the sides'
+    facts.  An ``UndeterminedSlope`` refusal has no branch and no count; its note is the detail."""
 
     branch: str | None
     count: AnnulusCount | None
@@ -229,61 +229,61 @@ _RHORHO_ONE = Clause(BRANCH_RHORHO_ONE, ONE_ANNULUS,
                      "exactly one side carries a good annulus")
 _RHORHO_HYPERBOLIC = Clause(BRANCH_RHORHO_HYPERBOLIC, ZERO_ANNULI, (),
                             "neither side is satellite or cable or has a Hopf summand")
+#: The rho-rho clause by the number of sides that carry a good annulus.
+_RHORHO_BY_ANNULI = (_RHORHO_HYPERBOLIC, _RHORHO_ONE, _RHORHO_TWO)
 
 
-def _render(clause: Clause, inputs: dict) -> Verdict:
-    """The verdict of a clause, its texts filled in from the rule's inputs."""
-    if clause.branch is None:
-        return _inadmissible([Violation("UndeterminedSlope", inputs["sides"], clause.note)])
+def _render(clause: Clause, a: SideFacts, b: SideFacts) -> Verdict:
+    """The verdict of a clause, its texts filled in from the two sides' facts."""
+    if clause.branch is None:  # its fields: the positions with no slope to read a unit from
+        sides = tuple([p for p, f in (("first", a), ("second", b)) if f.unit is UNKNOWN_UNIT])
+        return _inadmissible([Violation("UndeterminedSlope", sides, clause.note)])
+    if a.annulus is None and b.annulus is None:  # no annulus to name: a smaller dict suffices
+        fields = {"m": a.unit, "n": b.unit}
+    else:  # side and annulus: a tau-rho's rho side, or a rho-rho's first side that carries one
+        fields = {"m": a.unit, "n": b.unit, "p": b.p, "first": a.annulus, "second": b.annulus,
+                  "side": "first" if a.annulus else "second", "annulus": a.annulus or b.annulus}
     hyperbolic = clause.count.is_zero
-    notes = (ATOROIDAL_NOTE, clause.note.format_map(inputs), IRREDUCIBILITY_NOTE)
+    notes = (ATOROIDAL_NOTE, clause.note.format_map(fields), IRREDUCIBILITY_NOTE)
     if hyperbolic:
         notes += (HYPERBOLICITY_NOTE,)
     return Verdict(CLASSIFIED, clause.count, hyperbolic, clause.branch,
-                   tuple([text.format_map(inputs) for text in clause.annuli]), notes)
+                   tuple([text.format_map(fields) for text in clause.annuli]), notes)
 
 
 # ---------------------------------------------------------------------------
-# Pair rules, one per kind: (facts, facts, special) -> (clause, inputs)
+# Pair rules, one per kind: (facts, facts, special) -> Clause, a pure decision that builds
+# nothing; ``_render`` fills the clause's texts from both sides' facts
 
-def _tautau(a: SideFacts, b: SideFacts, special: bool) -> tuple:
+def _tautau(a: SideFacts, b: SideFacts, special: bool) -> Clause:
     if not special:
-        return _TAUTAU_NOT_SPECIAL, {}
+        return _TAUTAU_NOT_SPECIAL
     m, n = a.unit, b.unit
     if m is NO_UNIT or n is NO_UNIT:
-        return _TAUTAU_NO_UNIT, {}
+        return _TAUTAU_NO_UNIT
     if m is UNKNOWN_UNIT or n is UNKNOWN_UNIT:
-        return _TAUTAU_UNDETERMINED, {"sides": tuple(
-            p for p, u in (("first", m), ("second", n)) if u is UNKNOWN_UNIT)}
-    inputs = {"m": m, "n": n}
+        return _TAUTAU_UNDETERMINED
     if abs(m) == 3 and abs(n) == 3:
-        return (_TAUTAU_INFINITE if m == n else _TAUTAU_THREE), inputs
-    return _TAUTAU_ONE, inputs
+        return _TAUTAU_INFINITE if m == n else _TAUTAU_THREE
+    return _TAUTAU_ONE
 
 
-def _taurho(t: SideFacts, r: SideFacts, special: bool) -> tuple:
+def _taurho(t: SideFacts, r: SideFacts, special: bool) -> Clause:
     if r.annulus is None:
-        return _TAURHO_HYPERBOLIC, {}
+        return _TAURHO_HYPERBOLIC
     m = t.unit if special and r.p is not None else NO_UNIT
     if m is NO_UNIT:
-        return _TAURHO_ONLY, {"annulus": r.annulus}
+        return _TAURHO_ONLY
     if m is UNKNOWN_UNIT:
-        return _TAURHO_UNDETERMINED, {"sides": ("first",)}
-    inputs = {"annulus": r.annulus, "m": m, "p": r.p}
+        return _TAURHO_UNDETERMINED
     if abs(m) == 3:
-        return (_TAURHO_INFINITE if r.p == 2 else _TAURHO_FOUR), inputs
-    return (_TAURHO_TWO if r.p != 2 else _TAURHO_RESIDUAL), inputs
+        return _TAURHO_INFINITE if r.p == 2 else _TAURHO_FOUR
+    return _TAURHO_TWO if r.p != 2 else _TAURHO_RESIDUAL
 
 
-def _rhorho(a: SideFacts, b: SideFacts, special: bool) -> tuple:
+def _rhorho(a: SideFacts, b: SideFacts, special: bool) -> Clause:
     """``special`` is unread: a special rho-rho decomposition is inadmissible."""
-    if a.annulus is not None and b.annulus is not None:
-        return _RHORHO_TWO, {"first": a.annulus, "second": b.annulus}
-    if a.annulus is not None:
-        return _RHORHO_ONE, {"side": "first", "annulus": a.annulus}
-    if b.annulus is not None:
-        return _RHORHO_ONE, {"side": "second", "annulus": b.annulus}
-    return _RHORHO_HYPERBOLIC, {}
+    return _RHORHO_BY_ANNULI[(a.annulus is not None) + (b.annulus is not None)]
 
 
 #: Each decomposition kind's side kinds and pair rule.
@@ -320,7 +320,8 @@ def _count(kind: str, a: ResolvedTangle, b: ResolvedTangle, special: bool) -> Ve
         return _inadmissible(bad)
     if not (a.atoroidal and b.atoroidal):
         return Verdict(status=TOROIDAL, notes=("annulus counting requires both sides atoroidal",))
-    return _render(*rule(side_facts(a), side_facts(b), special))
+    a, b = side_facts(a), side_facts(b)
+    return _render(rule(a, b, special), a, b)
 
 
 def classify_tautau(a: ResolvedTangle, b: ResolvedTangle, special: bool) -> Verdict:

@@ -269,6 +269,20 @@ def test_abstract_flags_and_torus_params_refuse_wrong_types():
     assert AbstractRho(True, False, torus=TorusParams(2, 3)).torus == TorusParams(2, 3)
 
 
+def test_each_flag_type_text_names_the_types_it_allows():
+    # a refusal formats the text its class states, so the text must say what _types allow
+    for cls in (AbstractTau, AbstractRho):
+        assert list(cls._texts) == list(cls.__slots__)
+        for allowed, text in zip(cls._types, cls._texts.values()):
+            assert text.split(" | ") == [t.__name__.replace("NoneType", "None") for t in allowed]
+    with pytest.raises(TypeError) as err:
+        AbstractTau(True, False, True, slope="1/3")
+    assert str(err.value) == "AbstractTau.slope must be ExtFraction | None, got str"
+    with pytest.raises(TypeError) as err:
+        AbstractRho(True, False, torus=(2, 3))
+    assert str(err.value) == "AbstractRho.torus must be TorusParams | None, got tuple"
+
+
 # ---------------------------------------------------------------------------
 # Immutable values
 

@@ -37,6 +37,7 @@ from tritangle import (
     validate_descriptor,
 )
 from tritangle import verdict
+from tritangle.annuli import AnnulusType
 from tritangle.frac import ExtFraction
 from tritangle.verdict import (
     BRANCH_RHORHO_HYPERBOLIC,
@@ -475,7 +476,7 @@ def test_every_reader_of_the_kind_set_refuses_an_unknown_kind_in_its_own_words(k
 
 
 def test_each_clause_states_its_count():
-    # a count is stated once, in its clause: the pair rules return (clause, inputs)
+    # a count is stated once, in its clause: the pair rules return the clause alone
     clauses = [c for c in vars(verdict).values() if type(c) is verdict.Clause]
     assert len(clauses) == 16
     counts = {}
@@ -489,6 +490,21 @@ def test_each_clause_states_its_count():
     assert all(len(shared) == 1 for shared in counts.values())
     assert counts[BRANCH_TAURHO_ONE] == {AnnulusCount(1)}
     assert counts[BRANCH_TAUTAU_HYPERBOLIC] == {ZERO_ANNULI}
+
+
+@pytest.mark.parametrize("kind", verdict.KINDS)
+def test_each_pair_rule_is_a_pure_decision(kind):
+    # a rule builds nothing: on any side facts it returns one of the module's clauses, and the
+    # very same object again on a second call
+    clauses = [c for c in vars(verdict).values() if type(c) is verdict.Clause]
+    rule = verdict.RULES[kind][1]
+    facts = [verdict.SideFacts(unit, annulus, p)
+             for unit in (verdict.NO_UNIT, verdict.UNKNOWN_UNIT, 3, -3, 5, -5)
+             for annulus in (None, *AnnulusType) for p in (None, 2, 5)]
+    for a, b, special in itertools.product(facts, facts, (False, True)):
+        clause = rule(a, b, special)
+        assert any(clause is c for c in clauses)
+        assert rule(a, b, special) is clause
 
 
 # ---------------------------------------------------------------------------

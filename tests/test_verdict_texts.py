@@ -2,8 +2,9 @@
 
 One case per clause of the counting rules (the twelve branches, plus the second
 note of ``tautau (otherwise)`` and of ``taurho (iv)``), the two ``UndeterminedSlope``
-refusals and the toroidal verdict.  Each is checked through ``classify`` and
-through the kind's classifier called directly on the resolved sides.
+refusals and the toroidal verdict, plus the cases whose texts the renderer reads off
+a side without a slope.  Each is checked through ``classify`` and through the kind's
+classifier called directly on the resolved sides.
 """
 
 from __future__ import annotations
@@ -146,6 +147,22 @@ CASES = {
         undetermined(("first", "second"),
                      "a special tau-tau decomposition needs concrete unit-fraction slopes "
                      "(or a definite refutation) to choose a count branch")),
+    "tautau, second slope undetermined": (
+        Decomposition("tautau", True, tau(5), NO_SLOPE),
+        undetermined(("second",),
+                     "a special tau-tau decomposition needs concrete unit-fraction slopes "
+                     "(or a definite refutation) to choose a count branch")),
+    "tautau (otherwise), no unit fraction before an undetermined slope": (
+        # a side that is no unit fraction refutes the count before a missing slope is asked for
+        Decomposition("tautau", True, NO_SLOPE, TWO_FIFTHS),
+        classified(0, "tautau (otherwise)", (),
+                   "a side is not rational with a unit-fraction slope, "
+                   "so its exterior admits no good rectangle")),
+    "taurho (iv), the only annulus, no slope": (
+        Decomposition("taurho", False, NO_SLOPE, torus(2, 3)),
+        classified(1, "taurho (iv)", ("good annulus of type I (satellite)",),
+                   "the good annulus is the only essential annulus; "
+                   "the good annulus is unique up to isotopy in the tangle exterior")),
     "taurho, undetermined slope": (
         Decomposition("taurho", True, NO_SLOPE, torus(2, 3)),
         undetermined(("first",),
