@@ -235,6 +235,9 @@ def _decode(text: str, path: str) -> Any:
         raise DocumentError("line 1, column 1", "Unexpected UTF-8 BOM (decode using utf-8-sig)")
     error = None
     try:
+        # decoding comes before the nesting scan: a hostile document far deeper than MAX_DEPTH
+        # then ends in the decoder's RecursionError without the scan's two regex passes, which
+        # cost more than the rest of the document's work
         value = _DECODER.decode(text)
     except RecursionError:
         # the decoder's own bound: deeper than MAX_DEPTH at the default recursion limit and a

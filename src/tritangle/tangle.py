@@ -8,11 +8,11 @@ abstract geometric flags taken at face value after validation.  Descriptors and
 presentations are immutable values (``value.Value``) that check their fields' types
 and values when built, ``mirror_descriptor``'s ``_replace`` copies included.
 
-``examine`` makes one pass over a descriptor.  A rational side's twist
-vector is evaluated once and its profile is built from that value; an
-abstract side's flags are checked and profiled in the same pass, the
-profile built only when no invariant is broken.  A slope whose denominator
-has more digits than ``str`` writes is refused too (``SlopeTooLarge``).
+``examine`` makes one pass over a descriptor and only dispatches: one examiner per
+presentation type owns that type's checks and builds the profile only when no invariant
+is broken.  A rational side's twist vector is evaluated once.  A slope whose denominator
+has more digits than ``str`` writes is refused too (``SlopeTooLarge``), whether evaluated
+from twists, a torus arc's +-1/(2p) or declared.
 The profile (a ResolvedTangle) carries the slope, triviality, essentiality,
 torus parameters and the satellite / cable / Hopf-summand trichotomy, each
 derived field with a provenance note naming the rule that produced it.  One
@@ -219,16 +219,17 @@ def _slope_too_large(field_name: str) -> Violation:
         "too many to write as text")
 
 
+#: The one mapping from broken invariants to the exception ``resolve`` raises: the first
+#: violation's rule names it; any other rule raises InconsistentFlags over all violations.
+_RAISES = {"MutualExclusivity": MutualExclusivityViolation, "InfiniteSlope": InfiniteSlope,
+           "SlopeTooLarge": SlopeTooLarge}
+
+
 def _raise_violations(violations: list[Violation]):
-    """The one mapping from broken invariants to the exception ``resolve`` raises."""
     first = violations[0]
-    if first.rule == "MutualExclusivity":
-        raise MutualExclusivityViolation(str(first))
-    if first.rule == "InfiniteSlope":
-        raise InfiniteSlope(str(first))
-    if first.rule == "SlopeTooLarge":
-        raise SlopeTooLarge(str(first))
-    raise InconsistentFlags("; ".join(str(v) for v in violations))
+    if first.rule in _RAISES:
+        raise _RAISES[first.rule](str(first))
+    raise InconsistentFlags("; ".join(map(str, violations)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +271,17 @@ _RATIONAL_NOTES = ("slope: twist-vector value normalized to (-1/2, 1/2]",
                    "atoroidal: rational tangles are atoroidal")
 
 
-def _rational_profile(kind: str, value: ExtFraction) -> ResolvedTangle:
+def _rational(kind: str, twists: TwistVector) -> tuple[ResolvedTangle | None, list[Violation]]:
+    """A twist vector, evaluated once: its profile, or None, and its broken invariant."""
+    value = cf_eval(twists)
+    if value.is_infinite:
+        # an entry too long for str is counted, not written
+        vector = f"of {len(twists)} entries" if any(map(too_long_to_print, twists)) \
+            else list(twists)
+        return None, [Violation(
+            "InfiniteSlope", ("twists",), f"twist vector {vector} evaluates to infinity")]
+    if too_long_to_print(value.den):
+        return None, [_slope_too_large("twists")]
     slope = slope_normalize(value)
     trivial = slope.is_zero
     hopf = kind == KIND_RHO and slope == HOPF_SLOPE
@@ -288,21 +299,23 @@ def _rational_profile(kind: str, value: ExtFraction) -> ResolvedTangle:
         notes.append("satellite/cable/hopf_summand: absent for rational "
                      "slopes other than +-1/(2k); a rational presentation "
                      "keeps the loop unknotted, so never cable")
-    # positional, in parameter order (atoroidal ... unit_fraction_slope): keywords cost more here
-    return _profile(kind, notes, True, trivial, hopf, torus, False, False, False, True, slope,
-                    abs(slope.num) == 1)
+    return _profile(kind, notes, trivial=trivial, hopf_tangle=hopf, torus=torus, rational=True,
+                    slope=slope, unit_fraction_slope=abs(slope.num) == 1), []
 
 
-def _torus_profile(t: TorusParams) -> ResolvedTangle:
+def _torus(t: TorusParams) -> tuple[ResolvedTangle | None, list[Violation]]:
+    # TorusParams validates itself at construction: only the slope +-1/(2p) can be refused
     notes = ["torus: declared curve parameters, canonicalized to p > 0"]
     if abs(t.q) != 1:
         notes.append("rational: false, a rational loop-tangle has slope +-1/(2k) "
                      "and torus parameters (k, +-1)")
-        return _profile(KIND_RHO, notes, torus=t, rational=False)
+        return _profile(KIND_RHO, notes, torus=t, rational=False), []
     slope = ExtFraction(t.q, 2 * t.p)
+    if too_long_to_print(slope.den):
+        return None, [_slope_too_large("params")]
     notes.append(f"slope: a (k, +-1)-torus arc has slope +-1/(2k) = {slope}")
     return _profile(KIND_RHO, notes, torus=t, rational=True, slope=slope,
-                    unit_fraction_slope=True)
+                    unit_fraction_slope=True), []
 
 
 def _abstract_tau(a: AbstractTau) -> tuple[ResolvedTangle | None, list[Violation]]:
@@ -363,7 +376,7 @@ def _abstract_rho(a: AbstractRho) -> tuple[ResolvedTangle | None, list[Violation
                 "HopfTangleConflict", ("hopf_tangle",) + bad,
                 "the Hopf tangle is non-trivial, not satellite or cable, "
                 "and has no Hopf summand"))
-    if a.trivial and (flags or a.hopf_tangle or a.torus is not None):
+    if a.trivial and (flags or a.hopf_tangle):  # a torus is in flags as satellite
         out.append(Violation(
             "TrivialFlagConflict", ("trivial",) + tuple(flags),
             "a trivial tangle carries none of the annulus-producing flags"))
@@ -382,21 +395,9 @@ def examine(d: Descriptor) -> tuple[ResolvedTangle | None, list[Violation]]:
     """
     p = d.presentation
     if isinstance(p, RationalPresentation):
-        value = cf_eval(p.twists)
-        if value.is_infinite:
-            # an entry too long for str is counted, not written
-            vector = f"of {len(p.twists)} entries" if any(map(too_long_to_print, p.twists)) \
-                else list(p.twists)
-            return None, [Violation(
-                "InfiniteSlope", ("twists",), f"twist vector {vector} evaluates to infinity")]
-        if too_long_to_print(value.den):
-            return None, [_slope_too_large("twists")]
-        return _rational_profile(d.kind, value), []
+        return _rational(d.kind, p.twists)
     if isinstance(p, TorusRhoPresentation):
-        t = p.params  # TorusParams validates itself at construction
-        if abs(t.q) == 1 and too_long_to_print(2 * t.p):  # the slope +-1/(2p)
-            return None, [_slope_too_large("params")]
-        return _torus_profile(t), []
+        return _torus(p.params)
     if isinstance(p, AbstractTau):
         return _abstract_tau(p)
     return _abstract_rho(p)

@@ -238,11 +238,9 @@ def _render(clause: Clause, a: SideFacts, b: SideFacts) -> Verdict:
     if clause.branch is None:  # its fields: the positions with no slope to read a unit from
         sides = tuple([p for p, f in (("first", a), ("second", b)) if f.unit is UNKNOWN_UNIT])
         return _inadmissible([Violation("UndeterminedSlope", sides, clause.note)])
-    if a.annulus is None and b.annulus is None:  # no annulus to name: a smaller dict suffices
-        fields = {"m": a.unit, "n": b.unit}
-    else:  # side and annulus: a tau-rho's rho side, or a rho-rho's first side that carries one
-        fields = {"m": a.unit, "n": b.unit, "p": b.p, "first": a.annulus, "second": b.annulus,
-                  "side": "first" if a.annulus else "second", "annulus": a.annulus or b.annulus}
+    # side and annulus: a tau-rho's rho side, or a rho-rho's first side that carries one
+    fields = {"m": a.unit, "n": b.unit, "p": b.p, "first": a.annulus, "second": b.annulus,
+              "side": "first" if a.annulus else "second", "annulus": a.annulus or b.annulus}
     hyperbolic = clause.count.is_zero
     notes = (ATOROIDAL_NOTE, clause.note.format_map(fields), IRREDUCIBILITY_NOTE)
     if hyperbolic:

@@ -296,6 +296,19 @@ def test_nesting_within_and_past_the_recursion_limit():
     assert "nested too deeply" in str(err.value)
 
 
+def test_decoder_refuses_a_very_deep_document_before_the_nesting_scan(monkeypatch):
+    # decoding comes first, so a hostile document far past the recursion limit ends in the
+    # decoder's RecursionError and never pays for the bracket scan
+    from tritangle import jsonio
+
+    def no_scan(text, path):
+        raise AssertionError("the nesting scan ran")
+
+    monkeypatch.setattr(jsonio, "_refuse_deep_nesting", no_scan)
+    with pytest.raises(DocumentError, match="^tangle: arrays or objects nested too deeply$"):
+        loads_tangle("[" * 100_000 + "]" * 100_000)
+
+
 def test_nesting_bound_is_fixed_and_skips_string_literals():
     from tritangle.jsonio import MAX_DEPTH
 

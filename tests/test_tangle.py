@@ -26,6 +26,7 @@ from tritangle import (
     TauDescriptor,
     TorusParams,
     TorusRhoPresentation,
+    TritangleError,
     Violation,
     cf_eval,
     mirror_descriptor,
@@ -351,6 +352,75 @@ def test_resolve_raises_slope_too_large_by_name():
     with pytest.raises(SlopeTooLarge, match="SlopeTooLarge \\(twists\\)") as caught:
         resolve(side)
     assert not isinstance(caught.value, InconsistentFlags)
+
+
+DIGITS = sys.get_int_max_str_digits()
+
+
+def abstract_tau(**flags):
+    return TauDescriptor(AbstractTau(atoroidal=True, trivial=False, rational=True, **flags))
+
+
+# each rule that names its own exception, on each presentation that can break it; the
+# descriptors are built when the test runs, not when it is collected
+FIRST_VIOLATIONS = {
+    "rational-tau-infinite": (lambda: rational_tau(0, 0), InfiniteSlope,
+                              "InfiniteSlope (twists): twist vector [0, 0] evaluates to infinity"),
+    "rational-rho-infinite": (lambda: rational_rho(0, 0), InfiniteSlope,
+                              "InfiniteSlope (twists): twist vector [0, 0] evaluates to infinity"),
+    "rational-tau-too-long": (lambda: rational_tau(*(100,) * 2500), SlopeTooLarge,
+                              "SlopeTooLarge (twists): the slope's denominator has more than "
+                              f"{DIGITS} digits, too many to write as text"),
+    "rational-rho-too-long": (lambda: rational_rho(*(100,) * 2500), SlopeTooLarge,
+                              "SlopeTooLarge (twists): the slope's denominator has more than "
+                              f"{DIGITS} digits, too many to write as text"),
+    "torus-too-long": (lambda: RhoDescriptor(TorusRhoPresentation(
+                           TorusParams(10 ** DIGITS // 2, 1))), SlopeTooLarge,
+                       "SlopeTooLarge (params): the slope's denominator has more than "
+                       f"{DIGITS} digits, too many to write as text"),
+    "abstract-tau-infinite": (lambda: abstract_tau(slope=ExtFraction(1, 0)), InfiniteSlope,
+                              "InfiniteSlope (slope): infinite slope does not present a "
+                              "rational 3-tangle"),
+    "abstract-tau-too-long": (lambda: abstract_tau(slope=ExtFraction(1, 10 ** DIGITS)),
+                              SlopeTooLarge,
+                              "SlopeTooLarge (slope): the slope's denominator has more than "
+                              f"{DIGITS} digits, too many to write as text"),
+    "abstract-rho-two-flags": (lambda: RhoDescriptor(AbstractRho(
+                                   atoroidal=True, trivial=False, satellite=True, cable=True)),
+                               MutualExclusivityViolation,
+                               "MutualExclusivity (satellite, cable): satellite, cable and "
+                               "hopf_summand are mutually exclusive"),
+    "abstract-tau-two-conflicts": (lambda: TauDescriptor(AbstractTau(
+                                       atoroidal=True, trivial=True, rational=True,
+                                       slope=ExtFraction(2, 5), unit_fraction_slope=True)),
+                                   InconsistentFlags,
+                                   "SlopeFlagMismatch (slope, unit_fraction_slope): slope 2/5 "
+                                   "has |numerator| != 1; TrivialFlagConflict (trivial, slope): "
+                                   "trivial must hold exactly for slope 0, slope is 2/5"),
+}
+
+
+@pytest.mark.parametrize("build,error,text", FIRST_VIOLATIONS.values(), ids=FIRST_VIOLATIONS)
+def test_resolve_raises_the_exception_of_the_first_violation(build, error, text):
+    side = build()
+    with pytest.raises(TritangleError) as caught:
+        resolve(side)
+    assert type(caught.value) is error
+    assert str(caught.value) == text == "; ".join(map(str, validate_descriptor(side)))
+
+
+@pytest.mark.parametrize("q", [1, -1])
+def test_torus_arc_slope_at_the_digit_limit(q):
+    at_limit = (10 ** DIGITS - 2) // 2  # 2p = 10**DIGITS - 2 has exactly DIGITS digits
+    t = resolve(RhoDescriptor(TorusRhoPresentation(TorusParams(at_limit, q))))
+    assert t.slope == ExtFraction(q, 2 * at_limit)
+    assert t.unit_fraction_slope and t.satellite
+    past_limit = 10 ** DIGITS // 2  # 2p = 10**DIGITS, one digit more; p itself still prints
+    side = RhoDescriptor(TorusRhoPresentation(TorusParams(past_limit, q)))
+    assert [(v.rule, v.fields) for v in validate_descriptor(side)] == [
+        ("SlopeTooLarge", ("params",))]
+    with pytest.raises(SlopeTooLarge, match="^SlopeTooLarge \\(params\\): "):
+        resolve(side)
 
 
 def test_validate_clean_rational():
