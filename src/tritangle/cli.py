@@ -1,7 +1,7 @@
 """Command-line surface: calculators, classification, catalog and census.
 
-``tangle``, ``classify`` and ``catalog NAME`` each build one record from the value they report
-and print it with ``_emit``: one JSON document with ``--json``, else ``key: value`` lines.
+``tangle``, ``classify`` and every ``catalog`` form each build one record from the value they
+report and print it with ``_emit``: one JSON document with ``--json``, else ``key: value`` lines.
 
 Exit codes: 0 success/classified, 1 a ``catalog --verify`` mismatch, 2 usage, input or
 output error, 3 inadmissible decomposition, 4 toroidal decomposition.
@@ -139,8 +139,6 @@ def cmd_classify(args) -> int:
 
 def cmd_catalog(args) -> int:
     from . import catalog as catalog_mod
-    if args.json and (args.verify or not args.name):  # the list and the report are text only
-        return _fail("--json works only with a NAME and without --verify")
     if args.verify:
         entries = catalog_mod.catalog_entries()
         if args.name:
@@ -148,16 +146,12 @@ def cmd_catalog(args) -> int:
             if not entries:
                 return _fail(f"no catalog entry named {args.name!r}")
         report = catalog_mod.catalog_verify(entries)
-        for row in report.rows:
-            state = {None: "stored", True: "pass", False: "FAIL"}[row.passed]
-            print(f"{row.name:<22} {state:<7} expected: {row.expected}")
-            if row.passed is False:
-                print(f"{'':<22} {'':<7} actual:   {row.actual}")
-        print(f"{report.checked} checked, {report.mismatches} mismatches")
-        if report.ok:
-            print("all entries match")
-            return EXIT_OK
-        return 1
+        result = {None: "stored", True: "pass", False: "FAIL"}
+        # one entry per row, its actual verdict only where it differs from the expected one
+        record = {row.name: {"result": result[row.passed], "expected": row.expected}
+                  | ({"actual": row.actual} if row.passed is False else {}) for row in report.rows}
+        _emit(record | {"checked": report.checked, "mismatches": report.mismatches}, args.json)
+        return EXIT_OK if report.ok else 1
     if args.name:
         try:
             entry = catalog_mod.catalog_get(args.name)
@@ -170,9 +164,8 @@ def cmd_catalog(args) -> int:
                "expected obstructions": [o.name for o in entry.expected_obstructions] or None,
                "decomposition": document}, args.json)
         return EXIT_OK
-    for entry in catalog_mod.catalog_entries():
-        expected = str(entry.expected) if entry.expected else "obstruction profile"
-        print(f"{entry.name:<22} {expected}")
+    _emit({entry.name: str(entry.expected) if entry.expected else "obstruction profile"
+           for entry in catalog_mod.catalog_entries()}, args.json)
     return EXIT_OK
 
 
@@ -227,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_catalog.add_argument("--verify", action="store_true",
                            help="re-derive every entry and report mismatches")
     p_catalog.add_argument("--json", action="store_true",
-                           help="the entry NAME as one JSON document (not with --verify)")
+                           help="machine-readable output")
     p_catalog.set_defaults(func=cmd_catalog)
 
     p_census = sub.add_parser("census", help="enumerate the counting rules as CSV")

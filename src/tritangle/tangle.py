@@ -275,9 +275,10 @@ def _rational(kind: str, twists: TwistVector) -> tuple[ResolvedTangle | None, li
     """A twist vector, evaluated once: its profile, or None, and its broken invariant."""
     value = cf_eval(twists)
     if value.is_infinite:
-        # an entry too long for str is counted, not written
-        vector = f"of {len(twists)} entries" if any(map(too_long_to_print, twists)) \
-            else list(twists)
+        # written out only if its text is at most 80 characters, which 27 entries or one entry
+        # of 80 digits (which str may refuse) already exceed
+        text = len(twists) < 27 and max(map(abs, twists)) < 10 ** 80 and str(list(twists))
+        vector = text if text and len(text) <= 80 else f"of {len(twists)} entries"
         return None, [Violation(
             "InfiniteSlope", ("twists",), f"twist vector {vector} evaluates to infinity")]
     if too_long_to_print(value.den):

@@ -31,6 +31,11 @@ def test_names_cover_the_table():
     assert {"4_1", "5_2", "6_8", "non_3_decomposable"} <= names
 
 
+def test_no_name_is_a_count_of_the_verify_report():
+    # the report's record puts its counts beside the entry names, under these two keys
+    assert not {"checked", "mismatches"} & set(catalog_names())
+
+
 def test_get_six_nine():
     entry = catalog_get("6_9")
     assert entry.provenance == DERIVED

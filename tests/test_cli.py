@@ -418,14 +418,50 @@ def test_abstract_tau_infinite_slope(capsys, tmp_path):
     assert err == f"error: InfiniteSlope (slope): {detail}\n"
 
 
+def test_tangle_infinite_twist_vector_too_long_to_write_is_counted(capsys, tmp_path):
+    # a vector is written out only when that takes at most 80 characters
+    side = {"kind": "tau", "presentation": {"rational": {"twists": [0] * 100_000}}}
+    code, out, err = run(capsys, "tangle", write_doc(tmp_path, "side.json", json.dumps(side)))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == ("error: InfiniteSlope (twists): "
+                   "twist vector of 100000 entries evaluates to infinity\n")
+
+
 # ---------------------------------------------------------------------------
 # catalog
+
+# one line per entry, each a line of JSON, then the two counts
+VERIFY_TEXT = """\
+4_1: {"result": "pass", "expected": "3 essential annuli [tautau (ii)]"}
+5_2: {"result": "pass", "expected": "inf essential annuli [tautau (i)]"}
+5_3: {"result": "pass", "expected": "hyperbolic [tautau (otherwise)]"}
+6_2: {"result": "pass", "expected": "hyperbolic [tautau (otherwise)]"}
+6_3: {"result": "pass", "expected": "hyperbolic [tautau (otherwise)]"}
+6_5: {"result": "pass", "expected": "hyperbolic [tautau (otherwise)]"}
+6_6: {"result": "pass", "expected": "hyperbolic [tautau (otherwise)]"}
+6_7: {"result": "pass", "expected": "hyperbolic [tautau (otherwise)]"}
+6_8: {"result": "stored", "expected": "hyperbolic"}
+6_9: {"result": "pass", "expected": "hyperbolic [taurho (hyperbolic)]"}
+7_17: {"result": "pass", "expected": "hyperbolic [tautau (otherwise)]"}
+7_18: {"result": "pass", "expected": "hyperbolic [tautau (otherwise)]"}
+7_21: {"result": "pass", "expected": "hyperbolic [tautau (otherwise)]"}
+7_23: {"result": "pass", "expected": "hyperbolic [tautau (otherwise)]"}
+7_26: {"result": "pass", "expected": "hyperbolic [taurho (hyperbolic)]"}
+7_27: {"result": "pass", "expected": "hyperbolic [tautau (otherwise)]"}
+7_33: {"result": "pass", "expected": "hyperbolic [tautau (otherwise)]"}
+7_37: {"result": "pass", "expected": "hyperbolic [taurho (hyperbolic)]"}
+7_57: {"result": "pass", "expected": "hyperbolic [tautau (otherwise)]"}
+7_58: {"result": "pass", "expected": "hyperbolic [tautau (otherwise)]"}
+non_3_decomposable: {"result": "pass", "expected": "NOT_3_DECOMPOSABLE_BY_ANNULUS_TYPES"}
+checked: 20
+mismatches: 0
+"""
+
 
 def test_catalog_verify_all_match(capsys):
     code, out, _ = run(capsys, "catalog", "--verify")
     assert code == EXIT_OK
-    assert "0 mismatches" in out
-    assert "all entries match" in out
+    assert out == VERIFY_TEXT
 
 
 def test_catalog_single_entry(capsys):
@@ -443,18 +479,19 @@ def test_catalog_lists_every_entry(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == EXIT_OK
     lines = out.splitlines()
-    assert [line.split()[0] for line in lines] == list(catalog_names())
+    assert [line.partition(": ")[0] for line in lines] == list(catalog_names())
     assert len(lines) == 21
     assert [line for line in lines if line.endswith("obstruction profile")] == [
-        f"{'non_3_decomposable':<22} obstruction profile"]
-    assert f"{'5_2':<22} inf essential annuli [tautau (i)]" in lines
+        "non_3_decomposable: obstruction profile"]
+    assert "5_2: inf essential annuli [tautau (i)]" in lines
 
 
 def test_catalog_verify_prefix_filter(capsys):
     code, out, _ = run(capsys, "catalog", "--verify", "7_")
     assert code == EXIT_OK
-    assert out.endswith("10 checked, 0 mismatches\nall entries match\n")
-    assert out.count(" pass ") == 10
+    assert out.count(': {"result": "pass", ') == 10
+    assert out == "".join(line for line in VERIFY_TEXT.splitlines(keepends=True)
+                          if line.startswith("7_")) + "checked: 10\nmismatches: 0\n"
     code, out, err = run(capsys, "catalog", "--verify", "zz")
     assert (code, out) == (EXIT_USAGE, "")
     assert err == "error: no catalog entry named 'zz'\n"
@@ -467,10 +504,28 @@ def test_catalog_verify_mismatch_exit_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "catalog", "--verify")
     assert code == 1
     assert out == (
-        f"{'5_2':<22} {'FAIL':<7} expected: 3 essential annuli [tautau (ii)]\n"
-        f"{'':<22} {'':<7} actual:   infinitely many essential annuli [tautau (i)]\n"
-        f"{'6_8':<22} {'stored':<7} expected: hyperbolic\n"
-        "1 checked, 1 mismatches\n")
+        '5_2: {"result": "FAIL", "expected": "3 essential annuli [tautau (ii)]", '
+        '"actual": "infinitely many essential annuli [tautau (i)]"}\n'
+        '6_8: {"result": "stored", "expected": "hyperbolic"}\n'
+        "checked: 1\n"
+        "mismatches: 1\n")
+    code, out, _ = run(capsys, "catalog", "--verify", "--json")
+    assert code == 1
+    assert out == """\
+{
+  "5_2": {
+    "result": "FAIL",
+    "expected": "3 essential annuli [tautau (ii)]",
+    "actual": "infinitely many essential annuli [tautau (i)]"
+  },
+  "6_8": {
+    "result": "stored",
+    "expected": "hyperbolic"
+  },
+  "checked": 1,
+  "mismatches": 1
+}
+"""
 
 
 def test_catalog_entry_json_export_parses(capsys):
@@ -500,13 +555,28 @@ def test_catalog_entry_json_export_is_indented(capsys):
         assert out == json.dumps(record, indent=2) + "\n"
 
 
-def test_catalog_json_refused_for_the_list_and_the_report(capsys):
-    # the list and the --verify report are text tables, so --json there is a usage error
-    for argv in (["catalog", "--json"], ["catalog", "--verify", "--json"],
-                 ["catalog", "--verify", "7_", "--json"]):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (EXIT_USAGE, "")
-        assert err == "error: --json works only with a NAME and without --verify\n"
+def test_catalog_list_json_is_the_record(capsys):
+    code, out, err = run(capsys, "catalog", "--json")
+    assert (code, err) == (EXIT_OK, "")
+    record = json.loads(out)
+    assert record == {entry.name: str(entry.expected) if entry.expected else "obstruction profile"
+                      for entry in catalog_mod.catalog_entries()}
+    assert out == json.dumps(record, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("prefix", ["", "7_", "6_8"])
+def test_catalog_verify_json_is_the_record(capsys, prefix):
+    # the report as one JSON object: each entry's result and expected verdict, then the counts
+    code, out, err = run(capsys, "catalog", "--verify", *([prefix] if prefix else []), "--json")
+    assert (code, err) == (EXIT_OK, "")
+    record = json.loads(out)
+    report = catalog_mod.catalog_verify(
+        [e for e in catalog_mod.catalog_entries() if e.name.startswith(prefix)])
+    result = {None: "stored", True: "pass", False: "FAIL"}
+    assert record == {**{row.name: {"result": result[row.passed], "expected": row.expected}
+                         for row in report.rows},
+                      "checked": report.checked, "mismatches": 0}
+    assert out == json.dumps(record, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -577,4 +647,4 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "tritangle", "catalog", "--verify"],
         capture_output=True, text=True)
     assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout.endswith("20 checked, 0 mismatches\nall entries match\n")
+    assert result.stdout == VERIFY_TEXT

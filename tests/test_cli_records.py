@@ -18,6 +18,7 @@ TOROIDAL = {"type": "taurho", "special": False, "tangles": [
     {"kind": "rho", "presentation": {"abstract": {
         "atoroidal": False, "trivial": False, "satellite": True}}}]}
 TORUS_SIDE = {"kind": "rho", "presentation": {"torus_rho": {"p": 3, "q": 2}}}
+RATIONAL_SIDE = {"kind": "tau", "presentation": {"rational": {"twists": [3, 0]}}}
 
 IRREDUCIBLE = ("irreducible: every 3-decomposable genus-two handlebody-knot is irreducible "
                "(asserted, not checked)")
@@ -28,7 +29,8 @@ SPECIAL_RHORHO_VIOLATION = ("SpecialRhoRho (special): a rho-rho decomposition ca
 def document(tmp_path, name: str) -> str:
     """A path to the document for a catalog entry or one of the documents above."""
     text = {"special_rhorho": json.dumps(SPECIAL_RHORHO), "toroidal": json.dumps(TOROIDAL),
-            "torus_side": json.dumps(TORUS_SIDE)}.get(name)
+            "torus_side": json.dumps(TORUS_SIDE),
+            "rational_side": json.dumps(RATIONAL_SIDE)}.get(name)
     if text is None:
         text = dumps_decomposition(catalog_get(name).decomposition)
     path = tmp_path / f"{name}.json"
@@ -207,3 +209,136 @@ good_rectangles:
   - rho type I*
 good_annulus: type I (satellite)
 """)
+
+
+# The --verify report of the full catalog: each entry's result and expected verdict (an actual
+# verdict only where the two differ), then the number of entries checked and of mismatches.
+VERIFY_JSON = """\
+{
+  "4_1": {
+    "result": "pass",
+    "expected": "3 essential annuli [tautau (ii)]"
+  },
+  "5_2": {
+    "result": "pass",
+    "expected": "inf essential annuli [tautau (i)]"
+  },
+  "5_3": {
+    "result": "pass",
+    "expected": "hyperbolic [tautau (otherwise)]"
+  },
+  "6_2": {
+    "result": "pass",
+    "expected": "hyperbolic [tautau (otherwise)]"
+  },
+  "6_3": {
+    "result": "pass",
+    "expected": "hyperbolic [tautau (otherwise)]"
+  },
+  "6_5": {
+    "result": "pass",
+    "expected": "hyperbolic [tautau (otherwise)]"
+  },
+  "6_6": {
+    "result": "pass",
+    "expected": "hyperbolic [tautau (otherwise)]"
+  },
+  "6_7": {
+    "result": "pass",
+    "expected": "hyperbolic [tautau (otherwise)]"
+  },
+  "6_8": {
+    "result": "stored",
+    "expected": "hyperbolic"
+  },
+  "6_9": {
+    "result": "pass",
+    "expected": "hyperbolic [taurho (hyperbolic)]"
+  },
+  "7_17": {
+    "result": "pass",
+    "expected": "hyperbolic [tautau (otherwise)]"
+  },
+  "7_18": {
+    "result": "pass",
+    "expected": "hyperbolic [tautau (otherwise)]"
+  },
+  "7_21": {
+    "result": "pass",
+    "expected": "hyperbolic [tautau (otherwise)]"
+  },
+  "7_23": {
+    "result": "pass",
+    "expected": "hyperbolic [tautau (otherwise)]"
+  },
+  "7_26": {
+    "result": "pass",
+    "expected": "hyperbolic [taurho (hyperbolic)]"
+  },
+  "7_27": {
+    "result": "pass",
+    "expected": "hyperbolic [tautau (otherwise)]"
+  },
+  "7_33": {
+    "result": "pass",
+    "expected": "hyperbolic [tautau (otherwise)]"
+  },
+  "7_37": {
+    "result": "pass",
+    "expected": "hyperbolic [taurho (hyperbolic)]"
+  },
+  "7_57": {
+    "result": "pass",
+    "expected": "hyperbolic [tautau (otherwise)]"
+  },
+  "7_58": {
+    "result": "pass",
+    "expected": "hyperbolic [tautau (otherwise)]"
+  },
+  "non_3_decomposable": {
+    "result": "pass",
+    "expected": "NOT_3_DECOMPOSABLE_BY_ANNULUS_TYPES"
+  },
+  "checked": 20,
+  "mismatches": 0
+}
+"""
+
+
+def test_catalog_verify_json_bytes(capsys):
+    assert run(capsys, "catalog", "--verify", "--json") == (0, VERIFY_JSON)
+
+
+def text_of(record: dict) -> str:
+    """The text form of a ``--json`` record: each top-level key gives its own line or lines.
+
+    A list gives ``key:`` and one ``  - item`` line per item (``key: none`` when empty), an
+    object one line of JSON, null no line, any other value ``key: value``.
+    """
+    lines = []
+    for key, value in record.items():
+        if value == []:
+            lines.append(f"{key}: none")
+        elif isinstance(value, list):
+            lines += [f"{key}:", *(f"  - {item}" for item in value)]
+        elif isinstance(value, dict):
+            lines.append(f"{key}: {json.dumps(value)}")
+        elif value is not None:
+            lines.append(f"{key}: {value}")
+    return "".join(f"{line}\n" for line in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tangle", "torus_side"], ["tangle", "rational_side"],
+    ["classify", "4_1"], ["classify", "6_9"], ["classify", "special_rhorho"],
+    ["classify", "toroidal"],
+    ["catalog"], ["catalog", "5_2"], ["catalog", "6_8"], ["catalog", "non_3_decomposable"],
+    ["catalog", "--verify"], ["catalog", "--verify", "7_"],
+], ids=" ".join)
+def test_text_is_the_json_record_line_by_line(capsys, tmp_path, argv):
+    if argv[0] != "catalog":
+        argv = [argv[0], document(tmp_path, argv[1])]
+    code, text = run(capsys, *argv)
+    json_code, out = run(capsys, *argv, "--json")
+    assert code == json_code
+    assert text == text_of(json.loads(out))

@@ -38,4 +38,5 @@ def test_run_census_past_the_cap_exits_two_before_creating_the_directory(tmp_pat
 def test_reproduce_tables_reports_no_mismatch():
     result = run_script("reproduce_tables.py")
     assert result.returncode == 0, result.stderr
-    assert "0 mismatches" in result.stdout
+    assert result.stdout.endswith("\nchecked: 20\nmismatches: 0\n")
+    assert result.stdout.count("\n") == 23  # 21 entries, then the two counts

@@ -409,6 +409,18 @@ def test_resolve_raises_the_exception_of_the_first_violation(build, error, text)
     assert str(caught.value) == text == "; ".join(map(str, validate_descriptor(side)))
 
 
+@pytest.mark.parametrize("twists,vector", [
+    ((0,) * 26, str([0] * 26)),  # 78 characters
+    ((0, 10 ** 74), f"[0, {10 ** 74}]"),  # 80 characters
+    ((0, 10 ** 75), "of 2 entries"),  # 81 characters
+    ((0,) * 24 + (1, -1, 0), "of 27 entries"),  # 82 characters
+    ((0, 10 ** DIGITS), "of 2 entries"),  # an entry str refuses
+])
+def test_infinite_twist_vector_written_out_only_within_80_characters(twists, vector):
+    assert [str(v) for v in validate_descriptor(rational_tau(*twists))] == [
+        f"InfiniteSlope (twists): twist vector {vector} evaluates to infinity"]
+
+
 @pytest.mark.parametrize("q", [1, -1])
 def test_torus_arc_slope_at_the_digit_limit(q):
     at_limit = (10 ** DIGITS - 2) // 2  # 2p = 10**DIGITS - 2 has exactly DIGITS digits
