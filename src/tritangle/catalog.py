@@ -3,9 +3,12 @@
 Each entry stores a decomposition (or an annulus profile for the
 non-3-decomposable example) together with the expected verdict, so the
 whole hyperbolicity table can be reproduced by running the classifier
-over the catalog.  The entry for 6_8 is a stored fact: its hyperbolicity
-is known but not through a 3-decomposition, so it carries no
-decomposition and is excluded from classifier-agreement checks.
+over the catalog.  The 19 entries with a decomposition share 6 distinct
+decompositions; the table states each once, with the names it stands
+for, and ``catalog_verify`` classifies each once.  The entry for 6_8 is
+a stored fact: its hyperbolicity is known but not through a
+3-decomposition, so it carries no decomposition and is excluded from
+classifier-agreement checks.
 """
 
 from __future__ import annotations
@@ -81,100 +84,56 @@ class CatalogEntry(NamedTuple):
         return STORED if self.decomposition is None else DERIVED
 
 
+_TAU = TauDescriptor(AbstractTau(atoroidal=True, trivial=False, rational=True))
+_TAU_NON_UNIT = TauDescriptor(AbstractTau(
+    atoroidal=True, trivial=False, rational=True, unit_fraction_slope=False))
+_HYPERBOLIC_TAUTAU = ExpectedVerdict(ZERO_ANNULI, BRANCH_TAUTAU_HYPERBOLIC)
+_HYPERBOLIC_TAURHO = ExpectedVerdict(ZERO_ANNULI, BRANCH_TAURHO_HYPERBOLIC)
+
+
 def _tau_rational(*twists: int) -> TauDescriptor:
     return TauDescriptor(RationalPresentation(twists))
 
 
-_TAU_RATIONAL_NON_UNIT = TauDescriptor(AbstractTau(
-    atoroidal=True, trivial=False, rational=True, unit_fraction_slope=False))
-_TAU_RATIONAL_UNSPECIFIED = TauDescriptor(AbstractTau(
-    atoroidal=True, trivial=False, rational=True))
+def _plain_rho(*twists: int) -> tuple[str, Decomposition]:
+    """The source text and decomposition of a tau-rho whose rho side is rational."""
+    return (f"tau-rho decomposition whose rho side is rational with slope "
+            f"{slope_normalize(cf_eval(twists))}: neither satellite nor cable, no Hopf summand",
+            Decomposition(TAURHO, False, _TAU, RhoDescriptor(RationalPresentation(twists))))
 
 
-def _special_tautau_non_unit(name: str) -> CatalogEntry:
-    return CatalogEntry(
-        name=name,
-        source="special tau-tau decomposition with one side rational "
-               "but not of unit-fraction slope",
-        decomposition=Decomposition(
-            kind=TAUTAU, special=True,
-            first=_TAU_RATIONAL_NON_UNIT, second=_TAU_RATIONAL_UNSPECIFIED),
-        expected=ExpectedVerdict(ZERO_ANNULI, BRANCH_TAUTAU_HYPERBOLIC),
-    )
+# Each distinct decomposition once: the names it stands for, its source text, the
+# decomposition and its expected verdict.
+_DECOMPOSITIONS = (
+    ("4_1", "special tau-tau decomposition with slopes 1/3 and -1/3",
+     Decomposition(TAUTAU, True, _tau_rational(3, 0), _tau_rational(-3, 0)),
+     ExpectedVerdict(AnnulusCount(3), BRANCH_TAUTAU_THREE)),
+    ("5_2", "special tau-tau decomposition with slopes 1/3 and 1/3",
+     Decomposition(TAUTAU, True, _tau_rational(3, 0), _tau_rational(3, 0)),
+     ExpectedVerdict(INFINITELY_MANY, BRANCH_TAUTAU_INFINITE)),
+    ("5_3 6_2 6_3 6_7 7_17 7_18 7_21 7_23 7_27 7_33 7_57 7_58",
+     "special tau-tau decomposition with one side rational but not of unit-fraction slope",
+     Decomposition(TAUTAU, True, _TAU_NON_UNIT, _TAU), _HYPERBOLIC_TAUTAU),
+    ("6_5 6_6", "tau-tau decomposition that is not special",
+     Decomposition(TAUTAU, False, _TAU, _TAU), _HYPERBOLIC_TAUTAU),
+    ("6_9 7_37", *_plain_rho(2, 1, 1, 1, -1), _HYPERBOLIC_TAURHO),
+    ("7_26", *_plain_rho(3, 2, 1, -1), _HYPERBOLIC_TAURHO),
+)
 
-
-def _nonspecial_tautau(name: str) -> CatalogEntry:
-    return CatalogEntry(
-        name=name,
-        source="tau-tau decomposition that is not special",
-        decomposition=Decomposition(
-            kind=TAUTAU, special=False,
-            first=_TAU_RATIONAL_UNSPECIFIED, second=_TAU_RATIONAL_UNSPECIFIED),
-        expected=ExpectedVerdict(ZERO_ANNULI, BRANCH_TAUTAU_HYPERBOLIC),
-    )
-
-
-def _taurho_plain_rho(name: str, *twists: int) -> CatalogEntry:
-    return CatalogEntry(
-        name=name,
-        source=f"tau-rho decomposition whose rho side is rational with slope "
-               f"{slope_normalize(cf_eval(twists))}: neither satellite nor cable, no Hopf summand",
-        decomposition=Decomposition(
-            kind=TAURHO, special=False,
-            first=_TAU_RATIONAL_UNSPECIFIED, second=RhoDescriptor(RationalPresentation(twists))),
-        expected=ExpectedVerdict(ZERO_ANNULI, BRANCH_TAURHO_HYPERBOLIC),
-    )
-
-
-_ENTRIES: tuple[CatalogEntry, ...] = (
+# in name order, which puts the stored fact and the obstruction entry where they belong
+_ENTRIES: tuple[CatalogEntry, ...] = tuple(sorted((
+    *(CatalogEntry(name, source, decomposition, expected)
+      for names, source, decomposition, expected in _DECOMPOSITIONS for name in names.split()),
+    CatalogEntry("6_8", "hyperbolic by an involution argument; no 3-decomposition data",
+                 expected=ExpectedVerdict(ZERO_ANNULI, None)),
     CatalogEntry(
-        name="4_1",
-        source="special tau-tau decomposition with slopes 1/3 and -1/3",
-        decomposition=Decomposition(
-            kind=TAUTAU, special=True,
-            first=_tau_rational(3, 0), second=_tau_rational(-3, 0)),
-        expected=ExpectedVerdict(AnnulusCount(3), BRANCH_TAUTAU_THREE),
-    ),
-    CatalogEntry(
-        name="5_2",
-        source="special tau-tau decomposition with slopes 1/3 and 1/3",
-        decomposition=Decomposition(
-            kind=TAUTAU, special=True,
-            first=_tau_rational(3, 0), second=_tau_rational(3, 0)),
-        expected=ExpectedVerdict(INFINITELY_MANY, BRANCH_TAUTAU_INFINITE),
-    ),
-    _special_tautau_non_unit("5_3"),
-    _special_tautau_non_unit("6_2"),
-    _special_tautau_non_unit("6_3"),
-    _nonspecial_tautau("6_5"),
-    _nonspecial_tautau("6_6"),
-    _special_tautau_non_unit("6_7"),
-    CatalogEntry(
-        name="6_8",
-        source="hyperbolic by an involution argument; no 3-decomposition data",
-        expected=ExpectedVerdict(ZERO_ANNULI, None),
-    ),
-    _taurho_plain_rho("6_9", 2, 1, 1, 1, -1),
-    _special_tautau_non_unit("7_17"),
-    _special_tautau_non_unit("7_18"),
-    _special_tautau_non_unit("7_21"),
-    _special_tautau_non_unit("7_23"),
-    _taurho_plain_rho("7_26", 3, 2, 1, -1),
-    _special_tautau_non_unit("7_27"),
-    _special_tautau_non_unit("7_33"),
-    _taurho_plain_rho("7_37", 2, 1, 1, 1, -1),
-    _special_tautau_non_unit("7_57"),
-    _special_tautau_non_unit("7_58"),
-    CatalogEntry(
-        name="non_3_decomposable",
-        source="atoroidal knot with two non-separating essential annuli, "
-               "neither of type 2",
+        "non_3_decomposable",
+        "atoroidal knot with two non-separating essential annuli, neither of type 2",
         profile=AnnulusProfile(
             nonseparating_count=2, nonseparating_all_type2=False,
             infinitely_many=False, in_family_L=False, atoroidal=True),
-        expected_obstructions=(Obstruction.NOT_3_DECOMPOSABLE_BY_ANNULUS_TYPES,),
-    ),
-)
+        expected_obstructions=(Obstruction.NOT_3_DECOMPOSABLE_BY_ANNULUS_TYPES,)),
+), key=lambda entry: entry.name))
 
 _BY_NAME = {entry.name: entry for entry in _ENTRIES}
 
@@ -218,7 +177,12 @@ class CatalogReport(NamedTuple):
 
 
 def catalog_verify(entries: Iterable[CatalogEntry] | None = None) -> CatalogReport:
-    """Run the classifier over every derived entry and compare to expectations."""
+    """Run the classifier over every derived entry and compare to expectations.
+
+    Entries whose decompositions are equal share one ``classify`` call, so the whole
+    catalog takes one per distinct decomposition.
+    """
+    verdicts: dict[Decomposition, Verdict] = {}
     rows = []
     for entry in (catalog_entries() if entries is None else entries):
         if entry.provenance == STORED:
@@ -229,7 +193,9 @@ def catalog_verify(entries: Iterable[CatalogEntry] | None = None) -> CatalogRepo
             expected = ", ".join(o.name for o in entry.expected_obstructions) or "none"
             actual = ", ".join(o.name for o in found) or "none"
         else:
-            verdict = classify(entry.decomposition)
+            verdict = verdicts.get(entry.decomposition)
+            if verdict is None:
+                verdict = verdicts[entry.decomposition] = classify(entry.decomposition)
             passed = entry.expected.matches(verdict)
             expected, actual = str(entry.expected), verdict.summary()
         rows.append(ReportRow(entry.name, passed, expected, actual))

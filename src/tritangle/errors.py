@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 
+def echo(text: str) -> str:
+    """Refused input as a message writes it: whole when at most 80 characters, else its length."""
+    return text if len(text) <= 80 else f"<{len(text)} characters>"
+
+
 class TritangleError(Exception):
     """Base class for every error raised by this package."""
 

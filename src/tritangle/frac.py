@@ -20,7 +20,7 @@ import re
 import sys
 from typing import Iterable, Sequence
 
-from .errors import InfiniteSlope, InfiniteValue, ZeroOverZero
+from .errors import InfiniteSlope, InfiniteValue, ZeroOverZero, echo
 from .value import Value
 
 TwistVector = tuple[int, ...]
@@ -191,5 +191,5 @@ def parse_fraction(text: str) -> ExtFraction:
     except ValueError as exc:  # keep the reason, drop the interpreter's advice to raise a limit
         raise ValueError(str(exc).partition(";")[0]) from None
     if not re.fullmatch(_FRACTION_TEXT, text):
-        raise ValueError(f'{text!r} is not "p/q" or "p" in ASCII digits')
+        raise ValueError(f'{echo(repr(text))} is not "p/q" or "p" in ASCII digits')
     return fraction

@@ -36,7 +36,7 @@ import re
 from itertools import accumulate
 from typing import Any
 
-from .errors import DocumentError, InvalidTorusParams, SlopeTooLarge, ZeroOverZero
+from .errors import DocumentError, InvalidTorusParams, SlopeTooLarge, ZeroOverZero, echo
 from .frac import MAX_STR_DIGITS, ExtFraction, parse_fraction, too_long_to_print
 from .tangle import (
     AbstractRho,
@@ -72,7 +72,7 @@ def _fields(obj: Any, path: str, required, allowed=None):
     allowed = allowed or required
     for key in obj:
         if key not in allowed:
-            raise DocumentError(f"{path}.{key}", "unknown field")
+            raise DocumentError(f"{path}.{echo(str(key))}", "unknown field")
     for key in required:
         if key not in obj:
             raise DocumentError(f"{path}.{key}", "required field is missing")
@@ -136,7 +136,7 @@ def parse_tangle(obj: Any, path: str = "tangle") -> Descriptor:
         _fields(obj, path, _TANGLE)
     kind, pres = obj["kind"], obj["presentation"]
     if kind not in (KIND_TAU, KIND_RHO):
-        raise DocumentError(f"{path}.kind", f'expected "tau" or "rho", got {kind!r}')
+        raise DocumentError(f"{path}.kind", f'expected "tau" or "rho", got {echo(repr(kind))}')
     if not isinstance(pres, dict):
         raise DocumentError(f"{path}.presentation",
                             f"expected an object, got {type(pres).__name__}")
@@ -177,7 +177,8 @@ def parse_tangle(obj: Any, path: str = "tangle") -> Descriptor:
         if flags.get("unit_fraction_slope", False) is None:  # the class reads null as unstated
             raise DocumentError(f"{at}.unit_fraction_slope", "expected a boolean")
     else:
-        raise DocumentError(f"{path}.presentation.{variant}", "unknown presentation variant")
+        raise DocumentError(f"{path}.presentation.{echo(str(variant))}",
+                            "unknown presentation variant")
     return (TauDescriptor if kind == KIND_TAU else RhoDescriptor)(presentation)
 
 
@@ -187,7 +188,7 @@ def parse_decomposition(obj: Any, path: str = "document") -> Decomposition:
     kind, special, tangles = obj["type"], obj["special"], obj["tangles"]
     if kind not in KINDS:
         raise DocumentError(f"{path}.type",
-                            f'expected "tautau", "taurho" or "rhorho", got {kind!r}')
+                            f'expected "tautau", "taurho" or "rhorho", got {echo(repr(kind))}')
     if type(special) is not bool:
         raise DocumentError(f"{path}.special", "expected a boolean")
     if not isinstance(tangles, list) or len(tangles) != 2:
@@ -201,7 +202,7 @@ def _unique_fields(pairs: list[tuple[str, Any]]) -> dict:
     if len(obj) < len(pairs):  # json.loads alone would keep the last value
         # the first key out of step with the deduplicated order is a repeat
         key = next((k for (k, _), kept in zip(pairs, obj) if k != kept), pairs[len(obj)][0])
-        raise DocumentError(f"field {key!r}", "occurs more than once in one object")
+        raise DocumentError(f"field {echo(repr(key))}", "occurs more than once in one object")
     return obj
 
 

@@ -8,6 +8,7 @@ from tritangle import (
     AnnulusCount,
     Decomposition,
     RationalPresentation,
+    RhoDescriptor,
     TauDescriptor,
     UnknownName,
     catalog_entries,
@@ -135,3 +136,34 @@ def test_rho_twist_vectors_have_the_documented_slopes():
     assert slope_normalize(cf_eval(seven_26.twists)) == ExtFraction(-3, 10)
     seven_37 = catalog_get("7_37").decomposition.second.presentation
     assert slope_normalize(cf_eval(seven_37.twists)) == ExtFraction(-3, 8)
+
+
+def test_verify_classifies_each_distinct_decomposition_once(monkeypatch):
+    import tritangle.catalog
+
+    calls = []
+
+    def counted(decomposition):
+        calls.append(decomposition)
+        return classify(decomposition)
+
+    monkeypatch.setattr(tritangle.catalog, "classify", counted)
+    assert catalog_verify().ok
+    assert len(calls) == 6
+    assert len(set(calls)) == 6
+
+
+def test_a_corrupted_decomposition_fails_alone_beside_an_entry_that_shared_it():
+    # 6_9 and 7_37 share one decomposition; give 6_9 a Hopf tangle (slope 1/2) as its rho side
+    entries = [entry._replace(decomposition=entry.decomposition._replace(
+                   second=RhoDescriptor(RationalPresentation((2, 0)))))
+               if entry.name == "6_9" else entry for entry in catalog_entries()]
+    report = catalog_verify(entries)
+    assert [row.name for row in report.rows if row.passed is False] == ["6_9"]
+    assert {row.name: row.passed for row in report.rows}["7_37"] is True
+    assert report.checked == 20
+
+
+def test_verify_reports_entries_in_the_order_given():
+    forward = catalog_verify().rows
+    assert catalog_verify(list(reversed(catalog_entries()))).rows == forward[::-1]

@@ -283,6 +283,38 @@ def test_hostile_documents_exit_two(capsys, tmp_path):
             assert "error:" in err
 
 
+LONG = "x" * 200_000
+RATIONAL_TAU = {"kind": "tau", "presentation": {"rational": {"twists": [3, 0]}}}
+
+
+def tautau_with(first=RATIONAL_TAU, **fields) -> str:
+    return json.dumps({"type": "tautau", "special": False, "tangles": [first, RATIONAL_TAU],
+                       **fields})
+
+
+@pytest.mark.parametrize("doc, line", [
+    (tautau_with(type=LONG),
+     'document.type: expected "tautau", "taurho" or "rhorho", got <200002 characters>'),
+    (tautau_with(type=list(range(40_000))),
+     'document.type: expected "tautau", "taurho" or "rhorho", got <268890 characters>'),
+    (tautau_with({"kind": LONG, "presentation": {}}),
+     'document.tangles[0].kind: expected "tau" or "rho", got <200002 characters>'),
+    (tautau_with(**{LONG: 1}), "document.<200000 characters>: unknown field"),
+    (tautau_with({"kind": "tau", "presentation": {LONG: {}}}),
+     "document.tangles[0].presentation.<200000 characters>: unknown presentation variant"),
+    (f'{{"{LONG}": 1, "{LONG}": 1}}',
+     "field <200002 characters>: occurs more than once in one object"),
+    (tautau_with({"kind": "tau", "presentation": {"abstract": {
+        "atoroidal": True, "trivial": False, "rational": True, "slope": "1" + " " * 200_000}}}),
+     "document.tangles[0].presentation.abstract.slope: not a valid fraction: "
+     '<200003 characters> is not "p/q" or "p" in ASCII digits'),
+], ids=["type", "type-list", "kind", "field", "variant", "repeated-field", "slope"])
+def test_a_long_refused_value_is_written_as_its_length(capsys, tmp_path, doc, line):
+    code, out, err = run(capsys, "classify", write_doc(tmp_path, "long.json", doc))
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {line}\n")
+    assert len(err.encode("utf-8")) <= 200
+
+
 # ---------------------------------------------------------------------------
 # values within jsonio's literal limit whose results have too many digits to print
 

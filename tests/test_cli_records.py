@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
-from tritangle.catalog import catalog_get
+from tritangle.catalog import catalog_get, catalog_names
 from tritangle.cli import main
 from tritangle.jsonio import dumps_decomposition
 
@@ -307,6 +308,16 @@ VERIFY_JSON = """\
 
 def test_catalog_verify_json_bytes(capsys):
     assert run(capsys, "catalog", "--verify", "--json") == (0, VERIFY_JSON)
+
+
+def test_every_catalog_entry_is_pinned(capsys):
+    # each entry's text then its --json record, in table order; any change to an entry's
+    # output changes the digest
+    text = "".join(run(capsys, "catalog", name, *json_flag)[1]
+                   for name in catalog_names() for json_flag in ((), ("--json",)))
+    assert len(text) == 23_940
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "548f989b9601d3a05e2f41dc7e3054a61ccc707daf8f0f8257139a7afed37176")
 
 
 def text_of(record: dict) -> str:

@@ -433,8 +433,12 @@ _TWISTS = "document.tangles[0].presentation.rational.twists"
      "document.tangles[0].kind: required field is missing"),
     (_with_first({"kind": "tau", "presentation": [3, 0]}),
      "document.tangles[0].presentation: expected an object, got list"),
+    ({**GOOD_DOC, 1: 2}, "document.1: unknown field"),
+    (_with_first({"kind": "tau", "presentation": {7: {}}}),
+     "document.tangles[0].presentation.7: unknown presentation variant"),
 ], ids=["dict-subclass", "missing-in-subclass", "int-enum", "bool", "float", "extra-key",
-        "missing-twists", "missing-kind", "non-object-presentation"])
+        "missing-twists", "missing-kind", "non-object-presentation", "int-field-name",
+        "int-variant-name"])
 def test_fault_off_the_fast_path_keeps_its_path_and_message(doc, error):
     with pytest.raises(DocumentError) as err:
         parse_decomposition(doc)
