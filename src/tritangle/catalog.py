@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .errors import UnknownName
+from .errors import UnknownName, echo
 from .frac import cf_eval, slope_normalize
 from .tangle import (
     AbstractTau,
@@ -150,7 +150,7 @@ def catalog_get(name: str) -> CatalogEntry:
     try:
         return _BY_NAME[name]
     except KeyError:
-        raise UnknownName(f"no catalog entry named {name!r}") from None
+        raise UnknownName(f"no catalog entry named {echo(repr(name))}") from None
 
 
 class ReportRow(NamedTuple):

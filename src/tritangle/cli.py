@@ -3,8 +3,12 @@
 ``tangle``, ``classify`` and every ``catalog`` form each build one record from the value they
 report and print it with ``_emit``: one JSON document with ``--json``, else ``key: value`` lines.
 
+A command refuses by raising ``TritangleError``; ``main`` alone writes the refusal as one
+``error:`` line on standard error and exits 2, as it does when standard output cannot be written.
+
 Exit codes: 0 success/classified, 1 a ``catalog --verify`` mismatch, 2 usage, input or
-output error, 3 inadmissible decomposition, 4 toroidal decomposition.
+output error (a closed or full standard output included), 3 inadmissible decomposition,
+4 toroidal decomposition.
 """
 
 from __future__ import annotations
@@ -13,18 +17,11 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 # catalog, census and rect are imported by the subcommands that use them, so that cf and
 # classify start without building the catalog
 from .annuli import good_annulus
-from .errors import (
-    BoundsTooLarge,
-    DocumentError,
-    NotApplicable,
-    TritangleError,
-    UnknownName,
-)
+from .errors import DocumentError, NotApplicable, TritangleError
 from .frac import MAX_STR_DIGITS, cf_eval, cf_expand, parse_fraction, slope_normalize, \
     too_long_to_print
 from .jsonio import (
@@ -41,19 +38,14 @@ EXIT_INADMISSIBLE = 3
 EXIT_TOROIDAL = 4
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def cmd_cf(args) -> int:
     value = cf_eval(args.twists)
     if value.is_infinite:
-        return _fail("twist vector evaluates to infinity; "
-                     "it does not present a rational 3-tangle")
+        raise TritangleError("twist vector evaluates to infinity; "
+                             "it does not present a rational 3-tangle")
     if too_long_to_print(value.num) or too_long_to_print(value.den):
-        return _fail(f"the twist vector's value has more than {MAX_STR_DIGITS} digits, "
-                     "too many to write as text")
+        raise TritangleError(f"the twist vector's value has more than {MAX_STR_DIGITS} digits, "
+                             "too many to write as text")
     slope = slope_normalize(value)
     marker = " [Hopf rho]" if slope == HOPF_SLOPE else ""
     print(f"{value} (slope {slope}){marker}")
@@ -64,9 +56,7 @@ def cmd_expand(args) -> int:
     try:
         fraction = parse_fraction(args.fraction)
     except (ValueError, TritangleError) as exc:
-        return _fail(f"not a valid fraction: {exc}")
-    if fraction.is_infinite:
-        return _fail("cannot expand the infinite slope")
+        raise TritangleError(f"not a valid fraction: {exc}") from None
     print(" ".join(str(a) for a in cf_expand(fraction)))
     return EXIT_OK
 
@@ -74,7 +64,8 @@ def cmd_expand(args) -> int:
 def _read(path: str) -> str:
     """The text of a document file; an unreadable or non-UTF-8 file is a DocumentError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except OSError as exc:
         raise DocumentError(path, exc.strerror or str(exc)) from None
     except UnicodeDecodeError as exc:
@@ -103,10 +94,7 @@ def _emit(record: dict, as_json: bool):
 
 def cmd_tangle(args) -> int:
     from .rect import rect_types_rho, rect_types_tau
-    try:
-        t = resolve(loads_tangle(_read(args.file)))
-    except TritangleError as exc:
-        return _fail(str(exc))
+    t = resolve(loads_tangle(_read(args.file)))
     # the profile's fields in field order, which is printing order, each None left out
     record = {key: value for key, value in t._asdict().items() if value is not None}
     if t.torus is not None:  # the str of TorusParams is its repr
@@ -126,11 +114,7 @@ def cmd_tangle(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        decomposition = loads_decomposition(_read(args.file))
-    except DocumentError as exc:
-        return _fail(str(exc))
-    v = classify(decomposition)
+    v = classify(loads_decomposition(_read(args.file)))
     # the verdict's fields overwrite status in place, so summary stays right after it
     _emit({"status": v.status, "summary": v.summary()} | v._asdict(), args.json)
     return {CLASSIFIED: EXIT_OK, INADMISSIBLE: EXIT_INADMISSIBLE,
@@ -144,7 +128,7 @@ def cmd_catalog(args) -> int:
         if args.name:
             entries = [e for e in entries if e.name.startswith(args.name)]
             if not entries:
-                return _fail(f"no catalog entry named {args.name!r}")
+                catalog_mod.catalog_get(args.name)  # refuses the prefix in the lookup's words
         report = catalog_mod.catalog_verify(entries)
         result = {None: "stored", True: "pass", False: "FAIL"}
         # one entry per row, its actual verdict only where it differs from the expected one
@@ -153,10 +137,7 @@ def cmd_catalog(args) -> int:
         _emit(record | {"checked": report.checked, "mismatches": report.mismatches}, args.json)
         return EXIT_OK if report.ok else 1
     if args.name:
-        try:
-            entry = catalog_mod.catalog_get(args.name)
-        except UnknownName as exc:
-            return _fail(str(exc))
+        entry = catalog_mod.catalog_get(args.name)
         document = entry.decomposition and serialize_decomposition(entry.decomposition)
         _emit({"name": entry.name, "provenance": entry.provenance, "source": entry.source,
                "expected": entry.expected and str(entry.expected),
@@ -171,17 +152,14 @@ def cmd_catalog(args) -> int:
 
 def cmd_census(args) -> int:
     from .census import census_csv, run_census
-    try:
-        rows = run_census(args.type, args.max_denominator)
-    except BoundsTooLarge as exc:
-        return _fail(str(exc))
-    text = census_csv(rows)
+    text = census_csv(run_census(args.type, args.max_denominator))
     if args.out:
         try:
             # newline="" keeps the CSV byte-identical across platforms
-            Path(args.out).write_text(text, encoding="utf-8", newline="")
-        except OSError as exc:
-            return _fail(f"{args.out}: {exc.strerror or exc}")
+            with open(args.out, "w", encoding="utf-8", newline="") as file:
+                file.write(text)
+        except OSError as exc:  # a write error carries no filename, so it is named here
+            raise TritangleError(f"{args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -236,12 +214,17 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
-        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-    except BrokenPipeError:
+        sys.stdout.flush()  # a closed pipe or a full device shows here, not at interpreter exit
+        return code
+    except TritangleError as exc:
+        message = str(exc)
+    except OSError as exc:  # every file a command opens turns its OSError into a refusal
         # as in the Python docs' SIGPIPE note: the flush at exit must not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return _fail("standard output was closed before all output was written")
-    return code
+        message = ("standard output was closed before all output was written"
+                   if isinstance(exc, BrokenPipeError) else f"standard output: {exc.strerror}")
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -185,11 +185,10 @@ _FRACTION_TEXT = r"-?[0-9]+(?:/[0-9]+)?"
 def parse_fraction(text: str) -> ExtFraction:
     """Parse "p/q" or "p" of ASCII digits, with "-" as the only sign, into an ExtFraction; it
     need not be reduced.  Other text raises ``ValueError``, and "0/0" ``ZeroOverZero``."""
-    head, slash, tail = text.partition("/")
-    try:
-        fraction = ExtFraction(int(head), int(tail) if slash else 1)
-    except ValueError as exc:  # keep the reason, drop the interpreter's advice to raise a limit
-        raise ValueError(str(exc).partition(";")[0]) from None
     if not re.fullmatch(_FRACTION_TEXT, text):
         raise ValueError(f'{echo(repr(text))} is not "p/q" or "p" in ASCII digits')
-    return fraction
+    head, slash, tail = text.partition("/")
+    try:
+        return ExtFraction(int(head), int(tail) if slash else 1)
+    except ValueError as exc:  # too many digits: keep the reason, drop the advice to raise a limit
+        raise ValueError(str(exc).partition(";")[0]) from None

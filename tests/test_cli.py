@@ -13,6 +13,7 @@ from tritangle import catalog as catalog_mod
 from tritangle.cli import main
 from tritangle.jsonio import dumps_decomposition, parse_decomposition
 from tritangle.catalog import catalog_get, catalog_names
+from tritangle.errors import InfiniteValue
 
 EXIT_OK, EXIT_USAGE, EXIT_INADMISSIBLE, EXIT_TOROIDAL = 0, 2, 3, 4
 
@@ -308,11 +309,46 @@ def tautau_with(first=RATIONAL_TAU, **fields) -> str:
         "atoroidal": True, "trivial": False, "rational": True, "slope": "1" + " " * 200_000}}}),
      "document.tangles[0].presentation.abstract.slope: not a valid fraction: "
      '<200003 characters> is not "p/q" or "p" in ASCII digits'),
-], ids=["type", "type-list", "kind", "field", "variant", "repeated-field", "slope"])
+    # int() would refuse this one too, and its own text cuts the echo only at 200 characters
+    (tautau_with({"kind": "tau", "presentation": {"abstract": {
+        "atoroidal": True, "trivial": False, "rational": True, "slope": LONG}}}),
+     "document.tangles[0].presentation.abstract.slope: not a valid fraction: "
+     '<200002 characters> is not "p/q" or "p" in ASCII digits'),
+], ids=["type", "type-list", "kind", "field", "variant", "repeated-field", "slope",
+        "slope-letters"])
 def test_a_long_refused_value_is_written_as_its_length(capsys, tmp_path, doc, line):
     code, out, err = run(capsys, "classify", write_doc(tmp_path, "long.json", doc))
     assert (code, out, err) == (EXIT_USAGE, "", f"error: {line}\n")
     assert len(err.encode("utf-8")) <= 200
+
+
+@pytest.mark.parametrize("flags", [[], ["--verify"]], ids=["name", "verify-prefix"])
+def test_a_long_catalog_name_is_written_as_its_length(capsys, flags):
+    code, out, err = run(capsys, "catalog", *flags, "x" * 100_000)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: no catalog entry named <100002 characters>\n"
+    assert len(err.encode("utf-8")) <= 200
+
+
+# ---------------------------------------------------------------------------
+# main is the one place a refusal becomes an error line and exit 2
+
+def _refuse(*_):
+    raise InfiniteValue("refused by the engine")
+
+
+@pytest.mark.parametrize("engine, argv", [
+    ("tritangle.cli.classify", ["classify", "4_1.json"]),
+    ("tritangle.cli.resolve", ["tangle", "tau.json"]),
+    ("tritangle.census.run_census", ["census", "tautau"]),
+], ids=["classify", "tangle", "census"])
+def test_any_refusal_of_a_command_is_one_error_line_and_exit_two(
+        capsys, monkeypatch, tmp_path, engine, argv):
+    write_doc(tmp_path, "4_1.json", dumps_decomposition(catalog_get("4_1").decomposition))
+    write_doc(tmp_path, "tau.json", json.dumps(RATIONAL_TAU))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(engine, _refuse)
+    assert run(capsys, *argv) == (EXIT_USAGE, "", "error: refused by the engine\n")
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,18 @@ def test_census_to_a_reader_that_stops_after_the_header(tritangle):
     assert (code, err) in ((0, ""), (2, CLOSED_PIPE))
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["cf", "3", "0"], ["census", "tautau"], ["catalog", "--verify", "--json"],
+], ids=["cf", "census", "catalog"])
+def test_a_full_standard_output_is_one_error_line_and_exit_two(tritangle, argv):
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([*tritangle, *argv], stdout=full, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (
+        2, "error: standard output: No space left on device\n")
+
+
 def test_abstract_flag_of_another_type_is_refused_with_its_path(tritangle, tmp_path):
     path = write(tmp_path, "flag.json", {"type": "tautau", "special": False, "tangles": [
         {"kind": "tau", "presentation": {"abstract": {

@@ -99,3 +99,14 @@ def test_no_module_imports_dataclasses():
                           capture_output=True, text=True, timeout=60, check=True)
     assert "tritangle.catalog" in modules
     assert done.stdout == "[]\n"
+
+
+def test_cli_imports_no_pathlib():
+    # -S as well as -I: a site hook may load pathlib before the package is imported
+    probe = ("import sys\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "import tritangle.cli\n"
+             "print('pathlib' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "False\n"
