@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .errors import BoundsTooLarge
+from .errors import BoundsTooLarge, echo
 from .tangle import RationalPresentation, RhoDescriptor, TauDescriptor, TorusParams, \
     TorusRhoPresentation, examine
 from .verdict import KINDS, RHORHO, RULES, TAURHO, TAUTAU, Decomposition, side_facts
@@ -79,7 +79,7 @@ _LAYOUT = {TAUTAU: (True, _SIGNED_TAU, _SIGNED_TAU),
 
 def _layout(kind: str) -> tuple:
     if kind not in KINDS:
-        raise ValueError(f"unknown census kind {kind!r}")
+        raise ValueError(f"unknown census kind {echo(repr(kind))}")
     return _LAYOUT[kind]
 
 

@@ -21,7 +21,7 @@ import sys
 # catalog, census and rect are imported by the subcommands that use them, so that cf and
 # classify start without building the catalog
 from .annuli import good_annulus
-from .errors import DocumentError, NotApplicable, TritangleError
+from .errors import DocumentError, NotApplicable, TritangleError, echo
 from .frac import MAX_STR_DIGITS, cf_eval, cf_expand, parse_fraction, slope_normalize, \
     too_long_to_print
 from .jsonio import (
@@ -36,6 +36,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INADMISSIBLE = 3
 EXIT_TOROIDAL = 4
+
+# Linux's PATH_MAX: a refused path that could name a file is written whole, and only a longer
+# one, which open refuses as too long, is written as its length
+_PATH_MAX = 4096
 
 
 def cmd_cf(args) -> int:
@@ -67,9 +71,10 @@ def _read(path: str) -> str:
         with open(path, encoding="utf-8") as file:
             return file.read()
     except OSError as exc:
-        raise DocumentError(path, exc.strerror or str(exc)) from None
+        reason = exc.strerror or str(exc)
     except UnicodeDecodeError as exc:
-        raise DocumentError(path, f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+    raise DocumentError(echo(path, _PATH_MAX), reason)
 
 
 def _emit(record: dict, as_json: bool):
@@ -153,13 +158,13 @@ def cmd_catalog(args) -> int:
 def cmd_census(args) -> int:
     from .census import census_csv, run_census
     text = census_csv(run_census(args.type, args.max_denominator))
-    if args.out:
+    if args.out is not None:  # an empty name is refused by open, not taken as no option
         try:
             # newline="" keeps the CSV byte-identical across platforms
             with open(args.out, "w", encoding="utf-8", newline="") as file:
                 file.write(text)
         except OSError as exc:  # a write error carries no filename, so it is named here
-            raise TritangleError(f"{args.out}: {exc.strerror or exc}") from None
+            raise TritangleError(f"{echo(args.out, _PATH_MAX)}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -197,8 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_catalog.add_argument("name", nargs="?", help="entry name, e.g. 6_9; with --verify, a prefix")
     p_catalog.add_argument("--verify", action="store_true",
                            help="re-derive every entry and report mismatches")
-    p_catalog.add_argument("--json", action="store_true",
-                           help="machine-readable output")
+    p_catalog.add_argument("--json", action="store_true", help="machine-readable output")
     p_catalog.set_defaults(func=cmd_catalog)
 
     p_census = sub.add_parser("census", help="enumerate the counting rules as CSV")

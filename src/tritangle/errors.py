@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 
-def echo(text: str) -> str:
-    """Refused input as a message writes it: whole when at most 80 characters, else its length."""
-    return text if len(text) <= 80 else f"<{len(text)} characters>"
+def echo(text: str, limit: int = 80) -> str:
+    """Refused input as a message writes it: whole up to ``limit`` characters, else its length."""
+    return text if len(text) <= limit else f"<{len(text)} characters>"
 
 
 class TritangleError(Exception):

@@ -49,7 +49,6 @@ from .tangle import (
     TauDescriptor,
     TorusParams,
     TorusRhoPresentation,
-    _trusted_rational,
 )
 from .verdict import KINDS, Decomposition
 
@@ -58,18 +57,19 @@ from .verdict import KINDS, Decomposition
 # an object's keys in one C call
 _DOCUMENT, _TANGLE, _RATIONAL, _TORUS = (dict.fromkeys(names).keys() for names in (
     ("type", "special", "tangles"), ("kind", "presentation"), ("twists",), ("p", "q")))
-_INT_ONLY = frozenset({int})  # holds the types of a list's entries iff each is a plain int
 
 
-# Each parser compares an exact dict's keys with its schema in one C call and checks twist types
-# inline; _fields and the per-index loop run only to name a fault, or for a dict or list subclass
-# built in Python.  An abstract flag's type is checked by its class alone.
+# jsonio checks only JSON's shape: the value classes own the rules of their fields (twist
+# entries, torus parameters, abstract flags), and their TypeError's field names the path.
 
-def _fields(obj: Any, path: str, required, allowed=None):
+def _fields(obj: Any, path: str, required, allowed=None, below: str = ""):
     """Refuse all but an object with every ``required`` field and none outside ``allowed``."""
+    allowed = allowed or required
+    if type(obj) is dict and required <= obj.keys() <= allowed:
+        return  # a schema document's object: its keys compared in C, no loop
+    path += below  # the object's path, joined only to name a fault
     if not isinstance(obj, dict):
         raise DocumentError(path, f"expected an object, got {type(obj).__name__}")
-    allowed = allowed or required
     for key in obj:
         if key not in allowed:
             raise DocumentError(f"{path}.{echo(str(key))}", "unknown field")
@@ -88,8 +88,7 @@ def _slope(value: Any, path: str) -> ExtFraction:
 
 
 def _torus(obj: Any, path: str) -> TorusParams:
-    if type(obj) is not dict or obj.keys() != _TORUS:
-        _fields(obj, path, _TORUS)
+    _fields(obj, path, _TORUS)
     try:
         return TorusParams(obj["p"], obj["q"])
     except TypeError as exc:  # the first value that is not an integer, in TorusParams' order
@@ -132,8 +131,7 @@ _ABSTRACT = {KIND_TAU: _abstract_schema(AbstractTau), KIND_RHO: _abstract_schema
 
 
 def parse_tangle(obj: Any, path: str = "tangle") -> Descriptor:
-    if type(obj) is not dict or obj.keys() != _TANGLE:
-        _fields(obj, path, _TANGLE)
+    _fields(obj, path, _TANGLE)
     kind, pres = obj["kind"], obj["presentation"]
     if kind not in (KIND_TAU, KIND_RHO):
         raise DocumentError(f"{path}.kind", f'expected "tau" or "rho", got {echo(repr(kind))}')
@@ -145,18 +143,15 @@ def parse_tangle(obj: Any, path: str = "tangle") -> Descriptor:
                             "exactly one presentation variant is required")
     (variant, body), = pres.items()
     if variant == "rational":
-        if type(body) is not dict or body.keys() != _RATIONAL:
-            _fields(body, f"{path}.presentation.rational", _RATIONAL)
-        twists = body["twists"]
-        if type(twists) is not list or not _INT_ONLY.issuperset(map(type, twists)):
-            if not isinstance(twists, list):
-                raise DocumentError(f"{path}.presentation.rational.twists",
-                                    "expected a list of integers")
-            for i, a in enumerate(twists):
-                if type(a) is not int:  # also rejects bool
-                    raise DocumentError(f"{path}.presentation.rational.twists[{i}]",
-                                        "expected an integer")
-        presentation = _trusted_rational(tuple(twists))  # each entry is checked above
+        _fields(body, path, _RATIONAL, below=".presentation.rational")
+        if not isinstance(body["twists"], list):
+            raise DocumentError(f"{path}.presentation.rational.twists",
+                                "expected a list of integers")
+        try:
+            presentation = RationalPresentation(body["twists"])
+        except TypeError as exc:  # the first entry that is not an integer
+            raise DocumentError(f"{path}.presentation.rational.{exc.field}",
+                                "expected an integer") from None
     elif variant == "torus_rho":
         if kind != KIND_RHO:
             raise DocumentError(f"{path}.presentation.torus_rho",
@@ -165,8 +160,7 @@ def parse_tangle(obj: Any, path: str = "tangle") -> Descriptor:
     elif variant == "abstract":
         cls, _, required, names = _ABSTRACT[kind]
         at = f"{path}.presentation.abstract"
-        if type(body) is not dict or not required <= body.keys() <= names:
-            _fields(body, at, required, names)
+        _fields(body, at, required, names)
         flags = dict(body)
         for name in _READ_FLAG.keys() & flags.keys():  # slope or torus, read first
             flags[name] = _READ_FLAG[name](flags[name], f"{at}.{name}")
@@ -183,8 +177,7 @@ def parse_tangle(obj: Any, path: str = "tangle") -> Descriptor:
 
 
 def parse_decomposition(obj: Any, path: str = "document") -> Decomposition:
-    if type(obj) is not dict or obj.keys() != _DOCUMENT:
-        _fields(obj, path, _DOCUMENT)
+    _fields(obj, path, _DOCUMENT)
     kind, special, tangles = obj["type"], obj["special"], obj["tangles"]
     if kind not in KINDS:
         raise DocumentError(f"{path}.type",

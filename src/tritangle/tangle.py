@@ -25,7 +25,6 @@ violations, or the profile with the violations raised as exceptions.
 from __future__ import annotations
 
 import math
-import operator
 import typing
 
 from .errors import (
@@ -46,6 +45,9 @@ KIND_RHO = "rho"
 HOPF_SLOPE = ExtFraction(1, 2)
 
 
+_INT_ONLY = frozenset({int})  # holds the types of a sequence's entries iff each is a plain int
+
+
 def _type_error(owner: str, name: str, expected: str, value) -> TypeError:
     error = TypeError(f"{owner}.{name} must be {expected}, got {type(value).__name__}")
     error.field = name  # a caller such as jsonio reports the refused value at its own path
@@ -64,7 +66,7 @@ class TorusParams(Value):
 
     def __init__(self, p: int, q: int):
         for name, value in (("p", p), ("q", q)):
-            if not isinstance(value, int) or isinstance(value, bool):
+            if type(value) is not int:  # the one integer rule: no bool, no int subclass
                 raise _type_error("TorusParams", name, "an int", value)
             if too_long_to_print(value):  # the notes and documents write p and q as text
                 raise InvalidTorusParams(f"torus parameter {name} has more than "
@@ -99,17 +101,10 @@ class RationalPresentation(Value):
 
     def __init__(self, twists: TwistVector):
         twists = tuple(twists)
-        if bool in map(type, twists):  # operator.index(True) is 1
-            raise TypeError("a twist entry must be an integer, not a bool")
-        # operator.index, not int: int(3.9) would quietly present the twist 3
-        object.__setattr__(self, "twists", tuple(map(operator.index, twists)))
-
-
-def _trusted_rational(twists: TwistVector) -> RationalPresentation:
-    """Trusted: a tuple of plain ints, unchecked (as ``frac._canonical``)."""
-    p = object.__new__(RationalPresentation)
-    object.__setattr__(p, "twists", twists)
-    return p
+        if not _INT_ONLY.issuperset(map(type, twists)):  # one C-level scan of the entries
+            i, entry = next((i, a) for i, a in enumerate(twists) if type(a) is not int)
+            raise _type_error("RationalPresentation", f"twists[{i}]", "an int", entry)
+        object.__setattr__(self, "twists", twists)
 
 
 class TorusRhoPresentation(Value):
@@ -118,14 +113,17 @@ class TorusRhoPresentation(Value):
     __slots__ = ("params",)
 
     def __init__(self, params: TorusParams):
+        if not isinstance(params, TorusParams):
+            raise _type_error("TorusRhoPresentation", "params", "TorusParams", params)
         object.__setattr__(self, "params", params)
 
 
 def _set_flags(flags, values: tuple):
-    """Store ``values`` in ``flags``; the first one ``_types`` refuse raises, as ``_texts`` say."""
+    """Store ``values`` in ``flags``; the first one ``_types`` refuse raises, naming them."""
     for name, value, allowed in zip(flags.__slots__, values, flags._types):
         if not isinstance(value, allowed):
-            raise _type_error(type(flags).__name__, name, flags._texts[name], value)
+            expected = " | ".join([t.__name__ for t in allowed]).replace("NoneType", "None")
+            raise _type_error(type(flags).__name__, name, expected, value)
         object.__setattr__(flags, name, value)
 
 
@@ -134,7 +132,6 @@ class AbstractTau(Value):
 
     __slots__ = ("atoroidal", "trivial", "rational", "slope", "unit_fraction_slope")
     _types = ((bool,), (bool,), (bool,), (ExtFraction, type(None)), (bool, type(None)))
-    _texts = dict(zip(__slots__, ("bool", "bool", "bool", "ExtFraction | None", "bool | None")))
 
     def __init__(self, atoroidal: bool, trivial: bool, rational: bool,
                  slope: ExtFraction | None = None, unit_fraction_slope: bool | None = None):
@@ -147,7 +144,6 @@ class AbstractRho(Value):
     __slots__ = ("atoroidal", "trivial", "hopf_tangle", "satellite", "cable", "hopf_summand",
                  "torus")
     _types = ((bool,),) * 6 + ((TorusParams, type(None)),)
-    _texts = dict(zip(__slots__, ("bool",) * 6 + ("TorusParams | None",)))
 
     def __init__(self, atoroidal: bool, trivial: bool, hopf_tangle: bool = False,
                  satellite: bool = False, cable: bool = False, hopf_summand: bool = False,

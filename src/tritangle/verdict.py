@@ -27,6 +27,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .annuli import UNIQUENESS_NOTE, AnnulusType, good_annulus
+from .errors import echo
 from .tangle import (
     KIND_RHO,
     KIND_TAU,
@@ -339,7 +340,8 @@ def classify_rhorho(a: ResolvedTangle, b: ResolvedTangle) -> Verdict:
 
 def _structural_violations(d: Decomposition) -> list[Violation]:
     if d.kind not in KINDS:
-        return [Violation("UnknownKind", ("kind",), f"unknown decomposition kind {d.kind!r}")]
+        return [Violation("UnknownKind", ("kind",),
+                          f"unknown decomposition kind {echo(repr(d.kind))}")]
     first, second = RULES[d.kind][0]
     out = []
     if d.first.kind != first or d.second.kind != second:  # the happy path builds no tuples

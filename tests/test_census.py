@@ -157,8 +157,13 @@ def test_bound_above_cap_rejected():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         run_census("sigma", 5)
+    # a kind is written whole up to 80 characters, else as its repr's length
+    with pytest.raises(ValueError, match="^unknown census kind <200002 characters>$"):
+        run_census("x" * 200_000, 5)
 
 
 def test_census_decomposition_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown census kind 'sigma'"):
         census_decomposition("sigma", 3, 3)
+    with pytest.raises(ValueError, match="^unknown census kind <200002 characters>$"):
+        census_decomposition("x" * 200_000, 3, 3)

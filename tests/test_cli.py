@@ -472,6 +472,13 @@ def test_tangle_unit_fraction_side_without_slope_has_no_rectangles(capsys, tmp_p
         "good_annulus: none\n")
 
 
+def test_tangle_tau_side_with_torus_parameters_exit_two(capsys, tmp_path):
+    side = {"kind": "tau", "presentation": {"torus_rho": {"p": 2, "q": 3}}}
+    code, out, err = run(capsys, "tangle", write_doc(tmp_path, "side.json", json.dumps(side)))
+    assert (code, out, err) == (EXIT_USAGE, "", (
+        "error: tangle.presentation.torus_rho: torus parameters only present rho-tangles\n"))
+
+
 def test_abstract_tau_infinite_slope(capsys, tmp_path):
     side = {"kind": "tau", "presentation": {"abstract": {
         "atoroidal": True, "trivial": False, "rational": True, "slope": "1/0"}}}
@@ -703,6 +710,21 @@ def test_census_out_unwritable_exit_two(capsys, tmp_path):
     assert out == ""
     assert err.startswith(f"error: {target}:")
     assert not target.parent.exists()
+
+
+def test_census_out_empty_name_exit_two(capsys):
+    # an empty file name is refused by open, not taken as no --out
+    assert run(capsys, "census", "tautau", "--out", "") == (
+        EXIT_USAGE, "", "error: : No such file or directory\n")
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["tangle"], ["census", "tautau", "--out"]],
+                         ids=["classify", "tangle", "census-out"])
+def test_a_refused_path_that_could_name_a_file_is_written_whole(capsys, tmp_path, argv):
+    # longer than the 80 characters a refused value keeps, well inside PATH_MAX
+    target = str(tmp_path / ("d" * 100) / "doc.json")
+    assert run(capsys, *argv, target) == (
+        EXIT_USAGE, "", f"error: {target}: No such file or directory\n")
 
 
 def test_console_entry_point_runs():

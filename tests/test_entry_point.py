@@ -134,3 +134,16 @@ def test_torus_arc_whose_slope_is_too_long_to_write_is_refused(tritangle, tmp_pa
     assert run(tritangle, "tangle", path) == (2, "", (
         "error: SlopeTooLarge (params): the slope's denominator has more than 4300 digits, "
         "too many to write as text\n"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "x" * 100_000], ["tangle", "x" * 100_000],
+    ["census", "tautau", "--out", "x" * 100_000],
+], ids=["classify", "tangle", "census-out"])
+def test_a_long_refused_path_is_written_as_its_length(tritangle, argv):
+    # a Linux argument holds up to 131,072 bytes, so the path reaches the program whole
+    code, out, err = run(tritangle, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: <100000 characters>: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode("utf-8")) <= 200

@@ -473,8 +473,8 @@ def _torus_side(variant: str, body: dict) -> dict:
     ({"p": "2", "q": True}, "p"), ({"p": 2.0, "q": "3"}, "p"),
     # types are checked before values: p = 1 alone would be an invalid parameter
     ({"p": 1, "q": "x"}, "q"),
-    # an int subclass is an integer, so the bad q is named
-    ({"p": _Twist.THREE, "q": "x"}, "q"),
+    # an int subclass is not an integer, so p is named before the bad q
+    ({"p": _Twist.THREE, "q": "x"}, "p"),
 ], ids=["q-string", "q-bool", "q-float", "both-p-string", "both-p-float", "p-invalid-q-string",
         "p-int-enum"])
 def test_torus_parameter_that_is_not_an_integer_is_named(variant, path, body, bad):

@@ -457,22 +457,26 @@ def test_unhashable_kind_reported_not_raised():
     assert [x.rule for x in v.violations] == ["UnknownKind"]
 
 
-@pytest.mark.parametrize("kind", ["sigma", "TAUTAU", ["tautau"], {"tautau": 1}],
-                         ids=["unknown", "upper-case", "list", "dict"])
-def test_every_reader_of_the_kind_set_refuses_an_unknown_kind_in_its_own_words(kind):
+@pytest.mark.parametrize("kind, shown", [
+    ("sigma", "'sigma'"), ("TAUTAU", "'TAUTAU'"), (["tautau"], "['tautau']"),
+    ({"tautau": 1}, "{'tautau': 1}"),
+    # a kind is written whole up to 80 characters, else as its repr's length
+    ("x" * 200_000, "<200002 characters>"),
+], ids=["unknown", "upper-case", "list", "dict", "long"])
+def test_every_reader_of_the_kind_set_refuses_an_unknown_kind_in_its_own_words(kind, shown):
     v = classify(Decomposition(kind, True, tau_slope(3), tau_slope(3)))
     assert [str(x) for x in v.violations] == [
-        f"UnknownKind (kind): unknown decomposition kind {kind!r}"]
+        f"UnknownKind (kind): unknown decomposition kind {shown}"]
     for census_call in (lambda: run_census(kind, 5), lambda: census_decomposition(kind, 3, 3)):
         with pytest.raises(ValueError) as err:
             census_call()
-        assert str(err.value) == f"unknown census kind {kind!r}"
+        assert str(err.value) == f"unknown census kind {shown}"
     document = {"type": kind, "special": True, "tangles": [
         {"kind": "tau", "presentation": {"rational": {"twists": [3, 0]}}}] * 2}
     with pytest.raises(DocumentError) as err:
         parse_decomposition(document)
     assert str(err.value) == \
-        f'document.type: expected "tautau", "taurho" or "rhorho", got {kind!r}'
+        f'document.type: expected "tautau", "taurho" or "rhorho", got {shown}'
 
 
 def test_each_clause_states_its_count():
