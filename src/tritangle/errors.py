@@ -4,7 +4,10 @@ from __future__ import annotations
 
 
 def echo(text: str, limit: int = 80) -> str:
-    """Refused input as a message writes it: whole up to ``limit`` characters, else its length."""
+    """Refused input as a one-line message writes it: its ``repr`` if it is not
+    ``str.isprintable`` (a newline, say), then whole up to ``limit`` characters, else its
+    length."""
+    text = text if text.isprintable() else repr(text)
     return text if len(text) <= limit else f"<{len(text)} characters>"
 
 

@@ -23,10 +23,10 @@ except the tau ``slope`` and the rho ``torus`` ({"p": int, "q": int}).  A slope 
 "p/q" or "p" of ASCII digits, with "-" as the only sign; it need not be reduced.
 Serializing an integer with more digits than ``str`` writes raises ``SlopeTooLarge``.
 
-Limits, each a ``DocumentError`` past it: a field name occurs once per object,
-an integer literal has at most ``sys.get_int_max_str_digits()`` (4,300) digits,
-and arrays and objects nest at most ``MAX_DEPTH`` deep, or less where the interpreter's
-recursion limit is lowered or the caller's stack is already deep.
+Limits, each a ``DocumentError`` past it: a field name occurs once per object (a text with
+more colons than members is decoded again to name the repeat), an integer literal has at
+most ``sys.get_int_max_str_digits()`` (4,300) digits, and arrays and objects nest at most
+``MAX_DEPTH`` deep, or less where the recursion limit is lowered or the stack already deep.
 """
 
 from __future__ import annotations
@@ -199,7 +199,12 @@ def _unique_fields(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
-_DECODER = json.JSONDecoder(object_pairs_hook=_unique_fields)
+# Every document is decoded by the C scanner alone, which keeps a repeated field's last value.
+# _REPEATS, whose hook sees each object's pairs, only names a repeat: it decodes a text only
+# when the text has more colons than the decoded objects have members (each member has one
+# colon outside strings, and an accepted document's strings hold none).
+_DECODER = json.JSONDecoder()
+_REPEATS = json.JSONDecoder(object_pairs_hook=_unique_fields)
 
 # The deepest nesting a document may have (RFC 8259 section 9 lets a parser limit it).  The
 # decoder's own bound differs between Python versions and lies deeper on all of them, so
@@ -224,7 +229,7 @@ def _refuse_deep_nesting(text: str, path: str):
         raise DocumentError(path, _TOO_DEEP)
 
 
-def _decode(text: str, path: str) -> Any:
+def _decode(text: str, path: str, decoder: json.JSONDecoder = _DECODER) -> Any:
     if text.startswith("\ufeff"):  # json.loads refuses a BOM; JSONDecoder.decode does not check
         raise DocumentError("line 1, column 1", "Unexpected UTF-8 BOM (decode using utf-8-sig)")
     error = None
@@ -232,7 +237,7 @@ def _decode(text: str, path: str) -> Any:
         # decoding comes before the nesting scan: a hostile document far deeper than MAX_DEPTH
         # then ends in the decoder's RecursionError without the scan's two regex passes, which
         # cost more than the rest of the document's work
-        value = _DECODER.decode(text)
+        value = decoder.decode(text)
     except RecursionError:
         # the decoder's own bound: deeper than MAX_DEPTH at the default recursion limit and a
         # shallow caller stack, but on 3.10 and 3.11 it is the limit less the caller's depth
@@ -242,8 +247,6 @@ def _decode(text: str, path: str) -> Any:
     except ValueError as exc:  # an integer literal past the int-string digit limit
         # keep the reason, drop the interpreter's advice to raise the limit
         error = DocumentError(path, str(exc).partition(";")[0])
-    except DocumentError as exc:  # a repeated field
-        error = exc
     # before any other error, which a version whose decoder stops at a smaller depth never meets
     _refuse_deep_nesting(text, path)
     if error is not None:
@@ -251,12 +254,51 @@ def _decode(text: str, path: str) -> Any:
     return value
 
 
+def _refuse_repeats(text: str, path: str, value: Any):
+    # decodes again only a text with more colons than its decoded objects have members: those
+    # at the schema's places, if they account for every colon, else all, found by a walk
+    try:
+        members = _schema_members(value)
+    except (AttributeError, LookupError, TypeError, ValueError):  # shaped otherwise
+        members = 0
+    if text.count(":") > members and text.count(":") > _members(value):
+        _decode(text, path, _REPEATS)  # a RecursionError there is the nesting refusal too
+
+
+def _schema_members(obj: Any) -> int:
+    # the members of the objects at a document's or tangle's schema places: all of an accepted
+    # one's, and never more than a decoded value has, since each is the length of an object
+    # there; a value shaped otherwise raises
+    count, sides = (len(obj), obj["tangles"]) if "tangles" in obj else (0, (obj,))
+    for side in sides:
+        (body,) = side["presentation"].values()
+        count += len(side) + 1 + len(body.keys()) + ("torus" in body and len(body["torus"].keys()))
+    return count
+
+
+def _members(value: Any) -> int:
+    # the members of every object in a decoded value, counted without recursion
+    stack = [value]
+    for item in stack:  # the loop also visits the items it appends
+        stack += item.values() if type(item) is dict else item if type(item) is list else ()
+    return sum(len(item) for item in stack if type(item) is dict)
+
+
+def _load(text: str, path: str, parse) -> Any:
+    # parse of the decoded text, or a repeated field refused in place of its result or fault
+    value = _decode(text, path)
+    try:
+        return parse(value)
+    finally:
+        _refuse_repeats(text, path, value)
+
+
 def loads_decomposition(text: str) -> Decomposition:
-    return parse_decomposition(_decode(text, "document"))
+    return _load(text, "document", parse_decomposition)
 
 
 def loads_tangle(text: str) -> Descriptor:
-    return parse_tangle(_decode(text, "tangle"))
+    return _load(text, "tangle", parse_tangle)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +332,11 @@ def serialize_decomposition(d: Decomposition) -> dict:
     }
 
 
-# the serializer builds fresh containers, so no cycle can occur: skip the encoder's cycle check
-_ENCODER = json.JSONEncoder(check_circular=False)
+# json.dumps's C encoder, built once rather than per call as JSONEncoder.encode does; the
+# serializer builds fresh containers, so no cycle can occur and no marker dict checks for one
+_ENCODE = json.encoder.c_make_encoder(None, None, json.encoder.encode_basestring_ascii, None,
+                                      ": ", ", ", False, False, True)
 
 
 def dumps_decomposition(d: Decomposition) -> str:
-    return _ENCODER.encode(serialize_decomposition(d))
+    return "".join(_ENCODE(serialize_decomposition(d), 0))

@@ -9,6 +9,10 @@ sides the catalog does not have.  Whatever comes out,
 ``loads_decomposition`` returns a decomposition or raises ``DocumentError``,
 ``classify`` on a returned decomposition never raises, and ``tritangle
 classify`` on the bytes as a file ends in one of its exit codes.
+
+``loads_decomposition`` is also held to an independent strict reader: the
+plain decoder for syntax, then a decoder whose own hook refuses a repeated
+field, then ``parse_decomposition``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,8 +35,12 @@ from tritangle import (
     catalog_entries,
     classify,
     dumps_decomposition,
+    jsonio,
     loads_decomposition,
+    loads_tangle,
     mirror_decomposition,
+    parse_decomposition,
+    serialize_decomposition,
 )
 from tritangle.cli import main
 
@@ -121,3 +131,140 @@ def test_mutated_documents_end_in_a_verdict_or_document_error(data):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(["classify", str(path)])
     assert code in EXIT_CODES
+
+
+# ---------------------------------------------------------------------------
+# The decoder against an independent strict reader
+
+
+def _no_repeats(pairs: list) -> dict:
+    keys = [key for key, _ in pairs]
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise DocumentError(f"field {key!r}", "occurs more than once in one object")
+    return dict(pairs)
+
+
+PLAIN = json.JSONDecoder()
+STRICT = json.JSONDecoder(object_pairs_hook=_no_repeats)
+
+
+def strict_loads(text: str):
+    """The decomposition, or the refusal's text, in the order decode, repeated field, schema."""
+    try:
+        PLAIN.decode(text)
+        return parse_decomposition(STRICT.decode(text))
+    except json.JSONDecodeError as exc:
+        return f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
+    except DocumentError as exc:
+        return str(exc)
+    except ValueError as exc:  # an integer literal past the int-string digit limit
+        return f"document: {str(exc).partition(';')[0]}"
+
+
+def outcome(text: str):
+    try:
+        return loads_decomposition(text)
+    except DocumentError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mutated_documents())
+def test_mutated_documents_read_as_the_strict_reader_reads_them(data):
+    text = data.decode("utf-8", "surrogateescape")
+    read = outcome(text)
+    assert read == strict_loads(text)
+    if not isinstance(read, str):  # the prebuilt encoder writes what json.dumps writes
+        assert dumps_decomposition(read) == json.dumps(serialize_decomposition(read))
+
+
+DOCUMENT = DOCUMENTS[0]  # a rational tau-tau document
+RHO_TORUS = {"kind": "rho", "presentation": {"abstract": {
+    "atoroidal": True, "trivial": False, "satellite": True, "torus": {"p": 3, "q": 1}}}}
+TAURHO = json.dumps({"type": "taurho", "special": False,
+                     "tangles": [json.loads(DOCUMENT)["tangles"][0], RHO_TORUS]})
+REPEAT = "field {!r}: occurs more than once in one object".format
+
+
+@pytest.mark.parametrize("text, error", [
+    # a repeat and a schema fault in one document: the repeat is reported
+    (DOCUMENT.replace('"special": ', '"special": 1, "special": '), REPEAT("special")),
+    (DOCUMENT.replace('"type": "tautau"', '"type": "tautau", "type": "sigma"'), REPEAT("type")),
+    # a repeat in an abstract side's torus
+    (TAURHO.replace('"q": 1', '"q": 1, "q": 2'), REPEAT("q")),
+    (TAURHO.replace('"q": 1', '"q": 1, "q": 2').replace('"type": "taurho"', '"type": 1'),
+     REPEAT("q")),
+    # a colon in a string is no repeat
+    (DOCUMENT.replace('"type": "tautau"', '"type": "tau:tau"'),
+     'document.type: expected "tautau", "taurho" or "rhorho", got \'tau:tau\''),
+    (DOCUMENT.replace('"type": "tautau"', '"type": "tautau", "a:b": 1'),
+     "document.a:b: unknown field"),
+    # a decode error comes before a repeat, even one in an object that closes before it
+    (DOCUMENT.replace("[3, 0]", '[3, 0], "twists": [1]')[:-1],
+     "line 1, column 198: Expecting ',' delimiter"),
+    (DOCUMENT.replace("[3, 0]", '[3, 0], "twists": [1]').replace("[-3", "[1" + "0" * 4400),
+     "document: Exceeds the limit (4300 digits) for integer string conversion: value has 4401 "
+     "digits"),
+], ids=["repeat-and-special", "repeat-and-type", "torus", "torus-and-type", "colon-in-value",
+        "colon-in-name", "repeat-then-cut", "repeat-then-long-integer"])
+def test_fixed_documents_read_as_the_strict_reader_reads_them(text, error):
+    assert outcome(text) == strict_loads(text) == error
+
+
+def test_loads_tangle_refuses_a_repeat():
+    with pytest.raises(DocumentError) as err:
+        loads_tangle('{"kind": "tau", "presentation": {"rational": {"twists": [3, 0], '
+                     '"twists": [1]}}}')
+    assert str(err.value) == REPEAT("twists")
+
+
+class CountingDecoder(json.JSONDecoder):
+    """The repeat-naming decoder, counting its decodes."""
+
+    calls = 0
+
+    def decode(self, s, *args):
+        CountingDecoder.calls += 1
+        return super().decode(s, *args)
+
+
+def decodes_again(text: str) -> int:
+    """How often ``loads_decomposition`` decodes ``text`` with the repeat-naming decoder."""
+    CountingDecoder.calls = 0
+    with mock.patch.object(jsonio, "_REPEATS",
+                           CountingDecoder(object_pairs_hook=jsonio._unique_fields)):
+        outcome(text)
+    return CountingDecoder.calls
+
+
+def test_an_accepted_catalog_document_is_decoded_once_and_counted_from_its_schema():
+    def no_walk(value):
+        raise AssertionError("an accepted document's members are read off the schema")
+
+    with mock.patch.object(jsonio, "_members", no_walk):
+        assert [decodes_again(document) for document in DOCUMENTS] == [0] * len(DOCUMENTS)
+        assert decodes_again(TAURHO) == 0
+
+
+@pytest.mark.parametrize("text, decodes", [
+    (DOCUMENT.replace('"special": ', '"special": false, "special": '), 1),
+    (TAURHO.replace('"q": 1', '"q": 1, "q": 2').replace('"type": "taurho"', '"type": 1'), 1),
+    # refused without a repeat: as many colons as members, counted from the schema's places
+    # or, for a value shaped otherwise, by the walk
+    (DOCUMENT.replace('"special": true', '"special": 1'), 0),
+    (DOCUMENT.replace('"rational": {', '"braid": {}, "rational": {'), 0),
+    ("[" + DOCUMENT + "]", 0),
+    # a colon in a string: decoded again, and no repeat found
+    (DOCUMENT.replace('"type": "tautau"', '"type": "tau:tau"'), 1),
+], ids=["repeat", "repeat-and-fault", "fault", "two-variants", "list", "colon"])
+def test_a_document_is_decoded_again_only_with_more_colons_than_members(text, decodes):
+    assert decodes_again(text) == decodes
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mutated_documents())
+def test_an_accepted_mutated_document_is_decoded_once(data):
+    text = data.decode("utf-8", "surrogateescape")
+    if not isinstance(outcome(text), str):  # accepted: its strings hold no colon
+        assert decodes_again(text) == 0

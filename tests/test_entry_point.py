@@ -147,3 +147,9 @@ def test_a_long_refused_path_is_written_as_its_length(tritangle, argv):
     assert err.startswith("error: <100000 characters>: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert len(err.encode("utf-8")) <= 200
+
+
+def test_a_refused_path_with_a_newline_is_one_error_line(tritangle, tmp_path):
+    path = str(tmp_path / "a\nerror: b")  # no such file
+    assert run(tritangle, "classify", path) == (
+        2, "", f"error: {path!r}: No such file or directory\n")

@@ -85,6 +85,27 @@ def test_unknown_flag_rejected_with_path():
     assert "tangles[1]" in str(err.value)
 
 
+@pytest.mark.parametrize("name", ["x\ny", "x\u2028y"], ids=["newline", "line-separator"])
+@pytest.mark.parametrize("where, error", [
+    ("field", "document.{!r}: unknown field"),
+    ("variant", "document.tangles[0].presentation.{!r}: unknown presentation variant"),
+], ids=["field", "variant"])
+def test_a_refused_name_with_a_line_break_is_one_error_line(tmp_path, capsys, name, where,
+                                                           error):
+    from tritangle.cli import main
+    doc = json.loads(json.dumps(GOOD_DOC))
+    if where == "field":
+        doc[name] = 1
+    else:
+        doc["tangles"][0]["presentation"] = {name: {}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["classify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {error.format(name)}\n")
+    assert len(err.splitlines()) == 1  # str.splitlines also breaks at U+2028
+
+
 def test_boolean_strictness():
     doc = {"kind": "tau", "presentation": {"abstract": {
         "atoroidal": 1, "trivial": False, "rational": True}}}
