@@ -88,7 +88,7 @@ class ExtFraction(Value):
         return math.gcd(abs(self.num), self.den) == 1
 
     def __str__(self) -> str:
-        if self.is_infinite:
+        if self.den == 0:
             return "inf"
         if self.den == 1:
             return str(self.num)
@@ -149,7 +149,7 @@ def cf_expand(f: ExtFraction) -> TwistVector:
 
 def slope_normalize(f: ExtFraction) -> ExtFraction:
     """Return the unique representative of f modulo Z in (-1/2, 1/2]."""
-    if f.is_infinite:
+    if f.den == 0:  # infinite; the field is read directly on the classify path
         raise InfiniteSlope("infinite value does not present a rational 3-tangle slope")
     r = f.num % f.den  # gcd(r, den) == gcd(num, den) == 1
     if 2 * r > f.den:

@@ -186,8 +186,9 @@ def parse_decomposition(obj: Any, path: str = "document") -> Decomposition:
         raise DocumentError(f"{path}.special", "expected a boolean")
     if not isinstance(tangles, list) or len(tangles) != 2:
         raise DocumentError(f"{path}.tangles", "expected a list of exactly two tangles")
-    return Decomposition(kind, special, parse_tangle(tangles[0], f"{path}.tangles[0]"),
-                         parse_tangle(tangles[1], f"{path}.tangles[1]"))
+    # every field checked, so the record is built in C, not by the generated __new__
+    sides = map(parse_tangle, tangles, (f"{path}.tangles[0]", f"{path}.tangles[1]"))
+    return tuple.__new__(Decomposition, (kind, special, *sides))
 
 
 def _unique_fields(pairs: list[tuple[str, Any]]) -> dict:
@@ -256,12 +257,13 @@ def _decode(text: str, path: str, decoder: json.JSONDecoder = _DECODER) -> Any:
 
 def _refuse_repeats(text: str, path: str, value: Any):
     # decodes again only a text with more colons than its decoded objects have members: those
-    # at the schema's places, if they account for every colon, else all, found by a walk
+    # at the schema's places, if they account for every colon, else all, found by a walk; a
+    # value that is not an object goes straight to the walk
     try:
-        members = _schema_members(value)
+        members = _schema_members(value) if type(value) is dict else 0
     except (AttributeError, LookupError, TypeError, ValueError):  # shaped otherwise
         members = 0
-    if text.count(":") > members and text.count(":") > _members(value):
+    if (colons := text.count(":")) > members and colons > _members(value):
         _decode(text, path, _REPEATS)  # a RecursionError there is the nesting refusal too
 
 

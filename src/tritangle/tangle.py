@@ -258,9 +258,10 @@ def _profile(kind: str, notes: list[str], atoroidal: bool = True, trivial: bool 
         satellite = True
     if atoroidal and essential:
         notes.append(ESSENTIAL_NOTE)
-    return ResolvedTangle(  # positional, in field order: keywords are slower on this hot path
+    # every field in order, so the record is built in C, not by the generated __new__
+    return tuple.__new__(ResolvedTangle, (
         kind, atoroidal, trivial, essential, satellite, cable, hopf_summand, hopf_tangle,
-        tuple(notes), rational, slope, unit_fraction_slope, torus)
+        tuple(notes), rational, slope, unit_fraction_slope, torus))
 
 
 _RATIONAL_NOTES = ("slope: twist-vector value normalized to (-1/2, 1/2]",
@@ -270,7 +271,7 @@ _RATIONAL_NOTES = ("slope: twist-vector value normalized to (-1/2, 1/2]",
 def _rational(kind: str, twists: TwistVector) -> tuple[ResolvedTangle | None, list[Violation]]:
     """A twist vector, evaluated once: its profile, or None, and its broken invariant."""
     value = cf_eval(twists)
-    if value.is_infinite:
+    if value.den == 0:  # infinite; the fields are read directly on this hot path
         # written out only if its text is at most 80 characters, which 27 entries or one entry
         # of 80 digits (which str may refuse) already exceed
         text = len(twists) < 27 and max(map(abs, twists)) < 10 ** 80 and str(list(twists))
@@ -280,8 +281,8 @@ def _rational(kind: str, twists: TwistVector) -> tuple[ResolvedTangle | None, li
     if too_long_to_print(value.den):
         return None, [_slope_too_large("twists")]
     slope = slope_normalize(value)
-    trivial = slope.is_zero
-    hopf = kind == KIND_RHO and slope == HOPF_SLOPE
+    trivial = slope.num == 0
+    hopf = kind == KIND_RHO and slope.num == 1 and slope.den == 2  # slope == HOPF_SLOPE
     torus = _torus_from_slope(slope) if kind == KIND_RHO else None
     notes = list(_RATIONAL_NOTES)
     if trivial:
@@ -296,8 +297,9 @@ def _rational(kind: str, twists: TwistVector) -> tuple[ResolvedTangle | None, li
         notes.append("satellite/cable/hopf_summand: absent for rational "
                      "slopes other than +-1/(2k); a rational presentation "
                      "keeps the loop unknotted, so never cable")
-    return _profile(kind, notes, trivial=trivial, hopf_tangle=hopf, torus=torus, rational=True,
-                    slope=slope, unit_fraction_slope=abs(slope.num) == 1), []
+    # positional, in _profile's order: keywords are slower on this hot path
+    return _profile(kind, notes, True, trivial, hopf, torus, False, False, False, True, slope,
+                    abs(slope.num) == 1), []
 
 
 def _torus(t: TorusParams) -> tuple[ResolvedTangle | None, list[Violation]]:

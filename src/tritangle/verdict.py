@@ -158,15 +158,17 @@ class SideFacts(NamedTuple):
 def side_facts(t: ResolvedTangle) -> SideFacts:
     """The facts of a side that passed the gate (fits its kind, essential and atoroidal), so
     ``require`` never fires here and a two-flag profile raises only once the gate let it in."""
+    # every field is computed here, so each record is built in C, not by the generated __new__
     if t.kind == KIND_RHO:
-        return SideFacts(None, good_annulus(t), t.torus.p if t.torus is not None else None)
+        return tuple.__new__(SideFacts, (None, good_annulus(t),
+                                         t.torus.p if t.torus is not None else None))
     if t.rational is False or t.unit_fraction_slope is False:
-        return SideFacts(NO_UNIT, None, None)
+        return tuple.__new__(SideFacts, (NO_UNIT, None, None))
     if t.slope is None:
-        return SideFacts(UNKNOWN_UNIT, None, None)
+        return tuple.__new__(SideFacts, (UNKNOWN_UNIT, None, None))
     if abs(t.slope.num) != 1:
-        return SideFacts(NO_UNIT, None, None)
-    return SideFacts(t.slope.den if t.slope.num > 0 else -t.slope.den, None, None)
+        return tuple.__new__(SideFacts, (NO_UNIT, None, None))
+    return tuple.__new__(SideFacts, (t.slope.den if t.slope.num > 0 else -t.slope.den, None, None))
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +244,13 @@ def _render(clause: Clause, a: SideFacts, b: SideFacts) -> Verdict:
     # side and annulus: a tau-rho's rho side, or a rho-rho's first side that carries one
     fields = {"m": a.unit, "n": b.unit, "p": b.p, "first": a.annulus, "second": b.annulus,
               "side": "first" if a.annulus else "second", "annulus": a.annulus or b.annulus}
-    hyperbolic = clause.count.is_zero
+    hyperbolic = clause.count.value == 0
     notes = (ATOROIDAL_NOTE, clause.note.format_map(fields), IRREDUCIBILITY_NOTE)
     if hyperbolic:
         notes += (HYPERBOLICITY_NOTE,)
-    return Verdict(CLASSIFIED, clause.count, hyperbolic, clause.branch,
-                   tuple([text.format_map(fields) for text in clause.annuli]), notes)
+    # every field in order, so the record is built in C, not by the generated __new__
+    return tuple.__new__(Verdict, (CLASSIFIED, clause.count, hyperbolic, clause.branch, tuple(
+        [text.format_map(fields) for text in clause.annuli]), notes, ()))
 
 
 # ---------------------------------------------------------------------------

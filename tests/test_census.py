@@ -125,6 +125,7 @@ def test_a_row_costs_one_rule_call(kind, monkeypatch):
 def test_row_csv_is_its_census_csv_line(kind):
     rows = run_census(kind, 9)
     assert census_csv(rows).splitlines()[1:] == [row.csv() for row in rows]
+    assert census_csv(row for row in rows) == census_csv(rows)  # any iterable of rows
     assert census.CensusRow(3, -3, "tautau (ii)", "3").csv() == "3,-3,tautau (ii),3"
 
 
@@ -147,6 +148,7 @@ def test_census_at_the_cap_is_pinned():
 
 def test_empty_range_has_header_only():
     assert census_csv(run_census("tautau", 1)) == "m,n,branch,count\n"
+    assert census_csv(iter(())) == "m,n,branch,count\n"
 
 
 def test_bound_above_cap_rejected():
