@@ -22,8 +22,8 @@ import sys
 # classify start without building the catalog
 from .annuli import good_annulus
 from .errors import DocumentError, NotApplicable, TritangleError, echo
-from .frac import MAX_STR_DIGITS, cf_eval, cf_expand, parse_fraction, slope_normalize, \
-    too_long_to_print
+from .frac import cf_eval, cf_expand, parse_fraction, slope_normalize, too_long_to_print, \
+    too_many_digits
 from .jsonio import (
     loads_decomposition,
     loads_tangle,
@@ -48,8 +48,7 @@ def cmd_cf(args) -> int:
         raise TritangleError("twist vector evaluates to infinity; "
                              "it does not present a rational 3-tangle")
     if too_long_to_print(value.num) or too_long_to_print(value.den):
-        raise TritangleError(f"the twist vector's value has more than {MAX_STR_DIGITS} digits, "
-                             "too many to write as text")
+        raise TritangleError(too_many_digits("the twist vector's value"))
     slope = slope_normalize(value)
     marker = " [Hopf rho]" if slope == HOPF_SLOPE else ""
     print(f"{value} (slope {slope}){marker}")
@@ -141,7 +140,7 @@ def cmd_catalog(args) -> int:
                   | ({"actual": row.actual} if row.passed is False else {}) for row in report.rows}
         _emit(record | {"checked": report.checked, "mismatches": report.mismatches}, args.json)
         return EXIT_OK if report.ok else 1
-    if args.name:
+    if args.name is not None:  # an empty name is a name, refused by the lookup
         entry = catalog_mod.catalog_get(args.name)
         document = entry.decomposition and serialize_decomposition(entry.decomposition)
         _emit({"name": entry.name, "provenance": entry.provenance, "source": entry.source,

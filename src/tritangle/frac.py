@@ -36,6 +36,11 @@ def too_long_to_print(n: int) -> bool:
     return 0 < _LEAST_UNPRINTABLE <= abs(n)
 
 
+def too_many_digits(what: str) -> str:
+    """The one text that refuses ``what``, an integer with more digits than ``str`` writes."""
+    return f"{what} has more than {MAX_STR_DIGITS} digits, too many to write as text"
+
+
 class ExtFraction(Value):
     """A rational number or the single projective infinity.
 
@@ -190,5 +195,5 @@ def parse_fraction(text: str) -> ExtFraction:
     head, slash, tail = text.partition("/")
     try:
         return ExtFraction(int(head), int(tail) if slash else 1)
-    except ValueError as exc:  # too many digits: keep the reason, drop the advice to raise a limit
-        raise ValueError(str(exc).partition(";")[0]) from None
+    except ValueError:  # the grammar holds, so int() refused only for the digit limit
+        raise ValueError(too_many_digits("a numerator or denominator")) from None

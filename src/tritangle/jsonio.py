@@ -37,7 +37,7 @@ from itertools import accumulate
 from typing import Any
 
 from .errors import DocumentError, InvalidTorusParams, SlopeTooLarge, ZeroOverZero, echo
-from .frac import MAX_STR_DIGITS, ExtFraction, parse_fraction, too_long_to_print
+from .frac import ExtFraction, parse_fraction, too_long_to_print, too_many_digits
 from .tangle import (
     AbstractRho,
     AbstractTau,
@@ -99,7 +99,7 @@ def _torus(obj: Any, path: str) -> TorusParams:
 
 def _write_slope(s: ExtFraction) -> str:
     if too_long_to_print(s.num) or too_long_to_print(s.den):
-        raise SlopeTooLarge(f"the slope has more than {MAX_STR_DIGITS} digits, too many to write")
+        raise SlopeTooLarge(too_many_digits("the slope"))
     return f"{s.num}/{s.den}"
 
 
@@ -245,9 +245,8 @@ def _decode(text: str, path: str, decoder: json.JSONDecoder = _DECODER) -> Any:
         raise DocumentError(path, _TOO_DEEP) from None
     except json.JSONDecodeError as exc:
         error = DocumentError(f"line {exc.lineno}, column {exc.colno}", exc.msg)
-    except ValueError as exc:  # an integer literal past the int-string digit limit
-        # keep the reason, drop the interpreter's advice to raise the limit
-        error = DocumentError(path, str(exc).partition(";")[0])
+    except ValueError:  # an integer literal past the int-string digit limit
+        error = DocumentError(path, too_many_digits("an integer literal"))
     # before any other error, which a version whose decoder stops at a smaller depth never meets
     _refuse_deep_nesting(text, path)
     if error is not None:
@@ -255,22 +254,14 @@ def _decode(text: str, path: str, decoder: json.JSONDecoder = _DECODER) -> Any:
     return value
 
 
-def _refuse_repeats(text: str, path: str, value: Any):
-    # decodes again only a text with more colons than its decoded objects have members: those
-    # at the schema's places, if they account for every colon, else all, found by a walk; a
-    # value that is not an object goes straight to the walk
-    try:
-        members = _schema_members(value) if type(value) is dict else 0
-    except (AttributeError, LookupError, TypeError, ValueError):  # shaped otherwise
-        members = 0
-    if (colons := text.count(":")) > members and colons > _members(value):
+def _refuse_repeats(text: str, path: str, members: int):
+    # decodes again only a text with more colons than its decoded objects have members
+    if text.count(":") > members:
         _decode(text, path, _REPEATS)  # a RecursionError there is the nesting refusal too
 
 
-def _schema_members(obj: Any) -> int:
-    # the members of the objects at a document's or tangle's schema places: all of an accepted
-    # one's, and never more than a decoded value has, since each is the length of an object
-    # there; a value shaped otherwise raises
+def _schema_members(obj: dict) -> int:
+    # the members of an accepted document's or tangle's objects, all at the schema's places
     count, sides = (len(obj), obj["tangles"]) if "tangles" in obj else (0, (obj,))
     for side in sides:
         (body,) = side["presentation"].values()
@@ -290,9 +281,12 @@ def _load(text: str, path: str, parse) -> Any:
     # parse of the decoded text, or a repeated field refused in place of its result or fault
     value = _decode(text, path)
     try:
-        return parse(value)
-    finally:
-        _refuse_repeats(text, path, value)
+        result = parse(value)
+    except Exception:  # a refused value may have any shape: its members are found by the walk
+        _refuse_repeats(text, path, _members(value))
+        raise
+    _refuse_repeats(text, path, _schema_members(value))
+    return result
 
 
 def loads_decomposition(text: str) -> Decomposition:
@@ -311,8 +305,7 @@ def serialize_tangle(d: Descriptor) -> dict:
     if isinstance(p, RationalPresentation):
         # the entry of largest magnitude is the least or the greatest
         if p.twists and (too_long_to_print(min(p.twists)) or too_long_to_print(max(p.twists))):
-            raise SlopeTooLarge(f"a twist entry has more than {MAX_STR_DIGITS} digits, "
-                                "too many to write")
+            raise SlopeTooLarge(too_many_digits("a twist entry"))
         body = {"rational": {"twists": list(p.twists)}}
     elif isinstance(p, TorusRhoPresentation):
         body = {"torus_rho": {"p": p.params.p, "q": p.params.q}}

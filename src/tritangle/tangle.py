@@ -35,8 +35,8 @@ from .errors import (
     NotApplicable,
     SlopeTooLarge,
 )
-from .frac import MAX_STR_DIGITS, ExtFraction, TwistVector, cf_eval, slope_normalize, \
-    too_long_to_print
+from .frac import ExtFraction, TwistVector, cf_eval, slope_normalize, too_long_to_print, \
+    too_many_digits
 from .value import Value
 
 KIND_TAU = "tau"
@@ -69,8 +69,7 @@ class TorusParams(Value):
             if type(value) is not int:  # the one integer rule: no bool, no int subclass
                 raise _type_error("TorusParams", name, "an int", value)
             if too_long_to_print(value):  # the notes and documents write p and q as text
-                raise InvalidTorusParams(f"torus parameter {name} has more than "
-                                         f"{MAX_STR_DIGITS} digits, too many to write as text")
+                raise InvalidTorusParams(too_many_digits(f"torus parameter {name}"))
         if abs(p) < 2:
             raise InvalidTorusParams(f"torus parameter p must be >= 2, got ({p}, {q})")
         if math.gcd(p, q) != 1:
@@ -209,10 +208,7 @@ class ResolvedTangle(typing.NamedTuple):
 # Validation
 
 def _slope_too_large(field_name: str) -> Violation:
-    return Violation(
-        "SlopeTooLarge", (field_name,),
-        f"the slope's denominator has more than {MAX_STR_DIGITS} digits, "
-        "too many to write as text")
+    return Violation("SlopeTooLarge", (field_name,), too_many_digits("the slope's denominator"))
 
 
 #: The one mapping from broken invariants to the exception ``resolve`` raises: the first

@@ -98,13 +98,12 @@ def test_expand_reads_only_ascii_digits_and_a_leading_minus(capsys, text):
 
 
 def test_expand_refuses_a_too_long_integer_without_the_interpreter_advice(capsys):
-    digits = sys.get_int_max_str_digits() + 1
-    text = "7" * digits
-    code, out, err = run(capsys, "expand", text)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "expand", "7" * (limit + 1))
     assert (code, out) == (EXIT_USAGE, "")
-    # the reason's wording differs between Python versions; the advice after it is dropped
-    assert err.startswith("error: not a valid fraction: Exceeds the limit (")
-    assert err.endswith(f"for integer string conversion: value has {digits} digits\n")
+    # the engine's own words, the same on every Python, in place of the interpreter's
+    assert err == (f"error: not a valid fraction: a numerator or denominator has more than "
+                   f"{limit} digits, too many to write as text\n")
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +547,16 @@ def test_catalog_single_entry(capsys):
 def test_catalog_unknown_name_exit_two(capsys):
     code, _, err = run(capsys, "catalog", "bogus")
     assert code == EXIT_USAGE
+
+
+def test_catalog_empty_name_exit_two(capsys):
+    # an empty name is a name that no entry has, not the absent argument that lists the table
+    assert run(capsys, "catalog", "") == (EXIT_USAGE, "", "error: no catalog entry named ''\n")
+
+
+def test_catalog_verify_empty_prefix_verifies_every_entry(capsys):
+    # every name starts with the empty prefix
+    assert run(capsys, "catalog", "--verify", "") == (EXIT_OK, VERIFY_TEXT, "")
 
 
 def test_catalog_lists_every_entry(capsys):

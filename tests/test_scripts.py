@@ -1,4 +1,4 @@
-"""The two scripts under scripts/, run as the processes a user starts."""
+"""The scripts under scripts/, run as the processes a user starts."""
 
 from __future__ import annotations
 
@@ -40,3 +40,14 @@ def test_reproduce_tables_reports_no_mismatch():
     assert result.returncode == 0, result.stderr
     assert result.stdout.endswith("\nchecked: 20\nmismatches: 0\n")
     assert result.stdout.count("\n") == 23  # 21 entries, then the two counts
+
+
+def test_capture_prints_the_pinned_digests():
+    # the same on every supported Python; a change that alters an output on purpose updates
+    # the digest of its part here and names the change
+    result = run_script("capture.py")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (
+        "documents: 5cd534b99a35c133767228f98bf7a8188c309e29e67865e2b6094fefff3efe43\n"
+        "census: 765ee63bfc37726661f4493aeab132800f6a05d6283415ec2a55da5eefcf159d\n"
+        "catalog: 438bcadad748dc69d45d6206557c0425d3877706d9c7e26d4c5a7cba3576bf00\n")
