@@ -46,9 +46,9 @@ class CensusRow(NamedTuple):
 
 def _check_bound(bound: int):
     if bound > HARD_CAP:
-        raise BoundsTooLarge(f"census bound {bound} exceeds the cap {HARD_CAP}")
+        raise BoundsTooLarge(f"census bound {echo(str(bound))} exceeds the cap {HARD_CAP}")
     if bound < 0:
-        raise BoundsTooLarge(f"census bound must be non-negative, got {bound}")
+        raise BoundsTooLarge(f"census bound must be non-negative, got {echo(str(bound))}")
 
 
 def _tau_of_slope(m: int) -> TauDescriptor:

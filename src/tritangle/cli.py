@@ -42,6 +42,14 @@ EXIT_TOROIDAL = 4
 _PATH_MAX = 4096
 
 
+def _int(text: str) -> int:
+    """An integer argument; a refused one is echoed within bounds, in argparse's words."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {echo(repr(text))}") from None
+
+
 def cmd_cf(args) -> int:
     value = cf_eval(args.twists)
     if value.is_infinite:
@@ -178,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_cf = sub.add_parser("cf", help="evaluate a twist vector and its slope")
-    p_cf.add_argument("twists", type=int, nargs="*", metavar="TWIST",
+    p_cf.add_argument("twists", type=_int, nargs="*", metavar="TWIST",
                       help="twist entries (use -- before negative entries)")
     p_cf.set_defaults(func=cmd_cf)
 
@@ -206,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_census = sub.add_parser("census", help="enumerate the counting rules as CSV")
     p_census.add_argument("type", choices=KINDS)
-    p_census.add_argument("--max-denominator", type=int, default=25, metavar="N",
+    p_census.add_argument("--max-denominator", type=_int, default=25, metavar="N",
                           help="range bound (default 25, hard cap 99)")
     p_census.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
     p_census.set_defaults(func=cmd_census)

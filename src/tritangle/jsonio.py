@@ -16,12 +16,12 @@ Document shape::
                 | {"torus_rho": {"p": int, "q": int}}       # rho only
                 | {"abstract": {...flags...}}}
 
-The abstract flags are the slots of ``AbstractTau`` and ``AbstractRho``: one
-without a default in ``__init__`` is required, the others are optional and are
-written out only when they differ from their default.  Every flag is a boolean
-except the tau ``slope`` and the rho ``torus`` ({"p": int, "q": int}).  A slope is a string
-"p/q" or "p" of ASCII digits, with "-" as the only sign; it need not be reduced.
-Serializing an integer with more digits than ``str`` writes raises ``SlopeTooLarge``.
+The abstract flags are the slots of ``AbstractTau`` and ``AbstractRho``: one without a default
+in ``__init__`` is required, the others optional and written only when not at their default.
+Every flag is a boolean except the tau ``slope`` and the rho ``torus`` ({"p": int, "q": int}).
+A slope is a string "p/q" or "p" of ASCII digits, "-" the only sign; it need not be reduced.
+``dumps_decomposition`` writes a document's text in one pass, as ``json.dumps`` writes it, and
+``serialize_*`` decode that text; an integer too long for ``str`` raises ``SlopeTooLarge``.
 
 Limits, each a ``DocumentError`` past it: a field name occurs once per object (a text with
 more colons than members is decoded again to name the repeat), an integer literal has at
@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .errors import DocumentError, InvalidTorusParams, SlopeTooLarge, ZeroOverZero, echo
@@ -100,12 +101,19 @@ def _torus(obj: Any, path: str) -> TorusParams:
 def _write_slope(s: ExtFraction) -> str:
     if too_long_to_print(s.num) or too_long_to_print(s.den):
         raise SlopeTooLarge(too_many_digits("the slope"))
-    return f"{s.num}/{s.den}"
+    return f'"{s.num}/{s.den}"'
+
+
+def _write_value(value: Any) -> str:
+    # json.dumps(value), without its call for a str or a bool: a boolean flag, and the document's
+    # type and special, which a record built in Python may hold as any value
+    return (encode_basestring_ascii(value) if type(value) is str else "true" if value is True
+            else "false" if value is False else json.dumps(value))
 
 
 # How each non-boolean abstract flag is read from and written to JSON.
 _READ_FLAG = {"slope": _slope, "torus": _torus}
-_WRITE_FLAG = {"slope": _write_slope, "torus": lambda t: {"p": t.p, "q": t.q}}
+_WRITE_FLAG = {"slope": _write_slope, "torus": lambda t: '{"p": %d, "q": %d}' % (t.p, t.q)}
 
 
 _REQUIRED = object()  # the default of a flag without one: no flag value equals it
@@ -114,13 +122,12 @@ _REQUIRED = object()  # the default of a flag without one: no flag value equals 
 def _abstract_schema(cls) -> tuple:
     """An abstract presentation class, its flags in field order, the required and all names.
 
-    Each flag is (name, default, write), read from the class's slots and the defaults of its
-    ``__init__``: the default is ``_REQUIRED`` for a required flag, and a boolean flag has no
-    writer (None): it is written as it is.
+    Each flag is (name, default, write), read from the class's slots and ``__init__``'s
+    defaults (``_REQUIRED`` for a required flag); ``write`` returns the flag's JSON text.
     """
     names, defaults = cls.__slots__, cls.__init__.__defaults__
     required = len(names) - len(defaults)
-    flags = tuple((name, default, _WRITE_FLAG.get(name))
+    flags = tuple((name, default, _WRITE_FLAG.get(name, _write_value))
                   for name, default in zip(names, (_REQUIRED,) * required + defaults))
     return cls, flags, dict.fromkeys(names[:required]).keys(), dict.fromkeys(names).keys()
 
@@ -298,40 +305,38 @@ def loads_tangle(text: str) -> Descriptor:
 
 
 # ---------------------------------------------------------------------------
-# Serialization (round-trip stable)
+# Serialization (round-trip stable): the schema is written as text in this one place, in the
+# text json.dumps writes, and read back only by the serialize_* functions
 
-def serialize_tangle(d: Descriptor) -> dict:
+_DOCUMENT_TEXT = '{"type": %s, "special": %s, "tangles": [%s, %s]}'
+_RATIONAL_TEXT = '{"kind": "%s", "presentation": {"rational": {"twists": %r}}}'
+_TORUS_RHO_TEXT = '{"kind": "%s", "presentation": {"torus_rho": {"p": %d, "q": %d}}}'
+_ABSTRACT_TEXT = '{"kind": "%s", "presentation": {"abstract": {%s}}}'
+
+
+def _tangle_text(d: Descriptor) -> str:
     p = d.presentation
     if isinstance(p, RationalPresentation):
-        # the entry of largest magnitude is the least or the greatest
-        if p.twists and (too_long_to_print(min(p.twists)) or too_long_to_print(max(p.twists))):
-            raise SlopeTooLarge(too_many_digits("a twist entry"))
-        body = {"rational": {"twists": list(p.twists)}}
-    elif isinstance(p, TorusRhoPresentation):
-        body = {"torus_rho": {"p": p.params.p, "q": p.params.q}}
-    else:
-        flags = {}
-        for name, default, write in _ABSTRACT[d.kind][1]:  # the flags in field order
-            value = getattr(p, name)
-            if value != default:  # a required flag's default is _REQUIRED
-                flags[name] = write(value) if write else value
-        body = {"abstract": flags}
-    return {"kind": d.kind, "presentation": body}
+        try:  # a list of ints' repr is its JSON
+            return _RATIONAL_TEXT % (d.kind, list(p.twists))
+        except ValueError:  # str refuses an entry with too many digits, as the decoder would
+            raise SlopeTooLarge(too_many_digits("a twist entry")) from None
+    if isinstance(p, TorusRhoPresentation):
+        return _TORUS_RHO_TEXT % (d.kind, p.params.p, p.params.q)
+    # the flags in field order; a required flag's default is _REQUIRED, so it is always written
+    return _ABSTRACT_TEXT % (d.kind, ", ".join(
+        f'"{name}": {write(value)}' for name, default, write in _ABSTRACT[d.kind][1]
+        if (value := getattr(p, name)) != default))
+
+
+def serialize_tangle(d: Descriptor) -> dict:
+    return _DECODER.decode(_tangle_text(d))
 
 
 def serialize_decomposition(d: Decomposition) -> dict:
-    return {
-        "type": d.kind,
-        "special": d.special,
-        "tangles": [serialize_tangle(d.first), serialize_tangle(d.second)],
-    }
-
-
-# json.dumps's C encoder, built once rather than per call as JSONEncoder.encode does; the
-# serializer builds fresh containers, so no cycle can occur and no marker dict checks for one
-_ENCODE = json.encoder.c_make_encoder(None, None, json.encoder.encode_basestring_ascii, None,
-                                      ": ", ", ", False, False, True)
+    return _DECODER.decode(dumps_decomposition(d))
 
 
 def dumps_decomposition(d: Decomposition) -> str:
-    return "".join(_ENCODE(serialize_decomposition(d), 0))
+    return _DOCUMENT_TEXT % (_write_value(d.kind), _write_value(d.special),
+                             _tangle_text(d.first), _tangle_text(d.second))

@@ -692,6 +692,49 @@ def test_census_negative_bound_exit_two(capsys):
     assert err == "error: census bound must be non-negative, got -1\n"
 
 
+def _usage_error(capsys, *argv) -> str:
+    # argparse's refusal: exit 2 and a usage text whose last line names the fault
+    with pytest.raises(SystemExit) as exit_:
+        main(list(argv))
+    assert exit_.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err.splitlines()[-1]
+
+
+INT_ARGUMENTS = pytest.mark.parametrize("argv, name", [
+    (["cf", "--", "1"], "TWIST"), (["census", "tautau", "--max-denominator"], "--max-denominator"),
+], ids=["cf", "census"])
+
+
+@INT_ARGUMENTS
+@pytest.mark.parametrize("value", ["x", "1.5", "", "a\nb", "\u0663x", "x" * 78],
+                         ids=["letter", "float", "empty", "newline", "arabic-digit", "repr-80"])
+def test_a_refused_integer_argument_reads_as_argparse_writes_it(capsys, argv, name, value):
+    prog = f"tritangle {argv[0]}"
+    assert _usage_error(capsys, *argv, value) == \
+        f"{prog}: error: argument {name}: invalid int value: {value!r}"
+
+
+@INT_ARGUMENTS
+@pytest.mark.parametrize("value, length", [("x" * 79, 81), ("9" * 5000, 5002),
+                                           ("9" * 300 + "x", 303)],
+                         ids=["repr-81", "past-digit-limit", "trailing-letter"])
+def test_a_long_refused_integer_argument_is_written_as_its_length(capsys, argv, name, value,
+                                                                   length):
+    line = _usage_error(capsys, *argv, value)
+    assert line == f"tritangle {argv[0]}: error: argument {name}: invalid int value: " \
+                   f"<{length} characters>"
+
+
+@pytest.mark.parametrize("bound, line", [
+    ("9" * 300, "census bound <300 characters> exceeds the cap 99"),
+    ("-" + "9" * 300, "census bound must be non-negative, got <301 characters>"),
+], ids=["past-the-cap", "negative"])
+def test_a_long_census_bound_is_written_as_its_length(capsys, bound, line):
+    assert run(capsys, "census", "tautau", "--max-denominator", bound) == \
+        (EXIT_USAGE, "", f"error: {line}\n")
+
 def test_census_refuses_a_kind_and_offers_the_decomposition_kinds(capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["census", "sigma"])

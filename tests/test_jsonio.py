@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import sys
 import time
 
@@ -22,6 +23,7 @@ from tritangle import (
     TorusParams,
     TorusRhoPresentation,
     catalog_entries,
+    catalog_get,
     classify,
     dumps_decomposition,
     loads_decomposition,
@@ -33,6 +35,7 @@ from tritangle import (
     serialize_decomposition,
     serialize_tangle,
 )
+from tritangle.frac import MAX_STR_DIGITS
 
 GOOD_DOC = {
     "type": "taurho",
@@ -576,10 +579,58 @@ def test_serialize_tangle_refuses_a_twist_entry_too_long_to_write():
     assert serialize_tangle(longest)["presentation"]["rational"]["twists"] == [huge - 1, 1 - huge]
 
 
+def test_a_twist_entry_of_exactly_the_digit_limit_is_written_and_read_back():
+    longest = 10 ** MAX_STR_DIGITS - 1  # MAX_STR_DIGITS nines
+    first = TauDescriptor(RationalPresentation((longest, 0, -longest)))
+    d = Decomposition("tautau", False, first, TauDescriptor(RationalPresentation((3, 0))))
+    text = dumps_decomposition(d)
+    assert f'"twists": [{longest}, 0, -{longest}]' in text
+    assert loads_decomposition(text) == d
+    one_digit_more = d._replace(first=TauDescriptor(RationalPresentation((longest + 1, 0))))
+    with pytest.raises(SlopeTooLarge) as err:
+        dumps_decomposition(one_digit_more)
+    assert str(err.value) == (f"a twist entry has more than {MAX_STR_DIGITS} digits, "
+                              "too many to write as text")
+
+
+class _Text(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+# A record built in Python may hold any type and special: each is written as json.dumps writes
+# it, and the rest of the document is unchanged.
+@pytest.mark.parametrize("field, value, written", [
+    ("kind", None, "null"), ("kind", 1, "1"), ("kind", 1.5, "1.5"), ("kind", math.nan, "NaN"),
+    ("kind", ("a",), '["a"]'), ("kind", _Text("tautau"), '"tautau"'), ("kind", True, "true"),
+    ("kind", "\u00e9\u2028\"", '"\\u00e9\\u2028\\""'), ("kind", "", '""'),
+    ("special", 1, "1"), ("special", 0, "0"), ("special", _Int(1), "1"), ("special", None, "null"),
+    ("special", 2.0, "2.0"), ("special", math.inf, "Infinity"), ("special", "yes", '"yes"'),
+    ("special", [True, None], "[true, null]"), ("special", {"a": 1}, '{"a": 1}'),
+    ("special", {1: 2}, '{"1": 2}'),
+])
+def test_a_python_built_type_or_special_is_written_as_json_writes_it(field, value, written):
+    d = catalog_get("4_1").decomposition
+    sides = ('[{"kind": "tau", "presentation": {"rational": {"twists": [3, 0]}}}, '
+             '{"kind": "tau", "presentation": {"rational": {"twists": [-3, 0]}}}]')
+    kind, special = (written, "true") if field == "kind" else ('"tautau"', written)
+    expected = f'{{"type": {kind}, "special": {special}, "tangles": {sides}}}'
+    assert dumps_decomposition(d._replace(**{field: value})) == expected
+
+
+@pytest.mark.parametrize("value", [object(), b"x", {1, 2}, 1j, {(1, 2): 3}],
+                         ids=["object", "bytes", "set", "complex", "tuple-key"])
+@pytest.mark.parametrize("field", ["kind", "special"])
+def test_a_python_built_type_or_special_json_cannot_write_raises_type_error(field, value):
+    with pytest.raises(TypeError):
+        dumps_decomposition(catalog_get("4_1").decomposition._replace(**{field: value}))
+
+
 # ---------------------------------------------------------------------------
 # Generative round trip
-
-import math  # noqa: E402
 
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
@@ -671,6 +722,29 @@ def test_text_round_trip_generated_documents(d):
     text = dumps_decomposition(d)
     assert loads_decomposition(text) == d
     assert text == json.dumps(serialize_decomposition(d))  # the cycle-checking encoder's text
+
+
+def _schema(side) -> dict:
+    # a side's schema object, built here from the descriptor, apart from jsonio's writer
+    p = side.presentation
+    if isinstance(p, RationalPresentation):
+        return {"kind": side.kind, "presentation": {"rational": {"twists": list(p.twists)}}}
+    if isinstance(p, TorusRhoPresentation):
+        return {"kind": side.kind,
+                "presentation": {"torus_rho": {"p": p.params.p, "q": p.params.q}}}
+    flags = {key: getattr(p, key) for key in ABSTRACT_KEYS[type(p)] if _written(p, key)}
+    if "slope" in flags:
+        flags["slope"] = f"{flags['slope'].num}/{flags['slope'].den}"
+    if "torus" in flags:
+        flags["torus"] = {"p": flags["torus"].p, "q": flags["torus"].q}
+    return {"kind": side.kind, "presentation": {"abstract": flags}}
+
+
+@given(decompositions())
+def test_text_is_json_dumps_of_the_schema_built_apart_from_jsonio(d):
+    assert dumps_decomposition(d) == json.dumps(
+        {"type": d.kind, "special": d.special, "tangles": [_schema(d.first), _schema(d.second)]})
+    assert serialize_tangle(d.first) == _schema(d.first)
 
 
 @given(decompositions())

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from tritangle import census_csv, run_census
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +36,19 @@ def test_run_census_past_the_cap_exits_two_before_creating_the_directory(tmp_pat
     assert result.stderr == "error: census bound 100 exceeds the cap 99\n"
     assert not out_dir.exists()
 
+
+@pytest.mark.parametrize("where, reason", [
+    ("file", "File exists"), ("file/census", "Not a directory"),
+    ("dir", "Is a directory"),  # census_tautau.csv is a directory: the write fails
+], ids=["out-dir-is-a-file", "out-dir-under-a-file", "table-is-a-directory"])
+def test_run_census_refuses_an_out_dir_it_cannot_write_in_one_line(tmp_path, where, reason):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    (tmp_path / "dir" / "census_tautau.csv").mkdir(parents=True)
+    out_dir = tmp_path / where
+    result = run_script("run_census.py", "--max-denominator", "3", "--out-dir", str(out_dir))
+    path = out_dir / "census_tautau.csv" if where == "dir" else out_dir
+    assert (result.returncode, result.stdout, result.stderr) == \
+        (2, "", f"error: {path}: {reason}\n")
 
 def test_reproduce_tables_reports_no_mismatch():
     result = run_script("reproduce_tables.py")
