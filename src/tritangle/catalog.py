@@ -150,7 +150,7 @@ def catalog_get(name: str) -> CatalogEntry:
     try:
         return _BY_NAME[name]
     except KeyError:
-        raise UnknownName(f"no catalog entry named {echo(repr(name))}") from None
+        raise UnknownName(f"no catalog entry named {echo(name, repr)}") from None
 
 
 class ReportRow(NamedTuple):

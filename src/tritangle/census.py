@@ -46,9 +46,9 @@ class CensusRow(NamedTuple):
 
 def _check_bound(bound: int):
     if bound > HARD_CAP:
-        raise BoundsTooLarge(f"census bound {echo(str(bound))} exceeds the cap {HARD_CAP}")
+        raise BoundsTooLarge(f"census bound {echo(bound)} exceeds the cap {HARD_CAP}")
     if bound < 0:
-        raise BoundsTooLarge(f"census bound must be non-negative, got {echo(str(bound))}")
+        raise BoundsTooLarge(f"census bound must be non-negative, got {echo(bound)}")
 
 
 def _tau_of_slope(m: int) -> TauDescriptor:
@@ -80,7 +80,7 @@ _LAYOUT = {TAUTAU: (True, _SIGNED_TAU, _SIGNED_TAU),
 
 def _layout(kind: str) -> tuple:
     if kind not in KINDS:
-        raise ValueError(f"unknown census kind {echo(repr(kind))}")
+        raise ValueError(f"unknown census kind {echo(kind, repr)}")
     return _LAYOUT[kind]
 
 

@@ -3,12 +3,12 @@
 ``tangle``, ``classify`` and every ``catalog`` form each build one record from the value they
 report and print it with ``_emit``: one JSON document with ``--json``, else ``key: value`` lines.
 
-A command refuses by raising ``TritangleError``; ``main`` alone writes the refusal as one
-``error:`` line on standard error and exits 2, as it does when standard output cannot be written.
+A command refuses by raising ``TritangleError``; ``run``, the boundary of ``main`` and of
+``scripts/run_census.py``, alone writes that or an ``OSError`` as one ``error:`` line, exit 2.
 
-Exit codes: 0 success/classified, 1 a ``catalog --verify`` mismatch, 2 usage, input or
-output error (a closed or full standard output included), 3 inadmissible decomposition,
-4 toroidal decomposition.
+Exit codes: 0 success/classified, 1 a ``catalog --verify`` mismatch, 2 usage, input or output
+error (a file that cannot be written; a standard output closed early or from the start, or full),
+3 inadmissible decomposition, 4 toroidal decomposition.
 """
 
 from __future__ import annotations
@@ -42,12 +42,12 @@ EXIT_TOROIDAL = 4
 _PATH_MAX = 4096
 
 
-def _int(text: str) -> int:
+def integer(text: str) -> int:
     """An integer argument; a refused one is echoed within bounds, in argparse's words."""
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {echo(repr(text))}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {echo(text, repr)}") from None
 
 
 def cmd_cf(args) -> int:
@@ -81,7 +81,7 @@ def _read(path: str) -> str:
         reason = exc.strerror or str(exc)
     except UnicodeDecodeError as exc:
         reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
-    raise DocumentError(echo(path, _PATH_MAX), reason)
+    raise DocumentError(echo(path, limit=_PATH_MAX), reason)
 
 
 def _emit(record: dict, as_json: bool):
@@ -162,18 +162,22 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+def write_file(path, text: str):
+    """Write ``text`` to ``path``, byte for byte on every platform; an ``OSError`` names it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as file:
+            file.write(text)
+    except OSError as exc:  # a write error carries no filename, so it is named here
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
 def cmd_census(args) -> int:
     from .census import census_csv, run_census
     text = census_csv(run_census(args.type, args.max_denominator))
-    if args.out is not None:  # an empty name is refused by open, not taken as no option
-        try:
-            # newline="" keeps the CSV byte-identical across platforms
-            with open(args.out, "w", encoding="utf-8", newline="") as file:
-                file.write(text)
-        except OSError as exc:  # a write error carries no filename, so it is named here
-            raise TritangleError(f"{echo(args.out, _PATH_MAX)}: {exc.strerror or exc}") from None
-    else:
+    if args.out is None:
         sys.stdout.write(text)
+    else:  # an empty name is refused by open, not taken as no option
+        write_file(args.out, text)
     return EXIT_OK
 
 
@@ -186,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_cf = sub.add_parser("cf", help="evaluate a twist vector and its slope")
-    p_cf.add_argument("twists", type=_int, nargs="*", metavar="TWIST",
+    p_cf.add_argument("twists", type=integer, nargs="*", metavar="TWIST",
                       help="twist entries (use -- before negative entries)")
     p_cf.set_defaults(func=cmd_cf)
 
@@ -214,28 +218,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_census = sub.add_parser("census", help="enumerate the counting rules as CSV")
     p_census.add_argument("type", choices=KINDS)
-    p_census.add_argument("--max-denominator", type=_int, default=25, metavar="N",
+    p_census.add_argument("--max-denominator", type=integer, default=25, metavar="N",
                           help="range bound (default 25, hard cap 99)")
     p_census.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
     p_census.set_defaults(func=cmd_census)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def run(args) -> int:
+    """``args.func(args)``'s exit code, or a refusal written as one ``error:`` line and exit 2."""
+    if sys.stdout is None:  # descriptor 1 was closed: a read-only stand-in fails every write
+        sys.stdout = open(os.open(os.devnull, os.O_RDONLY), "w", encoding="utf-8")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe or a full device shows here, not at interpreter exit
         return code
     except TritangleError as exc:
         message = str(exc)
-    except OSError as exc:  # every file a command opens turns its OSError into a refusal
-        # as in the Python docs' SIGPIPE note: the flush at exit must not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        message = ("standard output was closed before all output was written"
-                   if isinstance(exc, BrokenPipeError) else f"standard output: {exc.strerror}")
+    except OSError as exc:
+        if exc.filename is not None:  # a file that could not be made, opened or written
+            message = f"{echo(exc.filename, limit=_PATH_MAX)}: {exc.strerror}"
+        else:  # standard output, which has no filename
+            # as in the Python docs' SIGPIPE note: the flush at exit must not raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            message = ("standard output was closed before all output was written"
+                       if isinstance(exc, BrokenPipeError) else f"standard output: {exc.strerror}")
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def main(argv: list[str] | None = None) -> int:
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 
-def echo(text: str, limit: int = 80) -> str:
-    """Refused input as a one-line message writes it: its ``repr`` if it is not
-    ``str.isprintable`` (a newline, say), then whole up to ``limit`` characters, else its
-    length."""
+def echo(value, form=str, limit: int = 80) -> str:
+    """A refused value as a one-line message writes it: ``form(value)``, its ``str`` or its
+    ``repr`` (``<T too long to write>`` if that holds an integer with more digits than the
+    interpreter writes, ``T`` the value's type); that text's ``repr`` if it is not
+    ``str.isprintable`` (a newline, say); then whole up to ``limit`` characters, else
+    ``<N characters>``."""
+    try:
+        text = form(value)
+    except ValueError:  # the interpreter's digit limit, on an int alone or in a container
+        return f"<{type(value).__name__} too long to write>"
     text = text if text.isprintable() else repr(text)
     return text if len(text) <= limit else f"<{len(text)} characters>"
 

@@ -191,7 +191,7 @@ def parse_fraction(text: str) -> ExtFraction:
     """Parse "p/q" or "p" of ASCII digits, with "-" as the only sign, into an ExtFraction; it
     need not be reduced.  Other text raises ``ValueError``, and "0/0" ``ZeroOverZero``."""
     if not re.fullmatch(_FRACTION_TEXT, text):
-        raise ValueError(f'{echo(repr(text))} is not "p/q" or "p" in ASCII digits')
+        raise ValueError(f'{echo(text, repr)} is not "p/q" or "p" in ASCII digits')
     head, slash, tail = text.partition("/")
     try:
         return ExtFraction(int(head), int(tail) if slash else 1)

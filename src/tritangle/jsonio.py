@@ -73,7 +73,7 @@ def _fields(obj: Any, path: str, required, allowed=None, below: str = ""):
         raise DocumentError(path, f"expected an object, got {type(obj).__name__}")
     for key in obj:
         if key not in allowed:
-            raise DocumentError(f"{path}.{echo(str(key))}", "unknown field")
+            raise DocumentError(f"{path}.{echo(key)}", "unknown field")
     for key in required:
         if key not in obj:
             raise DocumentError(f"{path}.{key}", "required field is missing")
@@ -141,7 +141,7 @@ def parse_tangle(obj: Any, path: str = "tangle") -> Descriptor:
     _fields(obj, path, _TANGLE)
     kind, pres = obj["kind"], obj["presentation"]
     if kind not in (KIND_TAU, KIND_RHO):
-        raise DocumentError(f"{path}.kind", f'expected "tau" or "rho", got {echo(repr(kind))}')
+        raise DocumentError(f"{path}.kind", f'expected "tau" or "rho", got {echo(kind, repr)}')
     if not isinstance(pres, dict):
         raise DocumentError(f"{path}.presentation",
                             f"expected an object, got {type(pres).__name__}")
@@ -178,7 +178,7 @@ def parse_tangle(obj: Any, path: str = "tangle") -> Descriptor:
         if flags.get("unit_fraction_slope", False) is None:  # the class reads null as unstated
             raise DocumentError(f"{at}.unit_fraction_slope", "expected a boolean")
     else:
-        raise DocumentError(f"{path}.presentation.{echo(str(variant))}",
+        raise DocumentError(f"{path}.presentation.{echo(variant)}",
                             "unknown presentation variant")
     return (TauDescriptor if kind == KIND_TAU else RhoDescriptor)(presentation)
 
@@ -188,7 +188,7 @@ def parse_decomposition(obj: Any, path: str = "document") -> Decomposition:
     kind, special, tangles = obj["type"], obj["special"], obj["tangles"]
     if kind not in KINDS:
         raise DocumentError(f"{path}.type",
-                            f'expected "tautau", "taurho" or "rhorho", got {echo(repr(kind))}')
+                            f'expected "tautau", "taurho" or "rhorho", got {echo(kind, repr)}')
     if type(special) is not bool:
         raise DocumentError(f"{path}.special", "expected a boolean")
     if not isinstance(tangles, list) or len(tangles) != 2:
@@ -203,7 +203,7 @@ def _unique_fields(pairs: list[tuple[str, Any]]) -> dict:
     if len(obj) < len(pairs):  # json.loads alone would keep the last value
         # the first key out of step with the deduplicated order is a repeat
         key = next((k for (k, _), kept in zip(pairs, obj) if k != kept), pairs[len(obj)][0])
-        raise DocumentError(f"field {echo(repr(key))}", "occurs more than once in one object")
+        raise DocumentError(f"field {echo(key, repr)}", "occurs more than once in one object")
     return obj
 
 

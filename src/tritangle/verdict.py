@@ -344,7 +344,7 @@ def classify_rhorho(a: ResolvedTangle, b: ResolvedTangle) -> Verdict:
 def _structural_violations(d: Decomposition) -> list[Violation]:
     if d.kind not in KINDS:
         return [Violation("UnknownKind", ("kind",),
-                          f"unknown decomposition kind {echo(repr(d.kind))}")]
+                          f"unknown decomposition kind {echo(d.kind, repr)}")]
     first, second = RULES[d.kind][0]
     out = []
     if d.first.kind != first or d.second.kind != second:  # the happy path builds no tuples

@@ -4,6 +4,8 @@ than ``str`` writes, in the same words on every Python.
 An ``ast`` scan of ``src/tritangle`` finds the name ``MAX_STR_DIGITS`` only in ``frac`` and no
 ``.partition(";")``, the cut that once kept the interpreter's own text; then each of the seven
 refusing sites is reached, and its text is compared with the one wording, written out here.
+A value refused for another reason is written by ``errors.echo``, which needs no limit: each
+site that echoes one refuses such an integer in its own words.
 """
 
 from __future__ import annotations
@@ -16,12 +18,16 @@ from pathlib import Path
 
 import pytest
 
+from tritangle.catalog import catalog_get
+from tritangle.census import census_decomposition, run_census
 from tritangle.cli import main
-from tritangle.errors import DocumentError, InvalidTorusParams, SlopeTooLarge
+from tritangle.errors import BoundsTooLarge, DocumentError, InvalidTorusParams, SlopeTooLarge, \
+    UnknownName
 from tritangle.frac import ExtFraction, parse_fraction
-from tritangle.jsonio import loads_decomposition, serialize_tangle
+from tritangle.jsonio import loads_decomposition, parse_decomposition, parse_tangle, \
+    serialize_tangle
 from tritangle.tangle import AbstractTau, RationalPresentation, TauDescriptor, TorusParams
-from tritangle.verdict import Decomposition, classify
+from tritangle.verdict import INADMISSIBLE, Decomposition, classify
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tritangle"
 MODULES = sorted(SRC.glob("*.py"))
@@ -121,3 +127,57 @@ def test_every_over_long_integer_is_refused_in_one_wording(site):
     what, refusal = SITES[site]
     assert refusal() == f"{what} has more than {DIGITS} digits, too many to write as text"
 
+
+HUGE_NAME = "<int too long to write>"
+TAU = TauDescriptor(RationalPresentation((3, 0)))
+
+
+def unknown_kind(kind) -> str:
+    verdict = classify(Decomposition(kind, False, TAU, TAU))
+    assert verdict.status == INADMISSIBLE
+    (violation,) = verdict.violations
+    assert violation.rule == "UnknownKind"
+    return violation.detail
+
+
+def document_error(parse, obj) -> str:
+    with pytest.raises(DocumentError) as info:
+        parse(obj)
+    return str(info.value)
+
+
+# each site that echoes a refused value, and the text it refuses an integer past the digit
+# limit with: its own refusal, the one it raises for any value it refuses; built when run
+ECHO_SITES = {
+    "verdict._structural_violations": (
+        f"unknown decomposition kind {HUGE_NAME}", lambda: unknown_kind(HUGE)),
+    "jsonio.parse_decomposition.type": (
+        f'document.type: expected "tautau", "taurho" or "rhorho", got {HUGE_NAME}',
+        lambda: document_error(parse_decomposition, {"type": HUGE, "special": False,
+                                                     "tangles": []})),
+    "jsonio._fields": (f"document.{HUGE_NAME}: unknown field",
+                       lambda: document_error(parse_decomposition, {HUGE: 1})),
+    "jsonio.parse_tangle.kind": (
+        f'tangle.kind: expected "tau" or "rho", got {HUGE_NAME}',
+        lambda: document_error(parse_tangle, {"kind": HUGE, "presentation": {}})),
+    "jsonio.parse_tangle.variant": (
+        f"tangle.presentation.{HUGE_NAME}: unknown presentation variant",
+        lambda: document_error(parse_tangle, {"kind": "tau", "presentation": {HUGE: {}}})),
+    "census._layout.run_census": (f"unknown census kind {HUGE_NAME}",
+                                  lambda: raised(ValueError, run_census, HUGE, 5)),
+    "census._layout.census_decomposition": (
+        f"unknown census kind {HUGE_NAME}",
+        lambda: raised(ValueError, census_decomposition, HUGE, 3, 3)),
+    "census._check_bound.above": (f"census bound {HUGE_NAME} exceeds the cap 99",
+                                  lambda: raised(BoundsTooLarge, run_census, "tautau", HUGE)),
+    "census._check_bound.below": (f"census bound must be non-negative, got {HUGE_NAME}",
+                                  lambda: raised(BoundsTooLarge, run_census, "tautau", -HUGE)),
+    "catalog.catalog_get": (f"no catalog entry named {HUGE_NAME}",
+                            lambda: raised(UnknownName, catalog_get, HUGE)),
+}
+
+
+@pytest.mark.parametrize("site", ECHO_SITES)
+def test_an_over_long_integer_is_echoed_in_the_sites_own_refusal(site):
+    message, refusal = ECHO_SITES[site]
+    assert refusal() == message

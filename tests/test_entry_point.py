@@ -90,6 +90,29 @@ def test_census_to_a_reader_that_stops_after_the_header(tritangle):
     assert (code, err) in ((0, ""), (2, CLOSED_PIPE))
 
 
+def run_with_fd_1_closed(tritangle, *argv) -> tuple[int, str]:
+    # the child starts with no descriptor 1, so Python gives it no standard output
+    done = subprocess.run([*tritangle, *argv], stderr=subprocess.PIPE, text=True,
+                          preexec_fn=lambda: os.close(1), timeout=120)
+    return done.returncode, done.stderr
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before exec")
+def test_output_to_a_closed_descriptor_is_one_error_line_and_exit_two(tritangle):
+    assert run_with_fd_1_closed(tritangle, "cf", "3", "0") == (
+        2, "error: standard output: Bad file descriptor\n")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before exec")
+def test_census_to_a_file_needs_no_standard_output(tritangle, tmp_path):
+    path = tmp_path / "census.csv"
+    assert run_with_fd_1_closed(tritangle, "census", "tautau", "--max-denominator", "3",
+                                "--out", str(path)) == (0, "")
+    assert path.read_text(encoding="utf-8") == (
+        "m,n,branch,count\n-3,-3,tautau (i),inf\n-3,3,tautau (ii),3\n"
+        "3,-3,tautau (ii),3\n3,3,tautau (i),inf\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", [
     ["cf", "3", "0"], ["census", "tautau"], ["catalog", "--verify", "--json"],

@@ -1,7 +1,10 @@
-"""The scripts under scripts/, run as the processes a user starts."""
+"""The scripts under scripts/, run as the processes a user starts, and the one refusal
+boundary they share with ``tritangle``: an ``ast`` scan finds a write to standard error only
+in ``tritangle.cli``."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -12,12 +15,14 @@ import pytest
 from tritangle import census_csv, run_census
 
 ROOT = Path(__file__).resolve().parent.parent
+CLOSED_PIPE = "error: standard output was closed before all output was written\n"
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+def run_script(name: str, *args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+                          timeout=120)
 
 
 def test_run_census_writes_the_three_tables(tmp_path):
@@ -49,6 +54,63 @@ def test_run_census_refuses_an_out_dir_it_cannot_write_in_one_line(tmp_path, whe
     path = out_dir / "census_tautau.csv" if where == "dir" else out_dir
     assert (result.returncode, result.stdout, result.stderr) == \
         (2, "", f"error: {path}: {reason}\n")
+
+def test_run_census_into_a_closed_reader_is_one_error_line_and_exit_two(tmp_path):
+    read, write = os.pipe()
+    os.close(read)  # before the script starts, so its first write fails
+    try:
+        result = run_script("run_census.py", "--max-denominator", "3",
+                            "--out-dir", str(tmp_path), stdout=write)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (2, CLOSED_PIPE)
+
+
+@pytest.mark.parametrize("bound, refusal", [
+    ("9" * 5000, "argument --max-denominator: invalid int value: <5002 characters>\n"),
+    ("9" * 300, "error: census bound <300 characters> exceeds the cap 99\n"),
+], ids=["past-the-digit-limit", "past-the-cap"])
+def test_run_census_echoes_a_long_bound_within_bounds(tmp_path, bound, refusal):
+    out_dir = tmp_path / "census"
+    result = run_script("run_census.py", "--max-denominator", bound, "--out-dir", str(out_dir))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.endswith(refusal)
+    assert len(result.stderr.encode("utf-8")) <= 250
+    assert not out_dir.exists()
+
+
+def stderr_writes(tree: ast.AST) -> list[str]:
+    """Each use of standard error in ``tree``: ``sys.stderr`` (as ``print``'s ``file``, a
+    ``write``'s target or a value passed on), ``sys.__stderr__`` or an import of either."""
+    found = []
+    for node in ast.walk(tree):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Attribute) and node.attr in ("stderr", "__stderr__"):
+            found.append(f"{where}: {node.attr}")
+        elif isinstance(node, ast.alias) and node.name in ("stderr", "__stderr__"):
+            found.append(f"{where}: import {node.name}")
+    return found
+
+
+SOURCES = sorted([*(ROOT / "src" / "tritangle").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_only_cli_writes_to_standard_error(path):
+    found = stderr_writes(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    if path == ROOT / "src" / "tritangle" / "cli.py":
+        assert found, "cli writes each refusal to standard error"
+    else:
+        assert found == []
+
+
+@pytest.mark.parametrize("source", [
+    'print(f"error: {exc}", file=sys.stderr)', "sys.stderr.write(text)",
+    "from sys import stderr", "sys.__stderr__.write(text)",
+])
+def test_the_stderr_scan_finds_each_form(source):
+    assert stderr_writes(ast.parse(source))
+
 
 def test_reproduce_tables_reports_no_mismatch():
     result = run_script("reproduce_tables.py")
