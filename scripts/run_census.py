@@ -5,13 +5,16 @@ Writes one CSV per kind into the given directory (default: current) and
 prints the branch tallies.  It refuses through ``tritangle.cli``, as
 ``tritangle census`` does, with one ``error:`` line and exit code 2: a bound
 past the census cap (before the directory is created), a directory or file
-that cannot be made or written, and a standard output that cannot be written.
+that cannot be made or written (an empty name too, as ``tritangle census --out ''``
+refuses it), and a standard output that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import errno
+import os
 from pathlib import Path
 
 from tritangle import census_csv, run_census
@@ -20,9 +23,12 @@ from tritangle.cli import KINDS, integer, run, write_file
 
 def write_tables(args) -> int:
     tables = {kind: run_census(kind, args.max_denominator) for kind in KINDS}
-    args.out_dir.mkdir(parents=True, exist_ok=True)
+    if not args.out_dir:  # Path("") is the working directory; an empty name names none
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out_dir)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for kind, rows in tables.items():
-        target = args.out_dir / f"census_{kind}.csv"
+        target = out_dir / f"census_{kind}.csv"
         write_file(target, census_csv(rows))
         tally = collections.Counter(row.branch for row in rows)
         summary = ", ".join(f"{branch}: {n}" for branch, n in sorted(tally.items()))
@@ -33,6 +39,6 @@ def write_tables(args) -> int:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-denominator", type=integer, default=25)
-    parser.add_argument("--out-dir", type=Path, default=".")
+    parser.add_argument("--out-dir", default=".")
     parser.set_defaults(func=write_tables)
     raise SystemExit(run(parser.parse_args()))

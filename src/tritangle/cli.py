@@ -4,7 +4,8 @@
 report and print it with ``_emit``: one JSON document with ``--json``, else ``key: value`` lines.
 
 A command refuses by raising ``TritangleError``; ``run``, the boundary of ``main`` and of
-``scripts/run_census.py``, alone writes that or an ``OSError`` as one ``error:`` line, exit 2.
+``scripts/run_census.py``, alone writes that or an ``OSError`` as one ``error:`` line, exit 2
+(or the exit code alone, when standard error is closed or refuses the write).
 
 Exit codes: 0 success/classified, 1 a ``catalog --verify`` mismatch, 2 usage, input or output
 error (a file that cannot be written; a standard output closed early or from the start, or full),
@@ -243,7 +244,11 @@ def run(args) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             message = ("standard output was closed before all output was written"
                        if isinstance(exc, BrokenPipeError) else f"standard output: {exc.strerror}")
-    print(f"error: {message}", file=sys.stderr)
+    try:
+        if sys.stderr is not None:  # None when descriptor 2 was closed: the line goes nowhere
+            print(f"error: {message}", file=sys.stderr)
+    except OSError:  # a descriptor 2 that refuses writes: the exit code alone reports
+        pass
     return EXIT_USAGE
 
 

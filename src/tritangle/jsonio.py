@@ -23,8 +23,8 @@ A slope is a string "p/q" or "p" of ASCII digits, "-" the only sign; it need not
 ``dumps_decomposition`` writes a document's text in one pass, as ``json.dumps`` writes it, and
 ``serialize_*`` decode that text; an integer too long for ``str`` raises ``SlopeTooLarge``.
 
-Limits, each a ``DocumentError`` past it: a field name occurs once per object (a text with
-more colons than members is decoded again to name the repeat), an integer literal has at
+Limits, each a ``DocumentError`` past it: a field name occurs once per object (a refused text,
+or one with more colons than members, is decoded again to name it), an integer literal has at
 most ``sys.get_int_max_str_digits()`` (4,300) digits, and arrays and objects nest at most
 ``MAX_DEPTH`` deep, or less where the recursion limit is lowered or the stack already deep.
 """
@@ -208,9 +208,9 @@ def _unique_fields(pairs: list[tuple[str, Any]]) -> dict:
 
 
 # Every document is decoded by the C scanner alone, which keeps a repeated field's last value.
-# _REPEATS, whose hook sees each object's pairs, only names a repeat: it decodes a text only
-# when the text has more colons than the decoded objects have members (each member has one
-# colon outside strings, and an accepted document's strings hold none).
+# _REPEATS, whose hook sees each object's pairs, only names a repeat: it decodes again a refused
+# text, and an accepted one only when it has more colons than its schema has members (each
+# member has one colon outside strings, and an accepted document's strings hold none).
 _DECODER = json.JSONDecoder()
 _REPEATS = json.JSONDecoder(object_pairs_hook=_unique_fields)
 
@@ -261,12 +261,6 @@ def _decode(text: str, path: str, decoder: json.JSONDecoder = _DECODER) -> Any:
     return value
 
 
-def _refuse_repeats(text: str, path: str, members: int):
-    # decodes again only a text with more colons than its decoded objects have members
-    if text.count(":") > members:
-        _decode(text, path, _REPEATS)  # a RecursionError there is the nesting refusal too
-
-
 def _schema_members(obj: dict) -> int:
     # the members of an accepted document's or tangle's objects, all at the schema's places
     count, sides = (len(obj), obj["tangles"]) if "tangles" in obj else (0, (obj,))
@@ -276,23 +270,16 @@ def _schema_members(obj: dict) -> int:
     return count
 
 
-def _members(value: Any) -> int:
-    # the members of every object in a decoded value, counted without recursion
-    stack = [value]
-    for item in stack:  # the loop also visits the items it appends
-        stack += item.values() if type(item) is dict else item if type(item) is list else ()
-    return sum(len(item) for item in stack if type(item) is dict)
-
-
 def _load(text: str, path: str, parse) -> Any:
     # parse of the decoded text, or a repeated field refused in place of its result or fault
     value = _decode(text, path)
     try:
         result = parse(value)
-    except Exception:  # a refused value may have any shape: its members are found by the walk
-        _refuse_repeats(text, path, _members(value))
+    except Exception:  # a refused value may have any shape: it is decoded again, not counted
+        _decode(text, path, _REPEATS)  # a RecursionError there is the nesting refusal too
         raise
-    _refuse_repeats(text, path, _schema_members(value))
+    if text.count(":") > _schema_members(value):
+        _decode(text, path, _REPEATS)
     return result
 
 

@@ -361,8 +361,8 @@ def _structural_violations(d: Decomposition) -> list[Violation]:
 def classify(d: Decomposition) -> Verdict:
     """Examine, check and dispatch a decomposition to its verdict.
 
-    All failures are reported inside the Verdict (status inadmissible with
-    a violation list), never raised past this boundary.
+    For sides that are descriptors, all failures are reported inside the Verdict
+    (status inadmissible with a violation list), never raised past this boundary.
     """
     (a, first), (b, second) = examine(d.first), examine(d.second)
     violations = _structural_violations(d)

@@ -113,6 +113,29 @@ def test_census_to_a_file_needs_no_standard_output(tritangle, tmp_path):
         "3,-3,tautau (ii),3\n3,3,tautau (i),inf\n")
 
 
+def close_fd_2():
+    os.close(2)  # Python then gives the child no standard error
+
+
+def make_fd_2_read_only():
+    os.dup2(os.open(os.devnull, os.O_RDONLY), 2)  # a standard error that refuses every write
+
+
+@pytest.mark.skipif(os.name != "posix", reason="changes a descriptor before exec")
+@pytest.mark.parametrize("preexec", [close_fd_2, make_fd_2_read_only], ids=["closed", "read-only"])
+def test_a_refusal_without_standard_error_writes_nothing_and_exits_two(tritangle, preexec):
+    done = subprocess.run([*tritangle, "expand", "x"], stdout=subprocess.PIPE, text=True,
+                          preexec_fn=preexec, timeout=120)
+    assert (done.returncode, done.stdout) == (2, "")
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
+def test_a_refusal_with_standard_error_closed_by_the_shell_exits_two(tritangle):
+    done = subprocess.run(["bash", "-c", '"$@" 2>&-', "bash", *tritangle, "expand", "x"],
+                          stdout=subprocess.PIPE, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (2, "")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", [
     ["cf", "3", "0"], ["census", "tautau"], ["catalog", "--verify", "--json"],

@@ -18,11 +18,12 @@ ROOT = Path(__file__).resolve().parent.parent
 CLOSED_PIPE = "error: standard output was closed before all output was written\n"
 
 
-def run_script(name: str, *args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def run_script(name: str, *args: str, stdout=subprocess.PIPE,
+               cwd=None) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
-                          timeout=120)
+                          cwd=cwd, timeout=120)
 
 
 def test_run_census_writes_the_three_tables(tmp_path):
@@ -54,6 +55,15 @@ def test_run_census_refuses_an_out_dir_it_cannot_write_in_one_line(tmp_path, whe
     path = out_dir / "census_tautau.csv" if where == "dir" else out_dir
     assert (result.returncode, result.stdout, result.stderr) == \
         (2, "", f"error: {path}: {reason}\n")
+
+
+def test_run_census_refuses_an_empty_out_dir_as_census_refuses_an_empty_out(tmp_path):
+    # Path("") is ".": taken as a name, the empty text would fill the working directory
+    result = run_script("run_census.py", "--max-denominator", "3", "--out-dir", "", cwd=tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == \
+        (2, "", "error: : No such file or directory\n")
+    assert list(tmp_path.iterdir()) == []
+
 
 def test_run_census_into_a_closed_reader_is_one_error_line_and_exit_two(tmp_path):
     read, write = os.pipe()
