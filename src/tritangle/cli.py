@@ -82,6 +82,8 @@ def _read(path: str) -> str:
         reason = exc.strerror or str(exc)
     except UnicodeDecodeError as exc:
         reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+    except ValueError as exc:  # open refuses a NUL in the path, which no file name holds
+        reason = str(exc)
     raise DocumentError(echo(path, limit=_PATH_MAX), reason)
 
 
@@ -170,6 +172,8 @@ def write_file(path, text: str):
             file.write(text)
     except OSError as exc:  # a write error carries no filename, so it is named here
         raise OSError(exc.errno, exc.strerror, path) from None
+    except ValueError as exc:  # open refuses a NUL in the path, which no file name holds
+        raise OSError(None, str(exc), path) from None
 
 
 def cmd_census(args) -> int:
@@ -254,7 +258,3 @@ def run(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     return run(build_parser().parse_args(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -121,12 +121,10 @@ def cf_eval(entries: Iterable[int]) -> ExtFraction:
     (the continuant recurrence, Knuth TAOCP vol. 2 sec. 4.5.3) and the final
     pair needs only its sign fixed, or q == 0 read as 1/0, to be canonical.
     """
-    p, q = 1, 0
-    empty = True
+    p, q, a = 1, 0, None
     for a in entries:
         p, q = a * p + q, p
-        empty = False
-    if empty:
+    if a is None:  # no entry: an entry is never None, since None * p raises
         return _canonical(0, 1)
     if q <= 0:  # coprime, so q == 0 has p == +-1: the single infinity 1/0
         p, q = (-p, -q) if q else (1, 0)

@@ -106,24 +106,23 @@ class RationalPresentation(Value):
         object.__setattr__(self, "twists", twists)
 
 
+def _set_typed(record, values: tuple):
+    """Store ``values`` in ``record``; the first one ``_types`` refuse raises, naming them."""
+    for name, value, allowed in zip(record.__slots__, values, record._types):
+        if not isinstance(value, allowed):
+            expected = " | ".join([t.__name__ for t in allowed]).replace("NoneType", "None")
+            raise _type_error(type(record).__name__, name, expected, value)
+        object.__setattr__(record, name, value)
+
+
 class TorusRhoPresentation(Value):
     """A rho-tangle given by torus curve parameters."""
 
     __slots__ = ("params",)
+    _types = ((TorusParams,),)
 
     def __init__(self, params: TorusParams):
-        if not isinstance(params, TorusParams):
-            raise _type_error("TorusRhoPresentation", "params", "TorusParams", params)
-        object.__setattr__(self, "params", params)
-
-
-def _set_flags(flags, values: tuple):
-    """Store ``values`` in ``flags``; the first one ``_types`` refuse raises, naming them."""
-    for name, value, allowed in zip(flags.__slots__, values, flags._types):
-        if not isinstance(value, allowed):
-            expected = " | ".join([t.__name__ for t in allowed]).replace("NoneType", "None")
-            raise _type_error(type(flags).__name__, name, expected, value)
-        object.__setattr__(flags, name, value)
+        _set_typed(self, (params,))
 
 
 class AbstractTau(Value):
@@ -134,7 +133,7 @@ class AbstractTau(Value):
 
     def __init__(self, atoroidal: bool, trivial: bool, rational: bool,
                  slope: ExtFraction | None = None, unit_fraction_slope: bool | None = None):
-        _set_flags(self, (atoroidal, trivial, rational, slope, unit_fraction_slope))
+        _set_typed(self, (atoroidal, trivial, rational, slope, unit_fraction_slope))
 
 
 class AbstractRho(Value):
@@ -147,7 +146,7 @@ class AbstractRho(Value):
     def __init__(self, atoroidal: bool, trivial: bool, hopf_tangle: bool = False,
                  satellite: bool = False, cable: bool = False, hopf_summand: bool = False,
                  torus: TorusParams | None = None):
-        _set_flags(self, (atoroidal, trivial, hopf_tangle, satellite, cable, hopf_summand, torus))
+        _set_typed(self, (atoroidal, trivial, hopf_tangle, satellite, cable, hopf_summand, torus))
 
 
 class TauDescriptor(Value):

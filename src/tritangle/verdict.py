@@ -341,16 +341,32 @@ def classify_rhorho(a: ResolvedTangle, b: ResolvedTangle) -> Verdict:
 # ---------------------------------------------------------------------------
 # Entry point
 
+#: A side's tangle kind by its exact type; a side of any other type is not a descriptor.
+_SIDE_KINDS = {descriptor: descriptor.kind for descriptor in Descriptor.__args__}
+
+
+def _side_violations(kind: str, position: str, side, expected: str | None) -> list[Violation]:
+    """A side's NotADescriptor violation, else its KindMismatch, if ``expected`` is a kind."""
+    if type(side) not in _SIDE_KINDS:
+        return [Violation("NotADescriptor", (position,), f"the {position} side must be a "
+                          f"TauDescriptor or RhoDescriptor, got {echo(type(side).__name__)}")]
+    return _kind_mismatch(kind, position, side, expected) if expected else []
+
+
 def _structural_violations(d: Decomposition) -> list[Violation]:
-    if d.kind not in KINDS:
-        return [Violation("UnknownKind", ("kind",),
-                          f"unknown decomposition kind {echo(d.kind, repr)}")]
-    first, second = RULES[d.kind][0]
-    out = []
-    if d.first.kind != first or d.second.kind != second:  # the happy path builds no tuples
-        out = (_kind_mismatch(d.kind, "first", d.first, first)
-               + _kind_mismatch(d.kind, "second", d.second, second))
-    if d.kind == RHORHO and d.special:
+    # an unknown kind has no side kinds to check, but each side's type is still checked
+    first, second = RULES[d.kind][0] if d.kind in KINDS else (None, None)
+    out = [] if first else [Violation("UnknownKind", ("kind",),
+                                      f"unknown decomposition kind {echo(d.kind, repr)}")]
+    # the happy path builds no tuples: one lookup per side checks its type and its kind
+    if out or _SIDE_KINDS.get(type(d.first)) != first \
+            or _SIDE_KINDS.get(type(d.second)) != second:
+        out += (_side_violations(d.kind, "first", d.first, first)
+                + _side_violations(d.kind, "second", d.second, second))
+    if type(d.special) is not bool:  # jsonio's rule: 0 or "no" must not be read as a flag
+        out.append(Violation("SpecialNotBoolean", ("special",),
+                             f"special must be a bool, got {echo(type(d.special).__name__)}"))
+    elif d.kind == RHORHO and d.special:
         out.append(Violation(
             "SpecialRhoRho", ("special",),
             "a rho-rho decomposition cannot be special (the complement "
@@ -361,11 +377,13 @@ def _structural_violations(d: Decomposition) -> list[Violation]:
 def classify(d: Decomposition) -> Verdict:
     """Examine, check and dispatch a decomposition to its verdict.
 
-    For sides that are descriptors, all failures are reported inside the Verdict
-    (status inadmissible with a violation list), never raised past this boundary.
+    Whatever a Decomposition holds, every failure is reported inside the Verdict (status
+    inadmissible with a violation list), never raised past this boundary.
     """
-    (a, first), (b, second) = examine(d.first), examine(d.second)
     violations = _structural_violations(d)
+    # a side that is not a descriptor is refused above and never examined
+    a, first = examine(d.first) if type(d.first) in _SIDE_KINDS else (None, ())
+    b, second = examine(d.second) if type(d.second) in _SIDE_KINDS else (None, ())
     if first or second:  # each side's violations, their fields prefixed with its position
         for position, found in (("first", first), ("second", second)):
             violations += [Violation(v.rule, (position,) + v.fields, v.detail) for v in found]

@@ -272,6 +272,15 @@ def test_missing_file_exit_two(capsys, tmp_path):
         assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "a\0b"], ["tangle", "a\0b"], ["census", "tautau", "--out", "a\0b"],
+], ids=["classify", "tangle", "census-out"])
+def test_a_nul_in_a_path_is_one_error_line_and_exit_two(capsys, argv):
+    # open raises ValueError for a NUL, which no file name holds; only an in-process caller
+    # passes one, since process argv cannot carry a NUL
+    assert run(capsys, *argv) == (EXIT_USAGE, "", "error: 'a\\x00b': embedded null byte\n")
+
+
 def test_hostile_documents_exit_two(capsys, tmp_path):
     big = write_doc(tmp_path, "big.json", '{"kind": "tau", "presentation": '
                     '{"rational": {"twists": [' + "9" * 5000 + "]}}}")

@@ -91,6 +91,13 @@ def test_eval_empty_is_zero():
     assert frozen(cf_eval([])) == (0, 1)
 
 
+def test_eval_reads_any_iterable_once():
+    # no len(): an iterator's emptiness shows only after the loop
+    assert frozen(cf_eval(iter(()))) == (0, 1)
+    assert frozen(cf_eval(a for a in (3, 0))) == (1, 3)
+    assert cf_eval(a for a in (0, 0)).is_infinite
+
+
 def test_eval_projective_intermediates():
     assert cf_eval([0, 0]).is_infinite
     assert frozen(cf_eval([0, 0, 1])) == (1, 1)

@@ -300,6 +300,9 @@ def test_each_flag_type_text_names_the_types_it_allows():
     with pytest.raises(TypeError) as err:
         AbstractRho(True, False, torus=(2, 3))
     assert str(err.value) == "AbstractRho.torus must be TorusParams | None, got tuple"
+    with pytest.raises(TypeError) as err:
+        TorusRhoPresentation((2, 3))
+    assert str(err.value) == "TorusRhoPresentation.params must be TorusParams, got tuple"
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import itertools
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tritangle import (
     AbstractRho,
@@ -23,6 +25,7 @@ from tritangle import (
     TorusParams,
     TorusRhoPresentation,
     Verdict,
+    Violation,
     census_decomposition,
     cf_expand,
     classify,
@@ -477,6 +480,68 @@ def test_every_reader_of_the_kind_set_refuses_an_unknown_kind_in_its_own_words(k
         parse_decomposition(document)
     assert str(err.value) == \
         f'document.type: expected "tautau", "taurho" or "rhorho", got {shown}'
+
+
+# ---------------------------------------------------------------------------
+# A decomposition built in Python: jsonio's checks do not guard it
+
+class SubTau(TauDescriptor):
+    """A subclass: its presentation is a tau-tangle's, but it is not exactly a descriptor."""
+
+
+def not_a_descriptor(position, got):
+    return (f"NotADescriptor ({position}): the {position} side must be a TauDescriptor or "
+            f"RhoDescriptor, got {got}")
+
+
+@pytest.mark.parametrize("changes, shown", [
+    # each was classified, or raised AttributeError, before classify checked the field
+    ({"special": "no"}, "SpecialNotBoolean (special): special must be a bool, got str"),
+    ({"special": 0}, "SpecialNotBoolean (special): special must be a bool, got int"),
+    ({"first": None}, not_a_descriptor("first", "NoneType")),
+    ({"second": resolve_tau(tau_slope(-3))}, not_a_descriptor("second", "ResolvedTangle")),
+    ({"first": SubTau(RationalPresentation((3, 0)))}, not_a_descriptor("first", "SubTau")),
+    # SpecialRhoRho fires only for special is True
+    ({"kind": "rhorho", "special": 1, "first": rho_plain(), "second": rho_plain()},
+     "SpecialNotBoolean (special): special must be a bool, got int"),
+], ids=["special-str", "special-zero", "first-none", "second-profile", "first-subclass",
+        "rhorho-special-one"])
+def test_a_python_built_decomposition_is_refused_not_forged_or_raised(changes, shown):
+    four_one = tautau(True, 3, -3)  # three annuli, tautau (ii)
+    v = classify(four_one._replace(**changes))
+    assert (v.status, [str(x) for x in v.violations]) == (INADMISSIBLE, [shown])
+
+
+_SIDES = (tau_slope(3), tau_slope(-3), tau_slope(5), rho_plain(), rho_torus(2, 3),
+          rho_torus(2, 1), TauDescriptor(RationalPresentation((0, 0))),
+          TauDescriptor(AbstractTau(atoroidal=False, trivial=False, rational=True)),
+          RhoDescriptor(AbstractRho(atoroidal=True, trivial=False, satellite=True, cable=True)))
+# values of other types, among them a side's profile, presentation and kind, and a subclass
+_OTHERS = (None, 0, 1, -1, 10 ** 5000, 0.0, float("nan"), "", "no", "tau", "rho", "\n", "x" * 200,
+           b"", [], ["tautau"], {}, {"tautau": 1}, (), object(), resolve_tau(tau_slope(3)),
+           RationalPresentation((3, 0)), TorusParams(2, 3), SubTau(RationalPresentation((3, 0))))
+_DESCRIPTORS = (TauDescriptor, RhoDescriptor)
+
+
+def _any_or(*likely):
+    """A field: one of ``likely`` about half the time, else a value of another type."""
+    return st.sampled_from(likely * (len(_OTHERS) // len(likely)) + _OTHERS)
+
+
+@settings(max_examples=3000, deadline=None, derandomize=True)
+@given(_any_or(*verdict.KINDS), _any_or(False, True), _any_or(*_SIDES), _any_or(*_SIDES))
+def test_classify_returns_a_verdict_whatever_a_decomposition_holds(kind, special, first, second):
+    v = classify(Decomposition(kind, special, first, second))
+    assert type(v) is Verdict and v.status in (CLASSIFIED, INADMISSIBLE, TOROIDAL)
+    # a non-boolean special and a side that is not a descriptor each are their own violation
+    assert ("SpecialNotBoolean" in [x.rule for x in v.violations]) == (type(special) is not bool)
+    for position, side in (("first", first), ("second", second)):
+        refused = any(x.rule == "NotADescriptor" and x.fields == (position,) for x in v.violations)
+        assert refused == (type(side) not in _DESCRIPTORS)
+    if type(special) is not bool or type(first) not in _DESCRIPTORS \
+            or type(second) not in _DESCRIPTORS:
+        assert v.status == INADMISSIBLE
+        assert all(type(x) is Violation for x in v.violations)
 
 
 def test_each_clause_states_its_count():
