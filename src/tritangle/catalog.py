@@ -13,7 +13,8 @@ classifier-agreement checks.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .errors import UnknownName, echo
 from .frac import cf_eval, slope_normalize
@@ -47,9 +48,11 @@ STORED = "stored_fact"
 OBSTRUCTION = "obstruction_profile"
 
 
-class ExpectedVerdict(NamedTuple):
-    annulus_count: AnnulusCount
-    branch: str | None
+# annulus_count: AnnulusCount; branch: str | None
+class ExpectedVerdict(namedtuple("ExpectedVerdict", "annulus_count branch")):
+    """A stored verdict: its annulus count and branch label."""
+
+    __slots__ = ()
     status = CLASSIFIED  # every stored verdict is classified: a class attribute, not a field
 
     @property
@@ -68,13 +71,14 @@ class ExpectedVerdict(NamedTuple):
         return f"{self.annulus_count} essential annuli{tag}"
 
 
-class CatalogEntry(NamedTuple):
-    name: str
-    source: str
-    decomposition: Decomposition | None = None
-    expected: ExpectedVerdict | None = None
-    profile: AnnulusProfile | None = None
-    expected_obstructions: tuple[Obstruction, ...] = ()
+# name, source: str; decomposition: Decomposition | None; expected: ExpectedVerdict | None;
+# profile: AnnulusProfile | None; expected_obstructions: tuple[Obstruction, ...]
+class CatalogEntry(namedtuple(
+        "CatalogEntry", "name source decomposition expected profile expected_obstructions",
+        defaults=(None, None, None, ()))):
+    """One named handlebody-knot of the table, its source text and what it is expected to give."""
+
+    __slots__ = ()
 
     @property
     def provenance(self) -> str:
@@ -153,15 +157,15 @@ def catalog_get(name: str) -> CatalogEntry:
         raise UnknownName(f"no catalog entry named {echo(name, repr)}") from None
 
 
-class ReportRow(NamedTuple):
-    name: str
-    passed: bool | None  # None for a stored fact, which is reported but not checked
-    expected: str
-    actual: str
+# name, expected, actual: str; passed: bool | None, None for a stored fact (reported, not checked)
+ReportRow = namedtuple("ReportRow", "name passed expected actual")
 
 
-class CatalogReport(NamedTuple):
-    rows: tuple[ReportRow, ...]
+# rows: tuple[ReportRow, ...]
+class CatalogReport(namedtuple("CatalogReport", "rows")):
+    """``catalog_verify``'s rows, one per entry, and their tallies."""
+
+    __slots__ = ()
 
     @property
     def mismatches(self) -> int:

@@ -18,8 +18,9 @@ the sides are enumerated in ascending order: the CSV output is deterministic.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from itertools import chain
-from typing import Iterable, NamedTuple
 
 from .errors import BoundsTooLarge, echo
 from .tangle import RationalPresentation, RhoDescriptor, TauDescriptor, TorusParams, \
@@ -34,11 +35,11 @@ _PLAIN_RHO_TWISTS = (2, 1, 2, 0)
 _LINE = "%d,%d,%s,%s"  # a row's CSV line; a table fills in all of its lines in one C call
 
 
-class CensusRow(NamedTuple):
-    m: int
-    n: int
-    branch: str
-    count: str
+# m, n: int; branch, count: str
+class CensusRow(namedtuple("CensusRow", "m n branch count")):
+    """One census row: the side indices (m, n), the clause's branch and its count's text."""
+
+    __slots__ = ()
 
     def csv(self) -> str:
         return _LINE % self

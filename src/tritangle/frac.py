@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import InfiniteSlope, InfiniteValue, ZeroOverZero, echo
 from .value import Value

@@ -35,7 +35,6 @@ import json
 import re
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from typing import Any
 
 from .errors import DocumentError, InvalidTorusParams, SlopeTooLarge, ZeroOverZero, echo
 from .frac import ExtFraction, parse_fraction, too_long_to_print, too_many_digits
@@ -63,7 +62,7 @@ _DOCUMENT, _TANGLE, _RATIONAL, _TORUS = (dict.fromkeys(names).keys() for names i
 # jsonio checks only JSON's shape: the value classes own the rules of their fields (twist
 # entries, torus parameters, abstract flags), and their TypeError's field names the path.
 
-def _fields(obj: Any, path: str, required, allowed=None, below: str = ""):
+def _fields(obj: object, path: str, required, allowed=None, below: str = ""):
     """Refuse all but an object with every ``required`` field and none outside ``allowed``."""
     allowed = allowed or required
     if type(obj) is dict and required <= obj.keys() <= allowed:
@@ -79,7 +78,7 @@ def _fields(obj: Any, path: str, required, allowed=None, below: str = ""):
             raise DocumentError(f"{path}.{key}", "required field is missing")
 
 
-def _slope(value: Any, path: str) -> ExtFraction:
+def _slope(value: object, path: str) -> ExtFraction:
     if not isinstance(value, str):
         raise DocumentError(path, 'expected a "p/q" string')
     try:
@@ -88,7 +87,7 @@ def _slope(value: Any, path: str) -> ExtFraction:
         raise DocumentError(path, f"not a valid fraction: {exc}") from None
 
 
-def _torus(obj: Any, path: str) -> TorusParams:
+def _torus(obj: object, path: str) -> TorusParams:
     _fields(obj, path, _TORUS)
     try:
         return TorusParams(obj["p"], obj["q"])
@@ -104,7 +103,7 @@ def _write_slope(s: ExtFraction) -> str:
     return f'"{s.num}/{s.den}"'
 
 
-def _write_value(value: Any) -> str:
+def _write_value(value: object) -> str:
     # json.dumps(value), without its call for a str or a bool: a boolean flag, and the document's
     # type and special, which a record built in Python may hold as any value
     return (encode_basestring_ascii(value) if type(value) is str else "true" if value is True
@@ -137,7 +136,7 @@ def _abstract_schema(cls) -> tuple:
 _ABSTRACT = {KIND_TAU: _abstract_schema(AbstractTau), KIND_RHO: _abstract_schema(AbstractRho)}
 
 
-def parse_tangle(obj: Any, path: str = "tangle") -> Descriptor:
+def parse_tangle(obj: object, path: str = "tangle") -> Descriptor:
     _fields(obj, path, _TANGLE)
     kind, pres = obj["kind"], obj["presentation"]
     if kind not in (KIND_TAU, KIND_RHO):
@@ -183,7 +182,7 @@ def parse_tangle(obj: Any, path: str = "tangle") -> Descriptor:
     return (TauDescriptor if kind == KIND_TAU else RhoDescriptor)(presentation)
 
 
-def parse_decomposition(obj: Any, path: str = "document") -> Decomposition:
+def parse_decomposition(obj: object, path: str = "document") -> Decomposition:
     _fields(obj, path, _DOCUMENT)
     kind, special, tangles = obj["type"], obj["special"], obj["tangles"]
     if kind not in KINDS:
@@ -198,7 +197,7 @@ def parse_decomposition(obj: Any, path: str = "document") -> Decomposition:
     return tuple.__new__(Decomposition, (kind, special, *sides))
 
 
-def _unique_fields(pairs: list[tuple[str, Any]]) -> dict:
+def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):  # json.loads alone would keep the last value
         # the first key out of step with the deduplicated order is a repeat
@@ -237,7 +236,7 @@ def _refuse_deep_nesting(text: str, path: str):
         raise DocumentError(path, _TOO_DEEP)
 
 
-def _decode(text: str, path: str, decoder: json.JSONDecoder = _DECODER) -> Any:
+def _decode(text: str, path: str, decoder: json.JSONDecoder = _DECODER) -> object:
     if text.startswith("\ufeff"):  # json.loads refuses a BOM; JSONDecoder.decode does not check
         raise DocumentError("line 1, column 1", "Unexpected UTF-8 BOM (decode using utf-8-sig)")
     error = None
@@ -270,7 +269,7 @@ def _schema_members(obj: dict) -> int:
     return count
 
 
-def _load(text: str, path: str, parse) -> Any:
+def _load(text: str, path: str, parse) -> object:
     # parse of the decoded text, or a repeated field refused in place of its result or fault
     value = _decode(text, path)
     try:

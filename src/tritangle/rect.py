@@ -14,8 +14,8 @@ type TauI / TauII / RhoII exists iff its count equals 2 / 3 / 4.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from enum import Enum
-from typing import Sequence
 
 from .errors import InfiniteValue, NotApplicable
 from .frac import cf_eval, cf_expand, slope_normalize

@@ -25,7 +25,7 @@ violations, or the profile with the violations raised as exceptions.
 from __future__ import annotations
 
 import math
-import typing
+from collections import namedtuple
 
 from .errors import (
     InconsistentFlags,
@@ -185,22 +185,15 @@ class Violation(Value):
         return f"{self.rule} ({', '.join(self.fields)}): {self.detail}"
 
 
-class ResolvedTangle(typing.NamedTuple):
-    """Derived semantic profile of one side, its fields in ``tritangle tangle``'s order."""
-
-    kind: str
-    atoroidal: bool
-    trivial: bool
-    essential: bool
-    satellite: bool = False
-    cable: bool = False
-    hopf_summand: bool = False
-    hopf_tangle: bool = False
-    provenance: tuple[str, ...] = ()
-    rational: bool | None = None
-    slope: ExtFraction | None = None
-    unit_fraction_slope: bool | None = None
-    torus: TorusParams | None = None
+# kind: str; atoroidal, trivial, essential, satellite, cable, hopf_summand, hopf_tangle: bool;
+# provenance: tuple[str, ...]; rational, unit_fraction_slope: bool | None;
+# slope: ExtFraction | None; torus: TorusParams | None
+ResolvedTangle = namedtuple("ResolvedTangle", (
+    "kind atoroidal trivial essential satellite cable hopf_summand hopf_tangle provenance "
+    "rational slope unit_fraction_slope torus"),
+    defaults=(False, False, False, False, (), None, None, None, None))
+ResolvedTangle.__doc__ = ("Derived semantic profile of one side, its fields in "
+                          "``tritangle tangle``'s order.")
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,10 @@ golden tests pin the reasoning, not just the number), count, annulus text and no
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
-from .annuli import UNIQUENESS_NOTE, AnnulusType, good_annulus
+from .annuli import UNIQUENESS_NOTE, good_annulus
 from .errors import echo
 from .tangle import (
     KIND_RHO,
@@ -66,13 +66,9 @@ HYPERBOLICITY_NOTE = ("hyperbolic: no essential disks, annuli or tori in the "
                       "exterior (Thurston's criterion with geodesic boundary)")
 
 
-class Decomposition(NamedTuple):
-    """A 3-decomposition: kind, specialness and the two tangle sides."""
-
-    kind: str
-    special: bool
-    first: Descriptor
-    second: Descriptor
+# kind: str; special: bool; first, second: Descriptor
+Decomposition = namedtuple("Decomposition", "kind special first second")
+Decomposition.__doc__ = "A 3-decomposition: kind, specialness and the two tangle sides."
 
 
 def mirror_decomposition(d: Decomposition) -> Decomposition:
@@ -109,16 +105,14 @@ FOUR_ANNULI = AnnulusCount(4)
 INFINITELY_MANY = AnnulusCount(None)
 
 
-class Verdict(NamedTuple):
+# status: str; annulus_count: AnnulusCount | None; hyperbolic: bool | None; branch: str | None;
+# annuli, notes: tuple[str, ...]; violations: tuple[Violation, ...]
+class Verdict(namedtuple(
+        "Verdict", "status annulus_count hyperbolic branch annuli notes violations",
+        defaults=(None, None, None, (), (), ()))):
     """Classifier output for one decomposition."""
 
-    status: str
-    annulus_count: AnnulusCount | None = None
-    hyperbolic: bool | None = None
-    branch: str | None = None
-    annuli: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
-    violations: tuple[Violation, ...] = ()
+    __slots__ = ()
 
     def summary(self) -> str:
         if self.status == CLASSIFIED:
@@ -147,12 +141,12 @@ NO_UNIT = "no"             # definitely not rational with a unit-fraction slope
 UNKNOWN_UNIT = "unknown"   # no concrete slope to read the unit fraction from
 
 
-class SideFacts(NamedTuple):
-    """What the pair rules read of one side."""
-
-    unit: int | str | None        # a tau side's signed m of slope 1/m, or why there is none
-    annulus: AnnulusType | None   # a rho side's good annulus
-    p: int | None                 # a rho side's torus parameter, None without a torus
+SideFacts = namedtuple("SideFacts", (
+    "unit",      # int | str | None: a tau side's signed m of slope 1/m, or why there is none
+    "annulus",   # AnnulusType | None: a rho side's good annulus
+    "p",         # int | None: a rho side's torus parameter, None without a torus
+))
+SideFacts.__doc__ = "What the pair rules read of one side."
 
 
 def side_facts(t: ResolvedTangle) -> SideFacts:
@@ -174,14 +168,11 @@ def side_facts(t: ResolvedTangle) -> SideFacts:
 # ---------------------------------------------------------------------------
 # The renderer table: every text a count writes, one row per clause
 
-class Clause(NamedTuple):
-    """A count clause's branch label, count and texts: ``str.format`` templates over the sides'
-    facts.  An ``UndeterminedSlope`` refusal has no branch and no count; its note is the detail."""
-
-    branch: str | None
-    count: AnnulusCount | None
-    annuli: tuple[str, ...]
-    note: str
+# branch: str | None; count: AnnulusCount | None; annuli: tuple[str, ...]; note: str
+Clause = namedtuple("Clause", "branch count annuli note")
+Clause.__doc__ = """A count clause's branch label, count and texts: ``str.format`` templates
+over the sides' facts.  An ``UndeterminedSlope`` refusal has no branch and no count; its note is
+the detail."""
 
 
 _GOOD_ANNULUS = "good annulus of {annulus.value}"

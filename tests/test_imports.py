@@ -3,7 +3,8 @@
 ``import tritangle`` resolves its public names on first use, and the CLI
 imports the catalog, census and rectangle modules only in the subcommands
 that use them, so a process that classifies one document never imports
-them.  No module of the package imports ``dataclasses`` (and with it ``inspect``).
+them.  No module of the package imports ``dataclasses`` (and with it
+``inspect``) or ``typing``.
 """
 
 from __future__ import annotations
@@ -109,4 +110,19 @@ def test_cli_imports_no_pathlib():
              "print('pathlib' in sys.modules)\n")
     done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC)],
                           capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "False\n"
+
+
+def test_no_module_imports_typing():
+    # every module but __main__; -S as well as -I, since a site hook may load typing first
+    modules = sorted(f"tritangle.{path.stem}" for path in (SRC / "tritangle").glob("*.py")
+                     if path.stem != "__main__")
+    probe = ("import importlib, sys\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "for name in sys.argv[2:]:\n"
+             "    importlib.import_module(name)\n"
+             "print('typing' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC), *modules],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert "tritangle.catalog" in modules
     assert done.stdout == "False\n"

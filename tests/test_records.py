@@ -6,7 +6,8 @@
 dropped or added field.  Every record met over the catalog decompositions, their mirrors,
 2,000 seeded generated documents and the census tables is checked here: exactly its class,
 one value per field, equal to the record its class's constructor builds from its fields,
-and each field of a pinned type.
+and each field of a pinned type.  Each of the ten record classes keeps its fields and
+defaults, and its instances have no ``__dict__``, so none takes a new attribute.
 """
 
 from __future__ import annotations
@@ -37,8 +38,10 @@ from tritangle import (
     verdict,
 )
 from tritangle.annuli import AnnulusType
+from tritangle.catalog import CatalogEntry, CatalogReport, ExpectedVerdict, ReportRow, \
+    catalog_get, catalog_verify
 from tritangle.tangle import Violation
-from tritangle.verdict import SideFacts
+from tritangle.verdict import Clause, SideFacts
 
 NONE = type(None)
 
@@ -189,3 +192,66 @@ def test_a_record_with_a_field_dropped_or_added_is_refused():
                 tuple.__new__(Verdict, tuple(good)[:2] + (1,) + tuple(good)[3:])):
         with pytest.raises(AssertionError):
             assert_record_shape(bad)
+
+
+# ---------------------------------------------------------------------------
+# Every record class: its fields and defaults, and instances that take no new attribute
+
+#: Each record class's fields in order, then its defaults by field.
+RECORDS = {
+    ResolvedTangle: (("kind", "atoroidal", "trivial", "essential", "satellite", "cable",
+                      "hopf_summand", "hopf_tangle", "provenance", "rational", "slope",
+                      "unit_fraction_slope", "torus"),
+                     {"satellite": False, "cable": False, "hopf_summand": False,
+                      "hopf_tangle": False, "provenance": (), "rational": None, "slope": None,
+                      "unit_fraction_slope": None, "torus": None}),
+    Decomposition: (("kind", "special", "first", "second"), {}),
+    Verdict: (("status", "annulus_count", "hyperbolic", "branch", "annuli", "notes",
+               "violations"),
+              {"annulus_count": None, "hyperbolic": None, "branch": None, "annuli": (),
+               "notes": (), "violations": ()}),
+    SideFacts: (("unit", "annulus", "p"), {}),
+    Clause: (("branch", "count", "annuli", "note"), {}),
+    CensusRow: (("m", "n", "branch", "count"), {}),
+    ExpectedVerdict: (("annulus_count", "branch"), {}),
+    CatalogEntry: (("name", "source", "decomposition", "expected", "profile",
+                    "expected_obstructions"),
+                   {"decomposition": None, "expected": None, "profile": None,
+                    "expected_obstructions": ()}),
+    ReportRow: (("name", "passed", "expected", "actual"), {}),
+    CatalogReport: (("rows",), {}),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_class_keeps_its_fields_and_defaults(cls):
+    fields, defaults = RECORDS[cls]
+    assert cls._fields == fields
+    assert cls._field_defaults == defaults
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_has_no_instance_dict_and_takes_no_new_attribute(cls):
+    record = cls(*[None] * len(cls._fields))
+    assert cls.__dictoffset__ == 0
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.no_such_field = 1
+    with pytest.raises(AttributeError):
+        setattr(record, cls._fields[0], 1)
+
+
+def test_catalog_record_reprs():
+    entry = catalog_get("6_8")
+    assert repr(entry) == (
+        "CatalogEntry(name='6_8', source='hyperbolic by an involution argument; no "
+        "3-decomposition data', decomposition=None, expected=ExpectedVerdict("
+        "annulus_count=AnnulusCount(value=0), branch=None), profile=None, "
+        "expected_obstructions=())")
+    report = catalog_verify([entry, catalog_get("4_1")])
+    row = ("ReportRow(name='4_1', passed=True, expected='3 essential annuli [tautau (ii)]', "
+           "actual='3 essential annuli [tautau (ii)]')")
+    assert repr(report.rows[1]) == row
+    assert repr(report) == (
+        "CatalogReport(rows=(ReportRow(name='6_8', passed=None, expected='hyperbolic', "
+        "actual='stored fact (not re-derived)'), " + row + "))")
