@@ -11,14 +11,13 @@ refuses it), and a standard output that cannot be written.
 
 from __future__ import annotations
 
-import argparse
 import collections
 import errno
 import os
 from pathlib import Path
 
 from tritangle import census_csv, run_census
-from tritangle.cli import KINDS, integer, run, write_file
+from tritangle.cli import KINDS, Parser, integer, run, write_file
 
 
 def write_tables(args) -> int:
@@ -37,7 +36,7 @@ def write_tables(args) -> int:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = Parser(description=__doc__)
     parser.add_argument("--max-denominator", type=integer, default=25)
     parser.add_argument("--out-dir", default=".")
     parser.set_defaults(func=write_tables)

@@ -14,7 +14,6 @@ classifier-agreement checks.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
 
 from .errors import UnknownName, echo
 from .frac import cf_eval, slope_normalize
@@ -180,7 +179,7 @@ class CatalogReport(namedtuple("CatalogReport", "rows")):
         return self.mismatches == 0
 
 
-def catalog_verify(entries: Iterable[CatalogEntry] | None = None) -> CatalogReport:
+def catalog_verify(entries: list[CatalogEntry] | None = None) -> CatalogReport:
     """Run the classifier over every derived entry and compare to expectations.
 
     Entries whose decompositions are equal share one ``classify`` call, so the whole

@@ -19,7 +19,6 @@ the sides are enumerated in ascending order: the CSV output is deterministic.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
 from itertools import chain
 
 from .errors import BoundsTooLarge, echo
@@ -119,6 +118,6 @@ def run_census(kind: str, bound: int) -> list[CensusRow]:
     return rows
 
 
-def census_csv(rows: Iterable[CensusRow]) -> str:
+def census_csv(rows: list[CensusRow]) -> str:  # or any other iterable of rows
     fields = tuple(chain.from_iterable(rows))  # every row's four fields, in one flat tuple
     return "m,n,branch,count\n" + (_LINE + "\n") * (len(fields) // 4) % fields

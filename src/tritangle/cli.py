@@ -43,6 +43,13 @@ EXIT_TOROIDAL = 4
 _PATH_MAX = 4096
 
 
+class Parser(argparse.ArgumentParser):
+    """An ArgumentParser that refuses in one line, writing an unprintable message as its repr."""
+
+    def error(self, message: str):
+        super().error(message if message.isprintable() else repr(message))
+
+
 def integer(text: str) -> int:
     """An integer argument; a refused one is echoed within bounds, in argparse's words."""
     try:
@@ -139,11 +146,10 @@ def cmd_classify(args) -> int:
 def cmd_catalog(args) -> int:
     from . import catalog as catalog_mod
     if args.verify:
-        entries = catalog_mod.catalog_entries()
-        if args.name:
-            entries = [e for e in entries if e.name.startswith(args.name)]
-            if not entries:
-                catalog_mod.catalog_get(args.name)  # refuses the prefix in the lookup's words
+        # the entries under a prefix; every entry under none or the empty one
+        entries = [e for e in catalog_mod.catalog_entries() if e.name.startswith(args.name or "")]
+        if not entries:
+            catalog_mod.catalog_get(args.name)  # refuses the prefix in the lookup's words
         report = catalog_mod.catalog_verify(entries)
         result = {None: "stored", True: "pass", False: "FAIL"}
         # one entry per row, its actual verdict only where it differs from the expected one
@@ -186,8 +192,8 @@ def cmd_census(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> Parser:
+    parser = Parser(
         prog="tritangle",
         description="Exact classifier for 3-decompositions of genus-two "
                     "handlebody-knots: slopes, good rectangles and annuli, "

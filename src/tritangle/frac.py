@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from collections.abc import Iterable, Sequence
 
 from .errors import InfiniteSlope, InfiniteValue, ZeroOverZero, echo
 from .value import Value
@@ -112,7 +111,7 @@ def _canonical(num: int, den: int) -> ExtFraction:
     return f
 
 
-def cf_eval(entries: Iterable[int]) -> ExtFraction:
+def cf_eval(entries: TwistVector | list[int]) -> ExtFraction:
     """Evaluate a twist vector under the rightmost-outermost convention.
 
     The empty vector evaluates to 0 (the untwisted tangle), not infinity.
@@ -167,7 +166,7 @@ def mod_z_equal(f: ExtFraction, g: ExtFraction) -> bool:
     return f.den == g.den and (f.num - g.num) % f.den == 0
 
 
-def palindrome_numerators(tv: Sequence[int]) -> tuple[int, int]:
+def palindrome_numerators(tv: TwistVector | list[int]) -> tuple[int, int]:
     """Absolute numerators of the vector and its reversal.
 
     The two components are always equal (reversal preserves the numerator

@@ -14,7 +14,6 @@ type TauI / TauII / RhoII exists iff its count equals 2 / 3 / 4.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from enum import Enum
 
 from .errors import InfiniteValue, NotApplicable
@@ -54,7 +53,7 @@ def rect_types_rho(t: ResolvedTangle) -> frozenset[RectangleType]:
     return frozenset(out)
 
 
-def boundary_arc_count(tv: Sequence[int], which: RectangleType) -> int:
+def boundary_arc_count(tv: tuple[int, ...] | list[int], which: RectangleType) -> int:
     """Intersection count of the candidate rectangle with the decomposition disk.
 
     The tangle presented by ``tv`` is first re-presented canonically

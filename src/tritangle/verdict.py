@@ -288,9 +288,9 @@ RULES = {TAUTAU: ((KIND_TAU, KIND_TAU), _tautau), TAURHO: ((KIND_TAU, KIND_RHO),
 KINDS = tuple(RULES)
 
 
-def _kind_mismatch(kind: str, position: str, side, expected: str) -> list[Violation]:
-    """A side's KindMismatch violation, if it is no ``expected``-tangle (descriptor or profile)."""
-    if side.kind == expected:
+def _kind_mismatch(kind: str, position: str, got: str, expected: str) -> list[Violation]:
+    """A side's KindMismatch violation, if its tangle kind ``got`` is not ``expected``."""
+    if got == expected:
         return []
     return [Violation("KindMismatch", (position,),
                       f"a {kind} decomposition needs a {expected}-tangle in {position} position")]
@@ -303,7 +303,7 @@ def _count(kind: str, a: ResolvedTangle, b: ResolvedTangle, special: bool) -> Ve
         bad = []
         for position, tangle, expected_kind in (("first", a, first_kind),
                                                 ("second", b, second_kind)):
-            bad += _kind_mismatch(kind, position, tangle, expected_kind)
+            bad += _kind_mismatch(kind, position, tangle.kind, expected_kind)
             if not tangle.essential:
                 reason = ("the Hopf tangle is non-trivial but inessential"
                           if tangle.hopf_tangle else "a trivial tangle is inessential")
@@ -336,47 +336,38 @@ def classify_rhorho(a: ResolvedTangle, b: ResolvedTangle) -> Verdict:
 _SIDE_KINDS = {descriptor: descriptor.kind for descriptor in Descriptor.__args__}
 
 
-def _side_violations(kind: str, position: str, side, expected: str | None) -> list[Violation]:
-    """A side's NotADescriptor violation, else its KindMismatch, if ``expected`` is a kind."""
-    if type(side) not in _SIDE_KINDS:
-        return [Violation("NotADescriptor", (position,), f"the {position} side must be a "
-                          f"TauDescriptor or RhoDescriptor, got {echo(type(side).__name__)}")]
-    return _kind_mismatch(kind, position, side, expected) if expected else []
-
-
-def _structural_violations(d: Decomposition) -> list[Violation]:
-    # an unknown kind has no side kinds to check, but each side's type is still checked
-    first, second = RULES[d.kind][0] if d.kind in KINDS else (None, None)
-    out = [] if first else [Violation("UnknownKind", ("kind",),
-                                      f"unknown decomposition kind {echo(d.kind, repr)}")]
-    # the happy path builds no tuples: one lookup per side checks its type and its kind
-    if out or _SIDE_KINDS.get(type(d.first)) != first \
-            or _SIDE_KINDS.get(type(d.second)) != second:
-        out += (_side_violations(d.kind, "first", d.first, first)
-                + _side_violations(d.kind, "second", d.second, second))
-    if type(d.special) is not bool:  # jsonio's rule: 0 or "no" must not be read as a flag
-        out.append(Violation("SpecialNotBoolean", ("special",),
-                             f"special must be a bool, got {echo(type(d.special).__name__)}"))
-    elif d.kind == RHORHO and d.special:
-        out.append(Violation(
-            "SpecialRhoRho", ("special",),
-            "a rho-rho decomposition cannot be special (the complement "
-            "would be disconnected)"))
-    return out
-
-
 def classify(d: Decomposition) -> Verdict:
     """Examine, check and dispatch a decomposition to its verdict.
 
     Whatever a Decomposition holds, every failure is reported inside the Verdict (status
     inadmissible with a violation list), never raised past this boundary.
     """
-    violations = _structural_violations(d)
-    # a side that is not a descriptor is refused above and never examined
-    a, first = examine(d.first) if type(d.first) in _SIDE_KINDS else (None, ())
-    b, second = examine(d.second) if type(d.second) in _SIDE_KINDS else (None, ())
-    if first or second:  # each side's violations, their fields prefixed with its position
-        for position, found in (("first", first), ("second", second)):
+    known = d.kind in KINDS
+    first, second = RULES[d.kind][0] if known else (None, None)
+    violations = [] if known else [Violation("UnknownKind", ("kind",),
+                                             f"unknown decomposition kind {echo(d.kind, repr)}")]
+    # one lookup per side: its tangle kind, or None for a side that is not a descriptor, which
+    # is refused here and never examined; an unknown kind expects no side kind to compare
+    a_kind, b_kind = _SIDE_KINDS.get(type(d.first)), _SIDE_KINDS.get(type(d.second))
+    if not known or a_kind != first or b_kind != second:
+        for position, side, got, expected in (("first", d.first, a_kind, first),
+                                              ("second", d.second, b_kind, second)):
+            if got is None:
+                violations.append(Violation("NotADescriptor", (position,), (
+                    f"the {position} side must be a TauDescriptor or RhoDescriptor, "
+                    f"got {echo(type(side).__name__)}")))
+            elif known:
+                violations += _kind_mismatch(d.kind, position, got, expected)
+    if type(d.special) is not bool:  # jsonio's rule: 0 or "no" must not be read as a flag
+        violations.append(Violation("SpecialNotBoolean", ("special",), "special must be a bool, "
+                                    f"got {echo(type(d.special).__name__)}"))
+    elif d.kind == RHORHO and d.special:
+        violations.append(Violation("SpecialRhoRho", ("special",), "a rho-rho decomposition "
+                                    "cannot be special (the complement would be disconnected)"))
+    a, a_found = examine(d.first) if a_kind else (None, ())
+    b, b_found = examine(d.second) if b_kind else (None, ())
+    if a_found or b_found:  # each side's violations, their fields prefixed with its position
+        for position, found in (("first", a_found), ("second", b_found)):
             violations += [Violation(v.rule, (position,) + v.fields, v.detail) for v in found]
     if violations:
         return _inadmissible(violations)

@@ -736,6 +736,17 @@ def test_a_long_refused_integer_argument_is_written_as_its_length(capsys, argv, 
                    f"<{length} characters>"
 
 
+def test_a_refused_argument_holding_a_newline_is_one_error_line(capsys):
+    # argparse echoes an unrecognized argument raw: its newline must not forge a second line
+    with pytest.raises(SystemExit) as exit_:
+        main(["census", "tautau", "x\nerror: forged"])
+    assert exit_.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if "error" in line] == \
+        ["tritangle: error: 'unrecognized arguments: x\\nerror: forged'"]
+
+
 @pytest.mark.parametrize("bound, line", [
     ("9" * 300, "census bound <300 characters> exceeds the cap 99"),
     ("-" + "9" * 300, "census bound must be non-negative, got <301 characters>"),

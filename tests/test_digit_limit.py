@@ -149,7 +149,7 @@ def document_error(parse, obj) -> str:
 # each site that echoes a refused value, and the text it refuses an integer past the digit
 # limit with: its own refusal, the one it raises for any value it refuses; built when run
 ECHO_SITES = {
-    "verdict._structural_violations": (
+    "verdict.classify": (
         f"unknown decomposition kind {HUGE_NAME}", lambda: unknown_kind(HUGE)),
     "jsonio.parse_decomposition.type": (
         f'document.type: expected "tautau", "taurho" or "rhorho", got {HUGE_NAME}',

@@ -89,6 +89,15 @@ def test_run_census_echoes_a_long_bound_within_bounds(tmp_path, bound, refusal):
     assert not out_dir.exists()
 
 
+def test_run_census_refuses_an_argument_holding_a_newline_in_one_error_line(tmp_path):
+    result = run_script("run_census.py", "--max-denominator", "3", "x\nerror: forged",
+                        cwd=tmp_path)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert [line for line in result.stderr.splitlines() if "error" in line] == \
+        ["run_census.py: error: 'unrecognized arguments: x\\nerror: forged'"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def stderr_writes(tree: ast.AST) -> list[str]:
     """Each use of standard error in ``tree``: ``sys.stderr`` (as ``print``'s ``file``, a
     ``write``'s target or a value passed on), ``sys.__stderr__`` or an import of either."""

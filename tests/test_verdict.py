@@ -512,6 +512,37 @@ def test_a_python_built_decomposition_is_refused_not_forged_or_raised(changes, s
     assert (v.status, [str(x) for x in v.violations]) == (INADMISSIBLE, [shown])
 
 
+_CONFLICTING_RHO = RhoDescriptor(AbstractRho(atoroidal=True, trivial=False, satellite=True,
+                                             cable=True))
+_EXCLUSIVE = ("MutualExclusivity", "satellite, cable and hopf_summand are mutually exclusive")
+
+
+@pytest.mark.parametrize("d, expected", [
+    (Decomposition("sigma", 0, "side", TauDescriptor(RationalPresentation((0, 0)))), [
+        ("UnknownKind", ("kind",), "unknown decomposition kind 'sigma'"),
+        ("NotADescriptor", ("first",),
+         "the first side must be a TauDescriptor or RhoDescriptor, got str"),
+        ("SpecialNotBoolean", ("special",), "special must be a bool, got int"),
+        ("InfiniteSlope", ("second", "twists"), "twist vector [0, 0] evaluates to infinity")]),
+    (Decomposition("tautau", True, tau_slope(3), _CONFLICTING_RHO), [
+        ("KindMismatch", ("second",),
+         "a tautau decomposition needs a tau-tangle in second position"),
+        (_EXCLUSIVE[0], ("second", "satellite", "cable"), _EXCLUSIVE[1])]),
+    (Decomposition("tautau", 1, _CONFLICTING_RHO, object()), [
+        ("KindMismatch", ("first",),
+         "a tautau decomposition needs a tau-tangle in first position"),
+        ("NotADescriptor", ("second",),
+         "the second side must be a TauDescriptor or RhoDescriptor, got object"),
+        ("SpecialNotBoolean", ("special",), "special must be a bool, got int"),
+        (_EXCLUSIVE[0], ("first", "satellite", "cable"), _EXCLUSIVE[1])]),
+], ids=["unknown-kind", "tautau-conflicting-rho", "kind-side-special-and-flags"])
+def test_several_violations_come_in_one_order(d, expected):
+    # the kind, each side's descriptor and kind, special, then each examined side's own
+    v = classify(d)
+    assert v.status == INADMISSIBLE
+    assert list(v.violations) == [Violation(*fields) for fields in expected]
+
+
 _SIDES = (tau_slope(3), tau_slope(-3), tau_slope(5), rho_plain(), rho_torus(2, 3),
           rho_torus(2, 1), TauDescriptor(RationalPresentation((0, 0))),
           TauDescriptor(AbstractTau(atoroidal=False, trivial=False, rational=True)),
