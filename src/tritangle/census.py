@@ -19,7 +19,7 @@ the sides are enumerated in ascending order: the CSV output is deterministic.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, repeat
 
 from .errors import BoundsTooLarge, echo
 from .tangle import RationalPresentation, RhoDescriptor, TauDescriptor, TorusParams, \
@@ -108,13 +108,16 @@ def run_census(kind: str, bound: int) -> list[CensusRow]:
     texts = {}  # id of each clause met -> its (branch, count text), rendered once per table
     rows = []
     for m, a in firsts.items():
-        for n, b in seconds.items():
+        line = []  # each second side's (branch, count text), in the order of seconds
+        for b in seconds.values():
             clause = rule(a, b, special)
             text = texts.get(id(clause))
             if text is None:
                 text = texts[id(clause)] = (clause.branch, str(clause.count))
-            # trusted fields, so the row is built in C, not by the generated __new__
-            rows.append(tuple.__new__(CensusRow, (m, n) + text))
+            line.append(text)
+        # trusted fields, so the rows are built in C, not by the generated __new__: zip reuses
+        # its (m, n, branch, count) tuple once tuple.__new__ has copied it, one allocation a row
+        rows += map(tuple.__new__, repeat(CensusRow), zip(repeat(m), seconds, *zip(*line)))
     return rows
 
 

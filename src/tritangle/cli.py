@@ -15,21 +15,16 @@ error (a file that cannot be written; a standard output closed early or from the
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 # catalog, census and rect are imported by the subcommands that use them, so that cf and
-# classify start without building the catalog
+# classify start without building the catalog; json and jsonio likewise, so that cf, expand
+# and census start without them
 from .annuli import good_annulus
 from .errors import DocumentError, NotApplicable, TritangleError, echo
 from .frac import cf_eval, cf_expand, parse_fraction, slope_normalize, too_long_to_print, \
     too_many_digits
-from .jsonio import (
-    loads_decomposition,
-    loads_tangle,
-    serialize_decomposition,
-)
 from .tangle import HOPF_SLOPE, KIND_TAU, resolve
 from .verdict import CLASSIFIED, INADMISSIBLE, KINDS, TOROIDAL, classify
 
@@ -100,6 +95,7 @@ def _emit(record: dict, as_json: bool):
     In text a list or tuple prints as ``  - item`` lines (``none`` when empty), a dict as one
     line of JSON, None not at all, and any other value as its ``str``, as JSON prints it too.
     """
+    import json
     if as_json:
         print(json.dumps(record, indent=2, default=str))
         return
@@ -115,6 +111,7 @@ def _emit(record: dict, as_json: bool):
 
 
 def cmd_tangle(args) -> int:
+    from .jsonio import loads_tangle
     from .rect import rect_types_rho, rect_types_tau
     t = resolve(loads_tangle(_read(args.file)))
     # the profile's fields in field order, which is printing order, each None left out
@@ -136,6 +133,7 @@ def cmd_tangle(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .jsonio import loads_decomposition
     v = classify(loads_decomposition(_read(args.file)))
     # the verdict's fields overwrite status in place, so summary stays right after it
     _emit({"status": v.status, "summary": v.summary()} | v._asdict(), args.json)
@@ -145,6 +143,7 @@ def cmd_classify(args) -> int:
 
 def cmd_catalog(args) -> int:
     from . import catalog as catalog_mod
+    from .jsonio import serialize_decomposition
     if args.verify:
         # the entries under a prefix; every entry under none or the empty one
         entries = [e for e in catalog_mod.catalog_entries() if e.name.startswith(args.name or "")]

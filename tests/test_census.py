@@ -146,6 +146,31 @@ def test_census_at_the_cap_is_pinned():
         "765ee63bfc37726661f4493aeab132800f6a05d6283415ec2a55da5eefcf159d")
 
 
+def side_indices(kind, bound):
+    """Each position's side indices up to a bound, as the module docstring states them."""
+    odd = range(3, bound + 1, 2)
+    tau = sorted([*odd, *(-m for m in odd)])
+    rho = [0, *range(2, bound + 1)]
+    return {"tautau": (tau, tau), "taurho": (odd, range(2, bound + 1)), "rhorho": (rho, rho)}[kind]
+
+
+@pytest.mark.parametrize("bound", range(8))
+@pytest.mark.parametrize("kind", ["tautau", "taurho", "rhorho"])
+def test_small_tables_match_row_by_row(kind, bound):
+    # the edges of a side's rows: no table (tautau and taurho below 3), a single row (rhorho
+    # at 0 and 1), then a few rows per side
+    firsts, seconds = side_indices(kind, bound)
+    expected = []
+    for m in firsts:
+        for n in seconds:
+            verdict = classify(census_decomposition(kind, m, n))
+            expected.append(census.CensusRow(m, n, verdict.branch, str(verdict.annulus_count)))
+    rows = run_census(kind, bound)
+    assert rows == expected
+    assert all(type(row) is census.CensusRow for row in rows)
+    assert all(type(row.m) is int and type(row.n) is int for row in rows)
+
+
 def test_empty_range_has_header_only():
     assert census_csv(run_census("tautau", 1)) == "m,n,branch,count\n"
     assert census_csv(iter(())) == "m,n,branch,count\n"

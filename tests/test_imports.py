@@ -3,8 +3,9 @@
 ``import tritangle`` resolves its public names on first use, and the CLI
 imports the catalog, census and rectangle modules only in the subcommands
 that use them, so a process that classifies one document never imports
-them.  No module of the package imports ``dataclasses`` (and with it
-``inspect``), ``typing`` or ``collections.abc``.
+them, and ``json`` and ``tritangle.jsonio`` only in the subcommands that
+read or write JSON.  No module of the package imports ``dataclasses`` (and
+with it ``inspect``), ``typing`` or ``collections.abc``.
 """
 
 from __future__ import annotations
@@ -111,6 +112,22 @@ def test_cli_imports_no_pathlib():
     done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC)],
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout == "False\n"
+
+
+def test_cf_expand_and_census_load_no_json():
+    # json and jsonio are imported by the commands that read or write JSON; -S as well as -I,
+    # since a site hook may load json first
+    probe = ("import sys\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "from tritangle.cli import main\n"
+             "codes = [main(['cf', '3', '0']), main(['expand', '7/2']),\n"
+             "         main(['census', 'tautau', '--max-denominator', '3'])]\n"
+             "print(codes, sorted({'json', 'tritangle.jsonio'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.splitlines() == [
+        "1/3 (slope 1/3)", "2 3", "m,n,branch,count", "-3,-3,tautau (i),inf",
+        "-3,3,tautau (ii),3", "3,-3,tautau (ii),3", "3,3,tautau (i),inf", "[0, 0, 0] []"]
 
 
 def test_no_module_imports_typing():
