@@ -39,18 +39,21 @@ _PATH_MAX = 4096
 
 
 class Parser(argparse.ArgumentParser):
-    """An ArgumentParser that refuses in one line, writing an unprintable message as its repr."""
+    """An ArgumentParser that refuses in one line, each argument it echoes bounded by ``echo``."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.arg_strings = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(self.arg_strings, namespace)
 
     def error(self, message: str):
+        # argparse echoes an argument raw or as its repr, and alone also an option's value after
+        # "=" or a value attached to a single-dash flag; the longest goes first, so that no
+        # shorter one is bounded inside it; a message still not printable is written as its repr
+        parts = (p for arg in self.arg_strings for p in (arg, arg.partition("=")[2], arg[2:]))
+        for text in sorted(parts, key=len, reverse=True):
+            if len(repr(text)) > 80:
+                message = message.replace(repr(text), echo(text, repr)).replace(text, echo(text))
         super().error(message if message.isprintable() else repr(message))
-
-
-def integer(text: str) -> int:
-    """An integer argument; a refused one is echoed within bounds, in argparse's words."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {echo(text, repr)}") from None
 
 
 def cmd_cf(args) -> int:
@@ -200,7 +203,7 @@ def build_parser() -> Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_cf = sub.add_parser("cf", help="evaluate a twist vector and its slope")
-    p_cf.add_argument("twists", type=integer, nargs="*", metavar="TWIST",
+    p_cf.add_argument("twists", type=int, nargs="*", metavar="TWIST",
                       help="twist entries (use -- before negative entries)")
     p_cf.set_defaults(func=cmd_cf)
 
@@ -228,7 +231,7 @@ def build_parser() -> Parser:
 
     p_census = sub.add_parser("census", help="enumerate the counting rules as CSV")
     p_census.add_argument("type", choices=KINDS)
-    p_census.add_argument("--max-denominator", type=integer, default=25, metavar="N",
+    p_census.add_argument("--max-denominator", type=int, default=25, metavar="N",
                           help="range bound (default 25, hard cap 99)")
     p_census.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
     p_census.set_defaults(func=cmd_census)

@@ -736,6 +736,39 @@ def test_a_long_refused_integer_argument_is_written_as_its_length(capsys, argv, 
                    f"<{length} characters>"
 
 
+LONG_ARGUMENT = "9" * 5000
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["census", "tautau", LONG_ARGUMENT],
+     "tritangle: error: unrecognized arguments: <5000 characters>"),
+    (["expand", "1/2", LONG_ARGUMENT],
+     "tritangle: error: unrecognized arguments: <5000 characters>"),
+    (["catalog", "4_1", LONG_ARGUMENT],
+     "tritangle: error: unrecognized arguments: <5000 characters>"),
+    (["cf", "--" + LONG_ARGUMENT], "tritangle: error: unrecognized arguments: <5002 characters>"),
+    (["census", "tautau", "--max-denominator=" + LONG_ARGUMENT],
+     "tritangle census: error: argument --max-denominator: invalid int value: <5002 characters>"),
+], ids=["census", "expand", "catalog", "cf-option", "census-bound-after-equals"])
+def test_a_long_argument_argparse_refuses_is_written_as_its_length(capsys, argv, line):
+    assert _usage_error(capsys, *argv) == line
+
+
+@pytest.mark.parametrize("argv, prog", [
+    (["census", LONG_ARGUMENT], "tritangle census"), ([LONG_ARGUMENT], "tritangle"),
+    (["classify", "--json=" + LONG_ARGUMENT, "x"], "tritangle classify"),
+    pytest.param(["-h" + LONG_ARGUMENT], "tritangle", marks=pytest.mark.skipif(
+        sys.version_info >= (3, 13), reason="Python 3.13 prints the help for -h and any text")),
+], ids=["census-kind", "subcommand", "classify-option-value", "help-attached-value"])
+def test_a_long_argument_argparse_words_by_version_is_written_as_its_length(capsys, argv,
+                                                                             prog):
+    # invalid choice and ignored explicit argument read differently between Python versions
+    line = _usage_error(capsys, *argv)
+    assert line.startswith(f"{prog}: error: argument ")
+    assert "<5002 characters>" in line
+    assert len(line.encode("utf-8")) <= 200
+
+
 def test_a_refused_argument_holding_a_newline_is_one_error_line(capsys):
     # argparse echoes an unrecognized argument raw: its newline must not forge a second line
     with pytest.raises(SystemExit) as exit_:

@@ -195,6 +195,13 @@ def test_a_long_refused_path_is_written_as_its_length(tritangle, argv):
     assert len(err.encode("utf-8")) <= 200
 
 
+def test_a_long_unrecognized_argument_is_written_as_its_length(tritangle):
+    code, out, err = run(tritangle, "census", "tautau", "9" * 5000)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "tritangle: error: unrecognized arguments: <5000 characters>"
+    assert max(len(line.encode("utf-8")) for line in err.splitlines()) <= 200
+
+
 def test_a_refused_path_with_a_newline_is_one_error_line(tritangle, tmp_path):
     path = str(tmp_path / "a\nerror: b")  # no such file
     assert run(tritangle, "classify", path) == (

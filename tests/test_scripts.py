@@ -77,12 +77,13 @@ def test_run_census_into_a_closed_reader_is_one_error_line_and_exit_two(tmp_path
 
 
 @pytest.mark.parametrize("bound, refusal", [
-    ("9" * 5000, "argument --max-denominator: invalid int value: <5002 characters>\n"),
-    ("9" * 300, "error: census bound <300 characters> exceeds the cap 99\n"),
-], ids=["past-the-digit-limit", "past-the-cap"])
+    (["9" * 5000], "argument --max-denominator: invalid int value: <5002 characters>\n"),
+    (["9" * 300], "error: census bound <300 characters> exceeds the cap 99\n"),
+    (["3", "9" * 5000], "run_census.py: error: unrecognized arguments: <5000 characters>\n"),
+], ids=["past-the-digit-limit", "past-the-cap", "unrecognized-after-the-bound"])
 def test_run_census_echoes_a_long_bound_within_bounds(tmp_path, bound, refusal):
     out_dir = tmp_path / "census"
-    result = run_script("run_census.py", "--max-denominator", bound, "--out-dir", str(out_dir))
+    result = run_script("run_census.py", "--max-denominator", *bound, "--out-dir", str(out_dir))
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.endswith(refusal)
     assert len(result.stderr.encode("utf-8")) <= 250
