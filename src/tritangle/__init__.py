@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _NAMES = {
-    "annuli": "AnnulusType good_annulus",
+    "annuli": "AnnulusType",
     "catalog": "CatalogEntry CatalogReport catalog_entries catalog_get catalog_names "
                "catalog_verify",
     "census": "CensusRow census_csv census_decomposition run_census",
@@ -31,8 +31,8 @@ _NAMES = {
               "TauDescriptor TorusParams TorusRhoPresentation Violation mirror_descriptor "
               "resolve resolve_rho resolve_tau twist_rho validate_descriptor",
     "verdict": "AnnulusCount AnnulusProfile Decomposition Obstruction Verdict classify "
-               "classify_rhorho classify_tautau classify_taurho mirror_decomposition "
-               "obstruction_check",
+               "classify_rhorho classify_tautau classify_taurho good_annulus "
+               "mirror_decomposition obstruction_check",
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names.split()}
 

@@ -21,12 +21,11 @@ import sys
 # catalog, census and rect are imported by the subcommands that use them, so that cf and
 # classify start without building the catalog; json and jsonio likewise, so that cf, expand
 # and census start without them
-from .annuli import good_annulus
 from .errors import DocumentError, NotApplicable, TritangleError, echo
 from .frac import cf_eval, cf_expand, parse_fraction, slope_normalize, too_long_to_print, \
     too_many_digits
 from .tangle import HOPF_SLOPE, KIND_TAU, resolve
-from .verdict import CLASSIFIED, INADMISSIBLE, KINDS, TOROIDAL, classify
+from .verdict import CLASSIFIED, INADMISSIBLE, KINDS, TOROIDAL, classify, good_annulus
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -37,22 +36,31 @@ EXIT_TOROIDAL = 4
 # one, which open refuses as too long, is written as its length
 _PATH_MAX = 4096
 
+# the longest list of unrecognized arguments a refusal writes, each argument bounded; a longer
+# one, which only an argv of many arguments makes, is written as their number
+_LIST_MAX = 1000
+_UNRECOGNIZED = "unrecognized arguments: "
+
 
 class Parser(argparse.ArgumentParser):
-    """An ArgumentParser that refuses in one line, each argument it echoes bounded by ``echo``."""
+    """An ArgumentParser that refuses in one line, each argument and list it echoes bounded."""
 
     def parse_known_args(self, args=None, namespace=None):
         self.arg_strings = sys.argv[1:] if args is None else list(args)
-        return super().parse_known_args(self.arg_strings, namespace)
+        namespace, self.extras = super().parse_known_args(self.arg_strings, namespace)
+        return namespace, self.extras
 
     def error(self, message: str):
         # argparse echoes an argument raw or as its repr, and alone also an option's value after
         # "=" or a value attached to a single-dash flag; the longest goes first, so that no
-        # shorter one is bounded inside it; a message still not printable is written as its repr
+        # shorter one is bounded inside it, and each text once, however often it is given; a
+        # message still not printable is written as its repr
         parts = (p for arg in self.arg_strings for p in (arg, arg.partition("=")[2], arg[2:]))
-        for text in sorted(parts, key=len, reverse=True):
+        for text in sorted(dict.fromkeys(parts), key=len, reverse=True):
             if len(repr(text)) > 80:
                 message = message.replace(repr(text), echo(text, repr)).replace(text, echo(text))
+        if message.startswith(_UNRECOGNIZED) and len(message) - len(_UNRECOGNIZED) > _LIST_MAX:
+            message = f"{_UNRECOGNIZED}<{len(self.extras)} arguments>"
         super().error(message if message.isprintable() else repr(message))
 
 

@@ -16,6 +16,9 @@ special) to a Clause:
   special rho-rho decomposition is impossible (the complement would be
   disconnected) and is rejected as inadmissible.
 
+A rho side's good annulus is one of its facts: ``side_facts`` decides the satellite / cable /
+Hopf-summand trichotomy, and ``good_annulus`` is its gated view, ``require`` first.
+
 A renderer fills in the clause's texts from both sides' facts.  The renderer table
 holds every branch label (like ``"tautau (ii)"``, stored verbatim in the Verdict so
 golden tests pin the reasoning, not just the number), count, annulus text and note.
@@ -26,8 +29,8 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from .annuli import UNIQUENESS_NOTE, good_annulus
-from .errors import echo
+from .annuli import UNIQUENESS_NOTE, AnnulusType
+from .errors import MutualExclusivityViolation, echo
 from .tangle import (
     KIND_RHO,
     KIND_TAU,
@@ -36,6 +39,7 @@ from .tangle import (
     Violation,
     examine,
     mirror_descriptor,
+    require,
 )
 from .value import Value
 
@@ -150,11 +154,17 @@ SideFacts.__doc__ = "What the pair rules read of one side."
 
 
 def side_facts(t: ResolvedTangle) -> SideFacts:
-    """The facts of a side that passed the gate (fits its kind, essential and atoroidal), so
-    ``require`` never fires here and a two-flag profile raises only once the gate let it in."""
+    """The facts of a side that passed the gate (fits its kind, essential and atoroidal); a rho
+    side with two of the satellite / cable / Hopf-summand flags raises once the gate let it in."""
     # every field is computed here, so each record is built in C, not by the generated __new__
     if t.kind == KIND_RHO:
-        return tuple.__new__(SideFacts, (None, good_annulus(t),
+        if (t.satellite and (t.cable or t.hopf_summand)) or (t.cable and t.hopf_summand):
+            raise MutualExclusivityViolation(
+                "satellite, cable and hopf_summand are mutually exclusive")
+        annulus = (AnnulusType.TYPE_I_SATELLITE if t.satellite
+                   else AnnulusType.TYPE_II_CABLE if t.cable
+                   else AnnulusType.HOPF_TYPE if t.hopf_summand else None)
+        return tuple.__new__(SideFacts, (None, annulus,
                                          t.torus.p if t.torus is not None else None))
     if t.rational is False or t.unit_fraction_slope is False:
         return tuple.__new__(SideFacts, (NO_UNIT, None, None))
@@ -163,6 +173,12 @@ def side_facts(t: ResolvedTangle) -> SideFacts:
     if abs(t.slope.num) != 1:
         return tuple.__new__(SideFacts, (NO_UNIT, None, None))
     return tuple.__new__(SideFacts, (t.slope.den if t.slope.num > 0 else -t.slope.den, None, None))
+
+
+def good_annulus(t: ResolvedTangle) -> AnnulusType | None:
+    """The type of the good annulus in the tangle exterior, if any (None for a tau side)."""
+    require(t, "good-annulus classification")
+    return side_facts(t).annulus
 
 
 # ---------------------------------------------------------------------------

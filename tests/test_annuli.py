@@ -1,4 +1,5 @@
-"""Good-annulus trichotomy in rho-tangle exteriors."""
+"""Good-annulus trichotomy in rho-tangle exteriors: ``good_annulus``, the gated view of a
+side's facts."""
 
 from __future__ import annotations
 
@@ -19,38 +20,46 @@ from tritangle import (
     resolve_rho,
     resolve_tau,
 )
+from tritangle.verdict import side_facts
+
+
+def annulus_of(t):
+    # a profile that passes the gate: the annulus its side facts hold
+    found = good_annulus(t)
+    assert found is side_facts(t).annulus
+    return found
 
 
 def test_satellite_gives_type_one():
     t = resolve_rho(RhoDescriptor(TorusRhoPresentation(TorusParams(3, 2))))
-    assert good_annulus(t) is AnnulusType.TYPE_I_SATELLITE
+    assert annulus_of(t) is AnnulusType.TYPE_I_SATELLITE
 
 
 def test_cable_gives_type_two():
     t = resolve_rho(RhoDescriptor(AbstractRho(atoroidal=True, trivial=False, cable=True)))
-    assert good_annulus(t) is AnnulusType.TYPE_II_CABLE
+    assert annulus_of(t) is AnnulusType.TYPE_II_CABLE
 
 
 def test_hopf_summand_gives_hopf_type():
     t = resolve_rho(RhoDescriptor(AbstractRho(
         atoroidal=True, trivial=False, hopf_summand=True)))
-    assert good_annulus(t) is AnnulusType.HOPF_TYPE
+    assert annulus_of(t) is AnnulusType.HOPF_TYPE
 
 
 def test_plain_rational_rho_has_none():
     t = resolve_rho(RhoDescriptor(RationalPresentation((2, 1, 1, 1, -1))))  # slope -3/8
-    assert good_annulus(t) is None
+    assert annulus_of(t) is None
 
 
 def test_tau_never_has_one():
     t = resolve_tau(TauDescriptor(RationalPresentation((3, 0))))
-    assert good_annulus(t) is None
+    assert annulus_of(t) is None
 
 
 def test_every_unit_even_slope_is_satellite_type_one():
     for k in range(2, 21):
         t = resolve_rho(RhoDescriptor(RationalPresentation((2 * k, 0))))  # slope 1/(2k)
-        assert good_annulus(t) is AnnulusType.TYPE_I_SATELLITE
+        assert annulus_of(t) is AnnulusType.TYPE_I_SATELLITE
 
 
 def test_inessential_input_rejected():

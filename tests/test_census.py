@@ -68,14 +68,16 @@ def test_each_side_examined_once_per_table(kind, sides, monkeypatch):
 
 @pytest.mark.parametrize("kind, sides", [("tautau", 0), ("taurho", 98), ("rhorho", 99)])
 def test_good_annulus_once_per_side_per_table(kind, sides, monkeypatch):
+    # a rho side's good annulus is one of its side facts
     asked = []
-    good_annulus = verdict.good_annulus
+    side_facts = census.side_facts
 
     def counted(profile):
-        asked.append(profile)
-        return good_annulus(profile)
+        if profile.kind == "rho":
+            asked.append(profile)
+        return side_facts(profile)
 
-    monkeypatch.setattr(verdict, "good_annulus", counted)
+    monkeypatch.setattr(census, "side_facts", counted)
     run_census(kind, 99)
     assert len(asked) == sides
     assert len(set(asked)) == sides

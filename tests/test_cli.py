@@ -737,6 +737,8 @@ def test_a_long_refused_integer_argument_is_written_as_its_length(capsys, argv, 
 
 
 LONG_ARGUMENT = "9" * 5000
+# twelve arguments of 79 characters and their spaces: 959 characters of a 1,000-character list
+TWELVE = ["x" * 79] * 12
 
 
 @pytest.mark.parametrize("argv, line", [
@@ -749,7 +751,14 @@ LONG_ARGUMENT = "9" * 5000
     (["cf", "--" + LONG_ARGUMENT], "tritangle: error: unrecognized arguments: <5002 characters>"),
     (["census", "tautau", "--max-denominator=" + LONG_ARGUMENT],
      "tritangle census: error: argument --max-denominator: invalid int value: <5002 characters>"),
-], ids=["census", "expand", "catalog", "cf-option", "census-bound-after-equals"])
+    (["census", "tautau", *["x" * 79] * 1500],
+     "tritangle: error: unrecognized arguments: <1500 arguments>"),
+    (["census", "tautau", *TWELVE, "y" * 40],
+     "tritangle: error: unrecognized arguments: " + " ".join([*TWELVE, "y" * 40])),
+    (["census", "tautau", *TWELVE, "y" * 41],
+     "tritangle: error: unrecognized arguments: <13 arguments>"),
+], ids=["census", "expand", "catalog", "cf-option", "census-bound-after-equals",
+        "many-arguments", "list-at-the-bound", "list-past-the-bound"])
 def test_a_long_argument_argparse_refuses_is_written_as_its_length(capsys, argv, line):
     assert _usage_error(capsys, *argv) == line
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import sys
 
@@ -605,6 +606,33 @@ def test_each_pair_rule_is_a_pure_decision(kind):
         clause = rule(a, b, special)
         assert any(clause is c for c in clauses)
         assert rule(a, b, special) is clause
+
+
+def test_the_count_path_runs_the_gate_once(monkeypatch):
+    # _count's gate is the only one a counted side passes, and census sides pass it by
+    # construction: no module's ``require`` runs on the classify or census path
+    from tritangle import catalog_entries, tangle
+    for name in ("catalog", "census", "cli", "rect"):  # every module that may bind require
+        importlib.import_module(f"tritangle.{name}")
+    require, calls = tangle.require, []
+
+    def counted(*args):
+        calls.append(args)
+        return require(*args)
+
+    patched = [(name, key) for name, module in list(sys.modules.items())
+               if name.startswith("tritangle") for key, value in vars(module).items()
+               if value is require]
+    for name, key in patched:
+        monkeypatch.setattr(sys.modules[name], key, counted)
+    assert ("tritangle.rect", "require") in patched
+    for entry in catalog_entries():
+        if entry.decomposition is not None:
+            for d in (entry.decomposition, mirror_decomposition(entry.decomposition)):
+                assert classify(d).status == CLASSIFIED
+    for kind in verdict.KINDS:
+        run_census(kind, 99)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
