@@ -40,6 +40,9 @@ _PATH_MAX = 4096
 # one, which only an argv of many arguments makes, is written as their number
 _LIST_MAX = 1000
 _UNRECOGNIZED = "unrecognized arguments: "
+# the most option arguments (each "-" and more but a negative number, before any "--") an argv
+# may hold: argparse's walk of repeated options costs time quadratic in their number
+_OPTIONS_MAX = 100
 
 
 class Parser(argparse.ArgumentParser):
@@ -47,6 +50,10 @@ class Parser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         self.arg_strings = sys.argv[1:] if args is None else list(args)
+        before = [*self.arg_strings, "--"]  # the arguments before the first "--"
+        if sum(arg.startswith("-") and arg != "-" and not self._negative_number_matcher.match(arg)
+               for arg in before[:before.index("--")]) > _OPTIONS_MAX:
+            self.error(f"more than {_OPTIONS_MAX} option arguments")
         namespace, self.extras = super().parse_known_args(self.arg_strings, namespace)
         return namespace, self.extras
 

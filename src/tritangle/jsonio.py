@@ -54,7 +54,7 @@ from .verdict import KINDS, Decomposition
 
 
 # Each fixed schema's field names as the keys of a dict: iterated in order, and compared with
-# an object's keys in one C call
+# an object's keys in one C call, inline at each object, with _fields called only on a fault
 _DOCUMENT, _TANGLE, _RATIONAL, _TORUS = (dict.fromkeys(names).keys() for names in (
     ("type", "special", "tangles"), ("kind", "presentation"), ("twists",), ("p", "q")))
 
@@ -62,12 +62,12 @@ _DOCUMENT, _TANGLE, _RATIONAL, _TORUS = (dict.fromkeys(names).keys() for names i
 # jsonio checks only JSON's shape: the value classes own the rules of their fields (twist
 # entries, torus parameters, abstract flags), and their TypeError's field names the path.
 
-def _fields(obj: object, path: str, required, allowed=None, below: str = ""):
-    """Refuse all but an object with every ``required`` field and none outside ``allowed``."""
+_BOOLEAN = "expected a boolean"  # the refusal of special and of each boolean abstract flag
+
+
+def _fields(obj: object, path: str, required, allowed=None):
+    """Name the fault of an object that its inline keys test refused; a dict subclass passes."""
     allowed = allowed or required
-    if type(obj) is dict and required <= obj.keys() <= allowed:
-        return  # a schema document's object: its keys compared in C, no loop
-    path += below  # the object's path, joined only to name a fault
     if not isinstance(obj, dict):
         raise DocumentError(path, f"expected an object, got {type(obj).__name__}")
     for key in obj:
@@ -88,7 +88,8 @@ def _slope(value: object, path: str) -> ExtFraction:
 
 
 def _torus(obj: object, path: str) -> TorusParams:
-    _fields(obj, path, _TORUS)
+    if type(obj) is not dict or obj.keys() != _TORUS:
+        _fields(obj, path, _TORUS)
     try:
         return TorusParams(obj["p"], obj["q"])
     except TypeError as exc:  # the first value that is not an integer, in TorusParams' order
@@ -121,12 +122,12 @@ _REQUIRED = object()  # the default of a flag without one: no flag value equals 
 def _abstract_schema(cls) -> tuple:
     """An abstract presentation class, its flags in field order, the required and all names.
 
-    Each flag is (name, default, write), read from the class's slots and ``__init__``'s
-    defaults (``_REQUIRED`` for a required flag); ``write`` returns the flag's JSON text.
+    Each flag is (key, default, write), read from the class's slots and ``__init__``'s defaults
+    (``_REQUIRED`` for a required flag); ``key + write(value)`` is the flag's JSON text.
     """
     names, defaults = cls.__slots__, cls.__init__.__defaults__
     required = len(names) - len(defaults)
-    flags = tuple((name, default, _WRITE_FLAG.get(name, _write_value))
+    flags = tuple((f'"{name}": ', default, _WRITE_FLAG.get(name, _write_value))
                   for name, default in zip(names, (_REQUIRED,) * required + defaults))
     return cls, flags, dict.fromkeys(names[:required]).keys(), dict.fromkeys(names).keys()
 
@@ -137,7 +138,8 @@ _ABSTRACT = {KIND_TAU: _abstract_schema(AbstractTau), KIND_RHO: _abstract_schema
 
 
 def parse_tangle(obj: object, path: str = "tangle") -> Descriptor:
-    _fields(obj, path, _TANGLE)
+    if type(obj) is not dict or obj.keys() != _TANGLE:
+        _fields(obj, path, _TANGLE)
     kind, pres = obj["kind"], obj["presentation"]
     if kind not in (KIND_TAU, KIND_RHO):
         raise DocumentError(f"{path}.kind", f'expected "tau" or "rho", got {echo(kind, repr)}')
@@ -149,7 +151,8 @@ def parse_tangle(obj: object, path: str = "tangle") -> Descriptor:
                             "exactly one presentation variant is required")
     (variant, body), = pres.items()
     if variant == "rational":
-        _fields(body, path, _RATIONAL, below=".presentation.rational")
+        if type(body) is not dict or body.keys() != _RATIONAL:
+            _fields(body, f"{path}.presentation.rational", _RATIONAL)
         if not isinstance(body["twists"], list):
             raise DocumentError(f"{path}.presentation.rational.twists",
                                 "expected a list of integers")
@@ -164,36 +167,44 @@ def parse_tangle(obj: object, path: str = "tangle") -> Descriptor:
                                 "torus parameters only present rho-tangles")
         presentation = TorusRhoPresentation(_torus(body, f"{path}.presentation.torus_rho"))
     elif variant == "abstract":
+        # the flags' path, "{path}.presentation.abstract", is joined only where it is written
         cls, _, required, names = _ABSTRACT[kind]
-        at = f"{path}.presentation.abstract"
-        _fields(body, at, required, names)
+        if type(body) is not dict or not required <= body.keys() <= names:
+            _fields(body, f"{path}.presentation.abstract", required, names)
         flags = dict(body)
         for name in _READ_FLAG.keys() & flags.keys():  # slope or torus, read first
-            flags[name] = _READ_FLAG[name](flags[name], f"{at}.{name}")
+            flags[name] = _READ_FLAG[name](flags[name], f"{path}.presentation.abstract.{name}")
         try:
             presentation = cls(**flags)
         except TypeError as exc:  # the refused flag is a boolean: slope and torus were read above
-            raise DocumentError(f"{at}.{exc.field}", "expected a boolean") from None
+            raise DocumentError(f"{path}.presentation.abstract.{exc.field}", _BOOLEAN) from None
         if flags.get("unit_fraction_slope", False) is None:  # the class reads null as unstated
-            raise DocumentError(f"{at}.unit_fraction_slope", "expected a boolean")
+            raise DocumentError(f"{path}.presentation.abstract.unit_fraction_slope", _BOOLEAN)
     else:
         raise DocumentError(f"{path}.presentation.{echo(variant)}",
                             "unknown presentation variant")
-    return (TauDescriptor if kind == KIND_TAU else RhoDescriptor)(presentation)
+    # the variant branch has fixed the presentation's type, so the side is built without
+    # __init__'s check of it, through its slot setter, as frac._canonical builds a fraction
+    cls = TauDescriptor if kind == KIND_TAU else RhoDescriptor
+    cls._setters[0](side := object.__new__(cls), presentation)
+    return side
 
 
 def parse_decomposition(obj: object, path: str = "document") -> Decomposition:
-    _fields(obj, path, _DOCUMENT)
+    if type(obj) is not dict or obj.keys() != _DOCUMENT:
+        _fields(obj, path, _DOCUMENT)
     kind, special, tangles = obj["type"], obj["special"], obj["tangles"]
     if kind not in KINDS:
         raise DocumentError(f"{path}.type",
                             f'expected "tautau", "taurho" or "rhorho", got {echo(kind, repr)}')
     if type(special) is not bool:
-        raise DocumentError(f"{path}.special", "expected a boolean")
+        raise DocumentError(f"{path}.special", _BOOLEAN)
     if not isinstance(tangles, list) or len(tangles) != 2:
         raise DocumentError(f"{path}.tangles", "expected a list of exactly two tangles")
+    # the default path's side paths are constants, so that an accepted document joins no path
+    sides = map(parse_tangle, tangles, ("document.tangles[0]", "document.tangles[1]")
+                if path == "document" else (f"{path}.tangles[0]", f"{path}.tangles[1]"))
     # every field checked, so the record is built in C, not by the generated __new__
-    sides = map(parse_tangle, tangles, (f"{path}.tangles[0]", f"{path}.tangles[1]"))
     return tuple.__new__(Decomposition, (kind, special, *sides))
 
 
@@ -206,16 +217,19 @@ def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-# Every document is decoded by the C scanner alone, which keeps a repeated field's last value.
-# _REPEATS, whose hook sees each object's pairs, only names a repeat: it decodes again a refused
-# text, and an accepted one only when it has more colons than its schema has members (each
-# member has one colon outside strings, and an accepted document's strings hold none).
+# Every document is decoded by the plain decoder's C scanner alone when its value fills the
+# text, and by the decoder's decode otherwise (whitespace around the value, extra data after
+# it, or no value), so that each syntax fault is refused in decode's own words; either keeps a
+# repeated field's last value.  _REPEATS, whose hook sees each object's pairs, only names a
+# repeat: it decodes again a refused text, and an accepted one only when it has more colons
+# than its schema has members (each member has one colon outside strings, and an accepted
+# document's strings hold none).
 _DECODER = json.JSONDecoder()
 _REPEATS = json.JSONDecoder(object_pairs_hook=_unique_fields)
 
 # The deepest nesting a document may have (RFC 8259 section 9 lets a parser limit it).  The
 # decoder's own bound differs between Python versions and lies deeper on all of them, so
-# nesting is also checked here; schema documents nest at most 6 deep.
+# nesting is also checked here, on every refused text: schema documents nest at most 6 deep.
 MAX_DEPTH = 500
 _TOO_DEEP = "arrays or objects nested too deeply"
 # The nesting scan deletes every string literal, then every run of characters that are not
@@ -228,7 +242,7 @@ _DEPTH_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 
 def _refuse_deep_nesting(text: str, path: str):
-    # counting the opening brackets is cheap and spares every real document the scan
+    # counting the opening brackets is cheap and spares most refused documents the scan
     if text.count("[") + text.count("{") <= MAX_DEPTH:
         return
     brackets = re.sub(_NOT_BRACKETS, "", re.sub(_STRING, "", text))
@@ -236,15 +250,22 @@ def _refuse_deep_nesting(text: str, path: str):
         raise DocumentError(path, _TOO_DEEP)
 
 
-def _decode(text: str, path: str, decoder: json.JSONDecoder = _DECODER) -> object:
+def _scan(text: str) -> object:
+    try:
+        value, end = _DECODER.scan_once(text, 0)
+    except StopIteration:  # no value starts at index 0: whitespace first, or no value at all
+        end = None
+    return value if end == len(text) else _DECODER.decode(text)
+
+
+def _decode(text: str, path: str, decode=_scan) -> object:
     if text.startswith("\ufeff"):  # json.loads refuses a BOM; JSONDecoder.decode does not check
         raise DocumentError("line 1, column 1", "Unexpected UTF-8 BOM (decode using utf-8-sig)")
-    error = None
     try:
         # decoding comes before the nesting scan: a hostile document far deeper than MAX_DEPTH
         # then ends in the decoder's RecursionError without the scan's two regex passes, which
         # cost more than the rest of the document's work
-        value = decoder.decode(text)
+        return decode(text)
     except RecursionError:
         # the decoder's own bound: deeper than MAX_DEPTH at the default recursion limit and a
         # shallow caller stack, but on 3.10 and 3.11 it is the limit less the caller's depth
@@ -255,9 +276,7 @@ def _decode(text: str, path: str, decoder: json.JSONDecoder = _DECODER) -> objec
         error = DocumentError(path, too_many_digits("an integer literal"))
     # before any other error, which a version whose decoder stops at a smaller depth never meets
     _refuse_deep_nesting(text, path)
-    if error is not None:
-        raise error
-    return value
+    raise error
 
 
 def _schema_members(obj: dict) -> int:
@@ -275,10 +294,11 @@ def _load(text: str, path: str, parse) -> object:
     try:
         result = parse(value)
     except Exception:  # a refused value may have any shape: it is decoded again, not counted
-        _decode(text, path, _REPEATS)  # a RecursionError there is the nesting refusal too
+        _refuse_deep_nesting(text, path)  # an accepted value is never deep, so only here
+        _decode(text, path, _REPEATS.decode)  # a RecursionError there is the nesting refusal too
         raise
     if text.count(":") > _schema_members(value):
-        _decode(text, path, _REPEATS)
+        _decode(text, path, _REPEATS.decode)
     return result
 
 
@@ -309,10 +329,11 @@ def _tangle_text(d: Descriptor) -> str:
             raise SlopeTooLarge(too_many_digits("a twist entry")) from None
     if isinstance(p, TorusRhoPresentation):
         return _TORUS_RHO_TEXT % (d.kind, p.params.p, p.params.q)
-    # the flags in field order; a required flag's default is _REQUIRED, so it is always written
-    return _ABSTRACT_TEXT % (d.kind, ", ".join(
-        f'"{name}": {write(value)}' for name, default, write in _ABSTRACT[d.kind][1]
-        if (value := getattr(p, name)) != default))
+    # the flags in field order, read in one C call; a required flag's default is _REQUIRED, so
+    # it is always written
+    return _ABSTRACT_TEXT % (d.kind, ", ".join([
+        key + write(value) for (key, default, write), value in zip(_ABSTRACT[d.kind][1], p._key(p))
+        if value != default]))
 
 
 def serialize_tangle(d: Descriptor) -> dict:

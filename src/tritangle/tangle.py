@@ -103,16 +103,16 @@ class RationalPresentation(Value):
         if not _INT_ONLY.issuperset(map(type, twists)):  # one C-level scan of the entries
             i, entry = next((i, a) for i, a in enumerate(twists) if type(a) is not int)
             raise _type_error("RationalPresentation", f"twists[{i}]", "an int", entry)
-        object.__setattr__(self, "twists", twists)
+        self._setters[0](self, twists)
 
 
 def _set_typed(record, values: tuple):
     """Store ``values`` in ``record``; the first one ``_types`` refuse raises, naming them."""
-    for name, value, allowed in zip(record.__slots__, values, record._types):
-        if not isinstance(value, allowed):
-            expected = " | ".join([t.__name__ for t in allowed]).replace("NoneType", "None")
+    for name, value, types, store in zip(record.__slots__, values, record._types, record._setters):
+        if not isinstance(value, types):
+            expected = " | ".join([t.__name__ for t in types]).replace("NoneType", "None")
             raise _type_error(type(record).__name__, name, expected, value)
-        object.__setattr__(record, name, value)
+        store(record, value)
 
 
 class TorusRhoPresentation(Value):

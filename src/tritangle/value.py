@@ -16,10 +16,12 @@ class Value:
     def __init_subclass__(cls):
         # eq and hash read the fields in one C call: a tuple, or a lone field's value
         cls._key = staticmethod(attrgetter(*cls.__slots__))
+        # each field's slot setter, which stores without object.__setattr__'s lookup by name
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _set(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for store, value in zip(self._setters, values):
+            store(self, value)
 
     def _replace(self, **changes):
         return type(self)(**{name: getattr(self, name) for name in self.__slots__} | changes)

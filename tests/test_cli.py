@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -787,6 +788,45 @@ def test_a_refused_argument_holding_a_newline_is_one_error_line(capsys):
     assert out == ""
     assert [line for line in err.splitlines() if "error" in line] == \
         ["tritangle: error: 'unrecognized arguments: x\\nerror: forged'"]
+
+
+TOO_MANY_OPTIONS = "tritangle: error: more than 100 option arguments"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", *["--json"] * 6000, "doc.json"],
+    ["census", "tautau", *["--max-denominator=3"] * 6000],
+    ["classify", *["--json"] * 101, "doc.json"],
+], ids=["classify-6000", "census-6000", "classify-101"])
+def test_an_argv_of_many_options_is_refused_before_argparse_walks_it(capsys, argv):
+    # argparse's walk of repeated options costs time quadratic in their number: 6,000 took
+    # about a second before they were counted first
+    start = time.perf_counter()
+    assert _usage_error(capsys, *argv) == TOO_MANY_OPTIONS
+    assert time.perf_counter() - start < 0.1
+
+
+def test_an_argv_at_the_option_bound_is_walked_by_argparse(capsys, tmp_path):
+    missing = str(tmp_path / "doc.json")
+    assert run(capsys, "classify", *["--json"] * 100, missing) == (
+        EXIT_USAGE, "", f"error: {missing}: No such file or directory\n")
+
+
+@pytest.mark.parametrize("argv, line", [
+    # negative numbers and "-" are not options, nor is anything after "--"
+    (["classify", *["-"] * 150],
+     "tritangle: error: unrecognized arguments: " + " ".join(["-"] * 149)),
+    (["cf", "--", *["--json"] * 6000], "tritangle cf: error: argument TWIST: invalid int value: "
+                                         "'--json'"),
+], ids=["dashes", "after-double-dash"])
+def test_what_is_not_an_option_is_not_counted(capsys, argv, line):
+    assert _usage_error(capsys, *argv) == line
+
+
+def test_cf_of_many_negative_twists_evaluates(capsys):
+    code, out, err = run(capsys, "cf", *["-1"] * 6000)
+    assert (code, err) == (EXIT_OK, "")
+    assert run(capsys, "cf", "--", *["-1"] * 6000) == (EXIT_OK, out, "")
 
 
 @pytest.mark.parametrize("bound, line", [

@@ -4,7 +4,7 @@ Each example is a subcommand, or an option or a value in its place, and up to fo
 arguments: subcommand names, options, ``--``, ``-h``, ``option=value`` forms, digit and
 letter runs on either side of the 80 characters a refused value keeps, control and
 non-ASCII characters, and paths to a directory, a missing file and a file that is not
-UTF-8; in half the examples, one short argument follows them many times.  Whatever argv
+UTF-8; in half the examples, one short argument, an option too, follows them many times.  Whatever argv
 holds, ``main`` returns or exits with one of the CLI's exit codes; a usage refusal writes
 only argparse's usage text and one error line; and no line on standard error is longer
 than a refused path that could name a file (``_PATH_MAX``) plus the words around it.
@@ -35,11 +35,12 @@ ARGUMENT = st.one_of(
     st.sampled_from(VALUES).map("-h".__add__))
 # a subcommand in four examples of five, else an option or a value in its place
 FIRST = st.sampled_from(SUBCOMMANDS * 4 + ["-h", "--help", "--", "9" * 5000, "x" * 81, "é"])
-# in half the examples, many short arguments: one subcommand name or value given up to 2,500
-# times, far past the unrecognized-argument list that a refusal writes whole (an option given
-# that often would cost argparse time quadratic in the count)
+# in half the examples, many short arguments: one subcommand name, option or value given up to
+# 2,500 times, far past the unrecognized-argument list that a refusal writes whole and past the
+# option arguments an argv may hold, which are counted before argparse walks them
 MANY = st.one_of(st.just([]), st.builds(
-    lambda arg, n: [arg] * n, st.sampled_from([v for v in SUBCOMMANDS + VALUES if len(v) < 20]),
+    lambda arg, n: [arg] * n,
+    st.sampled_from([v for v in SUBCOMMANDS + OPTIONS + VALUES if len(v) < 20]),
     st.integers(2, 2500)))
 ARGV = st.builds(lambda first, rest, many: [first, *rest, *many], FIRST,
                  st.lists(ARGUMENT, max_size=4), MANY)

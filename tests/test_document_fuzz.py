@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import pickle
 import re
 import sys
 import tempfile
@@ -32,6 +33,8 @@ from hypothesis import strategies as st
 
 from tritangle import (
     DocumentError,
+    RhoDescriptor,
+    TauDescriptor,
     catalog_entries,
     classify,
     dumps_decomposition,
@@ -131,6 +134,39 @@ def test_mutated_documents_end_in_a_verdict_or_document_error(data):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(["classify", str(path)])
     assert code in EXIT_CODES
+
+
+# ---------------------------------------------------------------------------
+# Sides built without __init__: parse_tangle stores the presentation its variant has fixed
+
+
+def check_sides_are_the_public_values(text: str):
+    """Each side of the document, if accepted, against the same side built publicly."""
+    try:
+        decomposition = parse_decomposition(json.loads(text))
+    except DocumentError:
+        return
+    for side in (decomposition.first, decomposition.second):
+        assert type(side) in (TauDescriptor, RhoDescriptor)
+        p = side.presentation
+        built = type(side)(type(p)(*(getattr(p, name) for name in p.__slots__)))
+        assert side == built and hash(side) == hash(built) and repr(side) == repr(built)
+        assert pickle.dumps(side) == pickle.dumps(built)
+        again = pickle.loads(pickle.dumps(side))
+        assert (type(again), again, repr(again)) == (type(built), built, repr(built))
+
+
+@pytest.mark.parametrize("text", DOCUMENTS)
+def test_each_catalog_side_is_the_value_its_constructors_build(text):
+    check_sides_are_the_public_values(text)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mutated_documents())
+def test_each_mutated_side_is_the_value_its_constructors_build(data):
+    text = data.decode("utf-8", "surrogateescape")
+    if is_json(text):
+        check_sides_are_the_public_values(text)
 
 
 # ---------------------------------------------------------------------------

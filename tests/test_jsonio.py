@@ -251,6 +251,39 @@ def test_duplicate_field_rejected_on_every_call_through_the_shared_decoder():
             loads_decomposition(dup)
 
 
+_DOC_TEXT = json.dumps({"type": "tautau", "special": True, "tangles": [
+    {"kind": "tau", "presentation": {"rational": {"twists": [3, 0]}}},
+    {"kind": "tau", "presentation": {"rational": {"twists": [-3, 0]}}}]})
+_TANGLE_TEXT = json.dumps(GOOD_DOC["tangles"][0])
+
+
+# A text whose value starts at index 0 and ends at its end is decoded by the C scanner alone;
+# any other is decoded by JSONDecoder.decode, which accepts whitespace around the value and
+# refuses in its own words, with the positions these pin.
+@pytest.mark.parametrize("load, text, value", [
+    (loads_decomposition, _DOC_TEXT, "document"), (loads_tangle, _TANGLE_TEXT, "tangle")],
+    ids=["document", "tangle"])
+@pytest.mark.parametrize("case, expected", [
+    ("  {}", None), ("{}  ", None), ("{}\n", None),
+    ("{} {}", "line 1, column {column}: Extra data"),
+    ("", "line 1, column 1: Expecting value"),
+    (" \t\n", "line 2, column 1: Expecting value"),
+    ("\ufeff", "line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ("3", "{value}: expected an object, got int"),
+    ("}{}", "line 1, column 1: Expecting value"),
+], ids=["leading-spaces", "trailing-spaces", "trailing-newline", "extra-data", "empty",
+        "whitespace-only", "lone-bom", "bare-scalar", "fault-at-column-1"])
+def test_the_scanner_first_decode_reads_as_decode(load, text, value, case, expected):
+    text = case.replace("{}", text, 1)
+    if expected is None:
+        assert load(text) == load(text.strip())
+        return
+    with pytest.raises(DocumentError) as err:
+        load(text)
+    # "Extra data" is at the column after the value and the space that follows it
+    assert str(err.value) == expected.format(column=len(text) - 1, value=value)
+
+
 def test_byte_order_mark_rejected():
     for load, doc in ((loads_decomposition, GOOD_DOC), (loads_tangle, GOOD_DOC["tangles"][0])):
         with pytest.raises(DocumentError, match="Unexpected UTF-8 BOM") as err:

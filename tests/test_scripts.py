@@ -148,3 +148,12 @@ def test_capture_prints_the_pinned_digests():
         "documents: 5cd534b99a35c133767228f98bf7a8188c309e29e67865e2b6094fefff3efe43\n"
         "census: 765ee63bfc37726661f4493aeab132800f6a05d6283415ec2a55da5eefcf159d\n"
         "catalog: 438bcadad748dc69d45d6206557c0425d3877706d9c7e26d4c5a7cba3576bf00\n")
+
+
+def test_stages_prints_each_stage_of_the_documents_path():
+    # under -S, as the script is meant to run; its values are timings, so only the keys are pinned
+    result = subprocess.run([sys.executable, "-S", str(ROOT / "scripts" / "stages.py")],
+                            capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert [line.split(": ")[0] for line in result.stdout.splitlines()] == \
+        ["decode", "loads_decomposition", "classify", "dumps_decomposition"]
