@@ -67,11 +67,10 @@ _BOOLEAN = "expected a boolean"  # the refusal of special and of each boolean ab
 
 def _fields(obj: object, path: str, required, allowed=None):
     """Name the fault of an object that its inline keys test refused; a dict subclass passes."""
-    allowed = allowed or required
     if not isinstance(obj, dict):
         raise DocumentError(path, f"expected an object, got {type(obj).__name__}")
     for key in obj:
-        if key not in allowed:
+        if key not in (allowed or required):
             raise DocumentError(f"{path}.{echo(key)}", "unknown field")
     for key in required:
         if key not in obj:
@@ -201,10 +200,8 @@ def parse_decomposition(obj: object, path: str = "document") -> Decomposition:
         raise DocumentError(f"{path}.special", _BOOLEAN)
     if not isinstance(tangles, list) or len(tangles) != 2:
         raise DocumentError(f"{path}.tangles", "expected a list of exactly two tangles")
-    # the default path's side paths are constants, so that an accepted document joins no path
-    sides = map(parse_tangle, tangles, ("document.tangles[0]", "document.tangles[1]")
-                if path == "document" else (f"{path}.tangles[0]", f"{path}.tangles[1]"))
     # every field checked, so the record is built in C, not by the generated __new__
+    sides = map(parse_tangle, tangles, (f"{path}.tangles[0]", f"{path}.tangles[1]"))
     return tuple.__new__(Decomposition, (kind, special, *sides))
 
 
@@ -229,7 +226,8 @@ _REPEATS = json.JSONDecoder(object_pairs_hook=_unique_fields)
 
 # The deepest nesting a document may have (RFC 8259 section 9 lets a parser limit it).  The
 # decoder's own bound differs between Python versions and lies deeper on all of them, so
-# nesting is also checked here, on every refused text: schema documents nest at most 6 deep.
+# nesting is also checked here, on every text that is refused or decoded again: schema
+# documents nest at most 6 deep, and an accepted value is deep only in a repeat's dropped value.
 MAX_DEPTH = 500
 _TOO_DEEP = "arrays or objects nested too deeply"
 # The nesting scan deletes every string literal, then every run of characters that are not
@@ -294,10 +292,11 @@ def _load(text: str, path: str, parse) -> object:
     try:
         result = parse(value)
     except Exception:  # a refused value may have any shape: it is decoded again, not counted
-        _refuse_deep_nesting(text, path)  # an accepted value is never deep, so only here
+        _refuse_deep_nesting(text, path)  # before any other error
         _decode(text, path, _REPEATS.decode)  # a RecursionError there is the nesting refusal too
         raise
-    if text.count(":") > _schema_members(value):
+    if text.count(":") > _schema_members(value):  # a repeat's dropped value may be deep
+        _refuse_deep_nesting(text, path)
         _decode(text, path, _REPEATS.decode)
     return result
 

@@ -156,7 +156,7 @@ class TauDescriptor(Value):
     def __init__(self, presentation: RationalPresentation | AbstractTau):
         if not isinstance(presentation, (RationalPresentation, AbstractTau)):
             raise TypeError(f"{type(presentation).__name__} does not present a tau-tangle")
-        object.__setattr__(self, "presentation", presentation)  # no _set loop: the hot path
+        self._setters[0](self, presentation)  # no _set loop: the hot path
 
 
 class RhoDescriptor(Value):
@@ -167,7 +167,7 @@ class RhoDescriptor(Value):
         if not isinstance(presentation, (RationalPresentation, TorusRhoPresentation,
                                          AbstractRho)):
             raise TypeError(f"{type(presentation).__name__} does not present a rho-tangle")
-        object.__setattr__(self, "presentation", presentation)  # no _set loop: the hot path
+        self._setters[0](self, presentation)  # no _set loop: the hot path
 
 
 Descriptor = TauDescriptor | RhoDescriptor

@@ -358,39 +358,38 @@ def classify(d: Decomposition) -> Verdict:
     Whatever a Decomposition holds, every failure is reported inside the Verdict (status
     inadmissible with a violation list), never raised past this boundary.
     """
-    kind, special, first_side, second_side = d  # each field read once
-    known = kind in KINDS
-    first, second = RULES[kind][0] if known else (None, None)
+    known = d.kind in KINDS
+    first, second = RULES[d.kind][0] if known else (None, None)
     violations = [] if known else [Violation("UnknownKind", ("kind",),
-                                             f"unknown decomposition kind {echo(kind, repr)}")]
+                                             f"unknown decomposition kind {echo(d.kind, repr)}")]
     # one lookup per side: its tangle kind, or None for a side that is not a descriptor, which
     # is refused here and never examined; an unknown kind expects no side kind to compare
-    a_kind, b_kind = _SIDE_KINDS.get(type(first_side)), _SIDE_KINDS.get(type(second_side))
+    a_kind, b_kind = _SIDE_KINDS.get(type(d.first)), _SIDE_KINDS.get(type(d.second))
     if not known or a_kind != first or b_kind != second:
-        for position, side, got, expected in (("first", first_side, a_kind, first),
-                                              ("second", second_side, b_kind, second)):
+        for position, side, got, expected in (("first", d.first, a_kind, first),
+                                              ("second", d.second, b_kind, second)):
             if got is None:
                 violations.append(Violation("NotADescriptor", (position,), (
                     f"the {position} side must be a TauDescriptor or RhoDescriptor, "
                     f"got {echo(type(side).__name__)}")))
             elif known:
-                violations += _kind_mismatch(kind, position, got, expected)
-    if type(special) is not bool:  # jsonio's rule: 0 or "no" must not be read as a flag
+                violations += _kind_mismatch(d.kind, position, got, expected)
+    if type(d.special) is not bool:  # jsonio's rule: 0 or "no" must not be read as a flag
         violations.append(Violation("SpecialNotBoolean", ("special",), "special must be a bool, "
-                                    f"got {echo(type(special).__name__)}"))
-    elif kind == RHORHO and special:
+                                    f"got {echo(type(d.special).__name__)}"))
+    elif d.kind == RHORHO and d.special:
         violations.append(Violation("SpecialRhoRho", ("special",), "a rho-rho decomposition "
                                     "cannot be special (the complement would be disconnected)"))
-    a, a_found = examine(first_side) if a_kind else (None, ())
-    b, b_found = examine(second_side) if b_kind else (None, ())
+    a, a_found = examine(d.first) if a_kind else (None, ())
+    b, b_found = examine(d.second) if b_kind else (None, ())
     if a_found or b_found:  # each side's violations, their fields prefixed with its position
         for position, found in (("first", a_found), ("second", b_found)):
             violations += [Violation(v.rule, (position,) + v.fields, v.detail) for v in found]
     if violations:
         return _inadmissible(violations)
-    # the kind's count; a rho-rho decomposition got here only if special is False, as
-    # classify_rhorho passes it
-    return _count(kind, a, b, special)
+    if d.kind == RHORHO:
+        return classify_rhorho(a, b)
+    return (classify_tautau if d.kind == TAUTAU else classify_taurho)(a, b, d.special)
 
 
 # ---------------------------------------------------------------------------

@@ -373,7 +373,10 @@ def test_nesting_bound_is_fixed_and_skips_string_literals():
     with pytest.raises(DocumentError, match="expected an object"):
         loads_tangle(at_bound)
     too_deep = ("[" + at_bound + "]", "[ " * (MAX_DEPTH + 1), '{"a": ' * (MAX_DEPTH + 1) + "1",
-                '{"a": 1, "a": 2, "b": ' + at_bound + "}")  # before any other error
+                '{"a": 1, "a": 2, "b": ' + at_bound + "}",  # before any other error
+                # also where a repeated field's first value, which the decoder drops, is deep
+                '{"kind": ' + at_bound + ', "kind": "tau", "presentation": '
+                '{"rational": {"twists": [3]}}}')
     for text in too_deep:
         with pytest.raises(DocumentError, match="^tangle: arrays or objects nested too deeply$"):
             loads_tangle(text)
