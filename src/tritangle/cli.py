@@ -70,6 +70,20 @@ class Parser(argparse.ArgumentParser):
             message = f"{_UNRECOGNIZED}<{len(self.extras)} arguments>"
         super().error(message if message.isprintable() else repr(message))
 
+    def _get_formatter(self):
+        # HelpFormatter's default width, shutil.get_terminal_size().columns - 2, read as shutil
+        # reads it but without importing shutil, which loads bz2, lzma, zlib and fnmatch
+        try:
+            columns = int(os.environ.get("COLUMNS", 0))
+        except ValueError:
+            columns = 0
+        if columns <= 0:
+            try:
+                columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+            except (AttributeError, ValueError, OSError):  # no stdout, or not a terminal
+                columns = 0
+        return self.formatter_class(prog=self.prog, width=(columns or 80) - 2)
+
 
 def cmd_cf(args) -> int:
     value = cf_eval(args.twists)

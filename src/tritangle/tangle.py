@@ -35,8 +35,8 @@ from .errors import (
     NotApplicable,
     SlopeTooLarge,
 )
-from .frac import ExtFraction, TwistVector, cf_eval, slope_normalize, too_long_to_print, \
-    too_many_digits
+from .frac import ExtFraction, TwistVector, _canonical, cf_eval, slope_normalize, \
+    too_long_to_print, too_many_digits
 from .value import Value
 
 KIND_TAU = "tau"
@@ -78,6 +78,9 @@ class TorusParams(Value):
 
     def mirrored(self) -> "TorusParams":
         return TorusParams(self.p, -self.q)
+
+
+_set_p, _set_q = TorusParams._setters
 
 
 def twist_rho(t: TorusParams, r: int) -> TorusParams:
@@ -223,13 +226,6 @@ ESSENTIAL_NOTE = "essential: atoroidal, non-trivial and not a Hopf tangle"
 SATELLITE_NOTE = "satellite: torus parameters with p >= 2 bound a type I (satellite) annulus"
 
 
-def _torus_from_slope(slope: ExtFraction) -> TorusParams | None:
-    # slope +-1/(2k) with k >= 2 presents a (k, +-1)-torus arc
-    if abs(slope.num) == 1 and slope.den % 2 == 0 and slope.den >= 4:
-        return TorusParams(slope.den // 2, 1 if slope.num > 0 else -1)
-    return None
-
-
 def _profile(kind: str, notes: list[str], atoroidal: bool = True, trivial: bool = False,
              hopf_tangle: bool = False, torus: TorusParams | None = None,
              satellite: bool = False, cable: bool = False, hopf_summand: bool = False,
@@ -271,7 +267,13 @@ def _rational(kind: str, twists: TwistVector) -> tuple[ResolvedTangle | None, li
     slope = slope_normalize(value)
     trivial = slope.num == 0
     hopf = kind == KIND_RHO and slope.num == 1 and slope.den == 2  # slope == HOPF_SLOPE
-    torus = _torus_from_slope(slope) if kind == KIND_RHO else None
+    torus = None
+    if kind == KIND_RHO and abs(slope.num) == 1 and slope.den % 2 == 0 and slope.den >= 4:
+        # slope +-1/(2k) with k >= 2 presents a (k, +-1)-torus arc, whose parameters the slope
+        # has already made valid: k an int >= 2, coprime to +-1, printable as the denominator is
+        torus = object.__new__(TorusParams)
+        _set_p(torus, slope.den // 2)
+        _set_q(torus, slope.num)
     notes = list(_RATIONAL_NOTES)
     if trivial:
         notes.append("trivial: slope is 0 modulo Z")
@@ -297,12 +299,13 @@ def _torus(t: TorusParams) -> tuple[ResolvedTangle | None, list[Violation]]:
         notes.append("rational: false, a rational loop-tangle has slope +-1/(2k) "
                      "and torus parameters (k, +-1)")
         return _profile(KIND_RHO, notes, torus=t, rational=False), []
-    slope = ExtFraction(t.q, 2 * t.p)
+    slope = _canonical(t.q, 2 * t.p)  # q = +-1 and p >= 2: +-1/(2p) is in lowest terms
     if too_long_to_print(slope.den):
         return None, [_slope_too_large("params")]
     notes.append(f"slope: a (k, +-1)-torus arc has slope +-1/(2k) = {slope}")
-    return _profile(KIND_RHO, notes, torus=t, rational=True, slope=slope,
-                    unit_fraction_slope=True), []
+    # positional, in _profile's order, as in _rational
+    return _profile(KIND_RHO, notes, True, False, False, t, False, False, False, True, slope,
+                    True), []
 
 
 def _abstract_tau(a: AbstractTau) -> tuple[ResolvedTangle | None, list[Violation]]:

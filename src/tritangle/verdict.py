@@ -245,19 +245,36 @@ _RHORHO_BY_ANNULI = (_RHORHO_HYPERBOLIC, _RHORHO_ONE, _RHORHO_TWO)
 
 def _render(clause: Clause, a: SideFacts, b: SideFacts) -> Verdict:
     """The verdict of a clause, its texts filled in from the two sides' facts."""
+    if id(clause) in _FIXED:  # a clause whose texts read no field
+        return _FIXED[id(clause)]
     if clause.branch is None:  # its fields: the positions with no slope to read a unit from
         sides = tuple([p for p, f in (("first", a), ("second", b)) if f.unit is UNKNOWN_UNIT])
         return _inadmissible([Violation("UndeterminedSlope", sides, clause.note)])
-    # side and annulus: a tau-rho's rho side, or a rho-rho's first side that carries one
-    fields = {"m": a.unit, "n": b.unit, "p": b.p, "first": a.annulus, "second": b.annulus,
-              "side": "first" if a.annulus else "second", "annulus": a.annulus or b.annulus}
+    key = (clause.annuli, a.annulus, b.annulus)  # the templates and all that they read
+    annuli = _ANNULI.get(key)
+    if annuli is None:  # side and annulus: a tau-rho's rho side, or a rho-rho's first with one
+        fields = {"first": a.annulus, "second": b.annulus,
+                  "side": "first" if a.annulus else "second", "annulus": a.annulus or b.annulus}
+        annuli = _ANNULI[key] = tuple([text.format_map(fields) for text in clause.annuli])
     hyperbolic = clause.count.value == 0
-    notes = (ATOROIDAL_NOTE, clause.note.format_map(fields), IRREDUCIBILITY_NOTE)
+    notes = (ATOROIDAL_NOTE, clause.note.format_map({"m": a.unit, "n": b.unit, "p": b.p}),
+             IRREDUCIBILITY_NOTE)
     if hyperbolic:
         notes += (HYPERBOLICITY_NOTE,)
     # every field in order, so the record is built in C, not by the generated __new__
-    return tuple.__new__(Verdict, (CLASSIFIED, clause.count, hyperbolic, clause.branch, tuple(
-        [text.format_map(fields) for text in clause.annuli]), notes, ()))
+    return tuple.__new__(Verdict, (CLASSIFIED, clause.count, hyperbolic, clause.branch, annuli,
+                                   notes, ()))
+
+
+#: A clause's annulus texts by their templates and both sides' good annuli: at most 4 x 4 a
+#: clause, each formatted on first use.
+_ANNULI: dict = {}
+#: The verdict of each clause whose texts read no field, by its id, rendered once: a Verdict is
+#: an immutable tuple, so every decomposition that meets the clause may share it.
+_FIXED: dict = {}  # bound before it is filled: _render reads it
+_FIXED.update({id(c): _render(c, SideFacts(None, None, None), SideFacts(None, None, None))
+               for c in list(globals().values()) if type(c) is Clause and c.branch is not None
+               and not set("{}") & set(c.note + "".join(c.annuli))})
 
 
 # ---------------------------------------------------------------------------

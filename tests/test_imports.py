@@ -10,12 +10,15 @@ with it ``inspect``), ``typing`` or ``collections.abc``.
 
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-from tritangle import catalog_get, dumps_decomposition
+import pytest
+
+from tritangle import catalog_get, cli, dumps_decomposition
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -128,6 +131,37 @@ def test_cf_expand_and_census_load_no_json():
     assert done.stdout.splitlines() == [
         "1/3 (slope 1/3)", "2 3", "m,n,branch,count", "-3,-3,tautau (i),inf",
         "-3,3,tautau (ii),3", "3,-3,tautau (ii),3", "3,3,tautau (i),inf", "[0, 0, 0] []"]
+
+
+def test_cf_loads_no_shutil():
+    # the parser reads the terminal width itself: HelpFormatter, given none, imports shutil (and
+    # with it bz2, lzma, zlib and fnmatch) to read it; -S as well as -I, since a site hook may
+    # load shutil first
+    probe = ("import sys\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "from tritangle.cli import main\n"
+             "print(main(['cf', '3', '0']), 'shutil' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.splitlines() == ["1/3 (slope 1/3)", "0 False"]
+
+
+def _help_texts() -> list[str]:
+    parser = cli.build_parser()
+    subparsers = parser._subparsers._group_actions[0].choices.values()
+    return [p.format_usage() + p.format_help() for p in (parser, *subparsers)]
+
+
+@pytest.mark.parametrize("columns", [None, "", "-5", "0", "1", "37", "200", " 90 ", "abc"])
+def test_the_parser_reads_the_width_shutil_reads(monkeypatch, columns):
+    # at each COLUMNS, every usage and help text is the one HelpFormatter's own width gives
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    texts = _help_texts()
+    monkeypatch.setattr(cli.Parser, "_get_formatter", argparse.ArgumentParser._get_formatter)
+    assert _help_texts() == texts
 
 
 def test_no_module_imports_typing():

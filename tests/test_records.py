@@ -184,6 +184,14 @@ def test_records_of_the_classify_and_census_paths_keep_their_shape(recorded):
     assert len(branches) == 12, sorted(branches)
 
 
+def test_each_verdict_built_at_import_keeps_its_shape():
+    # the one verdict of each clause whose texts read no field, shared by every call
+    built = list(verdict._FIXED.values())
+    assert len(built) == 5
+    for record in built:
+        assert_record_shape(record)
+
+
 def test_a_record_with_a_field_dropped_or_added_is_refused():
     good = classify(catalog_entries()[0].decomposition)
     assert_record_shape(good)

@@ -456,6 +456,18 @@ def test_torus_arc_slope_at_the_digit_limit(q):
         resolve(side)
 
 
+@pytest.mark.parametrize("p", [*range(2, 51), 10 ** (DIGITS - 2) + 1])  # the last: 4,299 digits
+@pytest.mark.parametrize("q", [1, -1])
+def test_trusted_torus_values_equal_the_public_ones(p, q):
+    # a torus side's slope and the torus of a rational side of slope +-1/(2k) are stored without
+    # their constructors' checks: each equals, hashes and shows like the checked value
+    slope = resolve(RhoDescriptor(TorusRhoPresentation(TorusParams(p, q)))).slope
+    torus = resolve(rational_rho(2 * p * q, 0)).torus  # (2pq, 0) evaluates to q/(2p)
+    for trusted, public in ((slope, ExtFraction(q, 2 * p)), (torus, TorusParams(p, q))):
+        assert type(trusted) is type(public)
+        assert (trusted, hash(trusted), repr(trusted)) == (public, hash(public), repr(public))
+
+
 def test_validate_clean_rational():
     assert validate_descriptor(rational_tau(2, 3, 0)) == []
 

@@ -593,19 +593,59 @@ def test_each_clause_states_its_count():
     assert counts[BRANCH_TAUTAU_HYPERBOLIC] == {ZERO_ANNULI}
 
 
+#: Side facts of every kind of unit, good annulus and torus parameter the pair rules read.
+SIDE_FACTS = [verdict.SideFacts(unit, annulus, p)
+              for unit in (verdict.NO_UNIT, verdict.UNKNOWN_UNIT, 3, -3, 5, -5)
+              for annulus in (None, *AnnulusType) for p in (None, 2, 5)]
+
+
 @pytest.mark.parametrize("kind", verdict.KINDS)
 def test_each_pair_rule_is_a_pure_decision(kind):
     # a rule builds nothing: on any side facts it returns one of the module's clauses, and the
     # very same object again on a second call
     clauses = [c for c in vars(verdict).values() if type(c) is verdict.Clause]
     rule = verdict.RULES[kind][1]
-    facts = [verdict.SideFacts(unit, annulus, p)
-             for unit in (verdict.NO_UNIT, verdict.UNKNOWN_UNIT, 3, -3, 5, -5)
-             for annulus in (None, *AnnulusType) for p in (None, 2, 5)]
-    for a, b, special in itertools.product(facts, facts, (False, True)):
+    for a, b, special in itertools.product(SIDE_FACTS, SIDE_FACTS, (False, True)):
         clause = rule(a, b, special)
         assert any(clause is c for c in clauses)
         assert rule(a, b, special) is clause
+
+
+def reference_verdict(clause: verdict.Clause, a: verdict.SideFacts,
+                      b: verdict.SideFacts) -> Verdict:
+    """A clause's verdict built from its templates alone: every text formatted on each call."""
+    if clause.branch is None:
+        sides = tuple(p for p, f in (("first", a), ("second", b)) if f.unit == verdict.UNKNOWN_UNIT)
+        return Verdict(INADMISSIBLE, violations=(
+            Violation("UndeterminedSlope", sides, clause.note),))
+    fields = {"m": a.unit, "n": b.unit, "p": b.p, "first": a.annulus, "second": b.annulus,
+              "side": "first" if a.annulus is not None else "second",
+              "annulus": b.annulus if a.annulus is None else a.annulus}
+    hyperbolic = clause.count == ZERO_ANNULI
+    notes = [verdict.ATOROIDAL_NOTE, str.format_map(clause.note, fields),
+             verdict.IRREDUCIBILITY_NOTE] + [verdict.HYPERBOLICITY_NOTE] * hyperbolic
+    return Verdict(CLASSIFIED, clause.count, hyperbolic, clause.branch,
+                   tuple(str.format_map(text, fields) for text in clause.annuli), tuple(notes))
+
+
+def test_the_renderer_equals_its_templates():
+    # each clause the pair rules return renders as its templates formatted from both sides'
+    # facts; a clause whose texts read no field renders as one verdict, shared by every call
+    met, shared = set(), set()
+    for kind in verdict.KINDS:
+        rule = verdict.RULES[kind][1]
+        for a, b, special in itertools.product(SIDE_FACTS, SIDE_FACTS, (False, True)):
+            clause = rule(a, b, special)
+            rendered = verdict._render(clause, a, b)
+            assert type(rendered) is Verdict
+            assert rendered == reference_verdict(clause, a, b), (clause, a, b)
+            met.add(id(clause))
+            if verdict._render(clause, b, a) is rendered:
+                shared.add(clause.branch)
+    assert len(met) == 16
+    # five clauses: tautau (otherwise) has two, not special and no unit
+    assert shared == {BRANCH_TAUTAU_HYPERBOLIC, BRANCH_TAUTAU_THREE, BRANCH_TAURHO_HYPERBOLIC,
+                      BRANCH_RHORHO_HYPERBOLIC}
 
 
 def test_the_count_path_runs_the_gate_once(monkeypatch):
@@ -640,7 +680,9 @@ def test_the_count_path_runs_the_gate_once(monkeypatch):
 
 @pytest.mark.parametrize("make, field", [
     (lambda: Decomposition("tautau", True, tau_slope(3), tau_slope(-3)), "kind"),
-    (lambda: classify(tautau(True, 3, -3)), "status"),
+    # slopes 1/3 and 1/5: a note that reads m and n, so each call builds its own verdict (a
+    # clause whose texts read no field returns one shared verdict)
+    (lambda: classify(tautau(True, 3, 5)), "status"),
     (lambda: CensusRow(3, 3, "tautau (i)", "inf"), "count"),
 ], ids=["Decomposition", "Verdict", "CensusRow"])
 def test_records_are_immutable_hashable_values(make, field):
