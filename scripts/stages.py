@@ -8,7 +8,13 @@ stage's best of ``REPEAT`` timed passes is printed as one ``<stage>: <µs>`` lin
 - ``decode``: the C decoder alone (``json.loads``), for scale;
 - ``loads_decomposition``: decode, repeated-field check and schema walk;
 - ``classify``: the verdict of each decomposition;
-- ``dumps_decomposition``: each decomposition's document text.
+- ``dumps_decomposition``: each decomposition's document text;
+- ``summary``: each verdict's ``Verdict.summary()`` and ``str(annulus_count)``, as
+  ``tritangle classify --json`` and the benchmark's ``verdict_json`` call them.
+
+A last line, ``engine_calls: <n>``, gives the Python calls made in the engine's own modules per
+accepted document over the four engine stages, counted once with ``sys.setprofile`` outside the
+timed passes.
 
 Like ``capture.py`` it needs only the standard library and runs under any supported Python,
 also with ``-S``::
@@ -19,6 +25,7 @@ also with ``-S``::
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 
@@ -51,14 +58,42 @@ def best_us(stage, inputs: list) -> float:
     return best / len(inputs) / 1000
 
 
+def summarize(v) -> tuple:
+    # a verdict's summary and count, as classify --json and verdict_json write them
+    return v.summary(), str(v.annulus_count) if v.annulus_count is not None else None
+
+
+def engine_calls(texts: list[str]) -> float:
+    """The Python calls made in the engine's modules per document, over the engine stages."""
+    engine, calls = os.path.dirname(jsonio.__file__) + os.sep, 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(engine):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        for text in texts:
+            decomposition = jsonio.loads_decomposition(text)
+            summarize(verdict.classify(decomposition))
+            jsonio.dumps_decomposition(decomposition)
+    finally:
+        sys.setprofile(None)
+    return calls / len(texts)
+
+
 def main() -> int:
     texts, decompositions = accepted_documents()
+    verdicts = [verdict.classify(d) for d in decompositions]
     for name, stage, inputs in (("decode", json.loads, texts),
                                 ("loads_decomposition", jsonio.loads_decomposition, texts),
                                 ("classify", verdict.classify, decompositions),
                                 ("dumps_decomposition", jsonio.dumps_decomposition,
-                                 decompositions)):
+                                 decompositions),
+                                ("summary", summarize, verdicts)):
         print(f"{name}: {best_us(stage, inputs):.2f}")
+    print(f"engine_calls: {engine_calls(texts):.1f}")
     return 0
 
 

@@ -104,15 +104,17 @@ def _write_slope(s: ExtFraction) -> str:
 
 
 def _write_value(value: object) -> str:
-    # json.dumps(value), without its call for a str or a bool: a boolean flag, and the document's
-    # type and special, which a record built in Python may hold as any value
+    # json.dumps(value), without its call for a str or a bool: the document's type and special,
+    # which a record built in Python may hold as any value
     return (encode_basestring_ascii(value) if type(value) is str else "true" if value is True
             else "false" if value is False else json.dumps(value))
 
 
-# How each non-boolean abstract flag is read from and written to JSON.
+# How each non-boolean abstract flag is read from and written to JSON; a boolean flag is written
+# by lookup, since _set_typed lets only an exact bool into its slot
 _READ_FLAG = {"slope": _slope, "torus": _torus}
 _WRITE_FLAG = {"slope": _write_slope, "torus": lambda t: '{"p": %d, "q": %d}' % (t.p, t.q)}
+_WRITE_BOOL = {False: "false", True: "true"}.__getitem__
 
 
 _REQUIRED = object()  # the default of a flag without one: no flag value equals it
@@ -126,7 +128,7 @@ def _abstract_schema(cls) -> tuple:
     """
     names, defaults = cls.__slots__, cls.__init__.__defaults__
     required = len(names) - len(defaults)
-    flags = tuple((f'"{name}": ', default, _WRITE_FLAG.get(name, _write_value))
+    flags = tuple((f'"{name}": ', default, _WRITE_FLAG.get(name, _WRITE_BOOL))
                   for name, default in zip(names, (_REQUIRED,) * required + defaults))
     return cls, flags, dict.fromkeys(names[:required]).keys(), dict.fromkeys(names).keys()
 
@@ -248,22 +250,21 @@ def _refuse_deep_nesting(text: str, path: str):
         raise DocumentError(path, _TOO_DEEP)
 
 
-def _scan(text: str) -> object:
-    try:
-        value, end = _DECODER.scan_once(text, 0)
-    except StopIteration:  # no value starts at index 0: whitespace first, or no value at all
-        end = None
-    return value if end == len(text) else _DECODER.decode(text)
-
-
-def _decode(text: str, path: str, decode=_scan) -> object:
+def _decode(text: str, path: str, decode=None) -> object:
     if text.startswith("\ufeff"):  # json.loads refuses a BOM; JSONDecoder.decode does not check
         raise DocumentError("line 1, column 1", "Unexpected UTF-8 BOM (decode using utf-8-sig)")
     try:
         # decoding comes before the nesting scan: a hostile document far deeper than MAX_DEPTH
         # then ends in the decoder's RecursionError without the scan's two regex passes, which
         # cost more than the rest of the document's work
-        return decode(text)
+        if decode is None:  # the C scanner alone when its value fills the text, else decode
+            try:
+                value, end = _DECODER.scan_once(text, 0)
+            except StopIteration:  # no value starts at index 0: whitespace first, or no value
+                end = None
+            if end == len(text):
+                return value
+        return (decode or _DECODER.decode)(text)
     except RecursionError:
         # the decoder's own bound: deeper than MAX_DEPTH at the default recursion limit and a
         # shallow caller stack, but on 3.10 and 3.11 it is the limit less the caller's depth

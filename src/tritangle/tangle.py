@@ -74,7 +74,8 @@ class TorusParams(Value):
             raise InvalidTorusParams(f"torus parameter p must be >= 2, got ({p}, {q})")
         if math.gcd(p, q) != 1:
             raise InvalidTorusParams(f"torus parameters must be coprime, got ({p}, {q})")
-        self._set(abs(p), q if p > 0 else -q)
+        _set_p(self, abs(p))  # the slot setters, bound below, not the _set loop
+        _set_q(self, q if p > 0 else -q)
 
     def mirrored(self) -> "TorusParams":
         return TorusParams(self.p, -self.q)
@@ -182,7 +183,10 @@ class Violation(Value):
     __slots__ = ("rule", "fields", "detail")
 
     def __init__(self, rule: str, fields: tuple[str, ...], detail: str):
-        self._set(rule, fields, detail)
+        set_rule, set_fields, set_detail = self._setters  # not the _set loop
+        set_rule(self, rule)
+        set_fields(self, fields)
+        set_detail(self, detail)
 
     def __str__(self) -> str:
         return f"{self.rule} ({', '.join(self.fields)}): {self.detail}"
@@ -226,7 +230,7 @@ ESSENTIAL_NOTE = "essential: atoroidal, non-trivial and not a Hopf tangle"
 SATELLITE_NOTE = "satellite: torus parameters with p >= 2 bound a type I (satellite) annulus"
 
 
-def _profile(kind: str, notes: list[str], atoroidal: bool = True, trivial: bool = False,
+def _profile(kind: str, notes: tuple[str, ...], atoroidal: bool = True, trivial: bool = False,
              hopf_tangle: bool = False, torus: TorusParams | None = None,
              satellite: bool = False, cable: bool = False, hopf_summand: bool = False,
              rational: bool | None = None, slope: ExtFraction | None = None,
@@ -234,18 +238,18 @@ def _profile(kind: str, notes: list[str], atoroidal: bool = True, trivial: bool 
     """The one constructor of a profile from a presentation's facts and source ``notes``.
 
     Essentiality and the satellite flag are derived here and nowhere else; their notes
-    go after the source notes, so every profile lists its derived-flag notes last.
+    are added to the source notes' tuple, so every profile lists its derived-flag notes last.
     """
     essential = not trivial and not hopf_tangle
     if torus is not None and not satellite:
-        notes.append(SATELLITE_NOTE)
+        notes += (SATELLITE_NOTE,)
         satellite = True
     if atoroidal and essential:
-        notes.append(ESSENTIAL_NOTE)
+        notes += (ESSENTIAL_NOTE,)
     # every field in order, so the record is built in C, not by the generated __new__
     return tuple.__new__(ResolvedTangle, (
         kind, atoroidal, trivial, essential, satellite, cable, hopf_summand, hopf_tangle,
-        tuple(notes), rational, slope, unit_fraction_slope, torus))
+        notes, rational, slope, unit_fraction_slope, torus))
 
 
 _RATIONAL_NOTES = ("slope: twist-vector value normalized to (-1/2, 1/2]",
@@ -274,35 +278,35 @@ def _rational(kind: str, twists: TwistVector) -> tuple[ResolvedTangle | None, li
         torus = object.__new__(TorusParams)
         _set_p(torus, slope.den // 2)
         _set_q(torus, slope.num)
-    notes = list(_RATIONAL_NOTES)
+    notes = _RATIONAL_NOTES
     if trivial:
-        notes.append("trivial: slope is 0 modulo Z")
+        notes += ("trivial: slope is 0 modulo Z",)
     if hopf:
-        notes.append("hopf_tangle: slope 1/2 is the Hopf tangle, "
-                     "non-trivial but inessential")
+        notes += ("hopf_tangle: slope 1/2 is the Hopf tangle, non-trivial but inessential",)
     if torus is not None:
-        notes.append(
-            f"torus: slope {slope} = +-1/(2k) presents a ({torus.p}, {torus.q})-torus arc")
+        notes += (f"torus: slope {slope} = +-1/(2k) presents a ({torus.p}, {torus.q})-torus arc",)
     elif kind == KIND_RHO:
-        notes.append("satellite/cable/hopf_summand: absent for rational "
-                     "slopes other than +-1/(2k); a rational presentation "
-                     "keeps the loop unknotted, so never cable")
+        notes += ("satellite/cable/hopf_summand: absent for rational "
+                  "slopes other than +-1/(2k); a rational presentation "
+                  "keeps the loop unknotted, so never cable",)
     # positional, in _profile's order: keywords are slower on this hot path
     return _profile(kind, notes, True, trivial, hopf, torus, False, False, False, True, slope,
                     abs(slope.num) == 1), []
 
 
+_TORUS_NOTE = "torus: declared curve parameters, canonicalized to p > 0"
+
+
 def _torus(t: TorusParams) -> tuple[ResolvedTangle | None, list[Violation]]:
     # TorusParams validates itself at construction: only the slope +-1/(2p) can be refused
-    notes = ["torus: declared curve parameters, canonicalized to p > 0"]
     if abs(t.q) != 1:
-        notes.append("rational: false, a rational loop-tangle has slope +-1/(2k) "
-                     "and torus parameters (k, +-1)")
-        return _profile(KIND_RHO, notes, torus=t, rational=False), []
+        return _profile(KIND_RHO, (_TORUS_NOTE, "rational: false, a rational loop-tangle has "
+                                   "slope +-1/(2k) and torus parameters (k, +-1)"),
+                        torus=t, rational=False), []
     slope = _canonical(t.q, 2 * t.p)  # q = +-1 and p >= 2: +-1/(2p) is in lowest terms
     if too_long_to_print(slope.den):
         return None, [_slope_too_large("params")]
-    notes.append(f"slope: a (k, +-1)-torus arc has slope +-1/(2k) = {slope}")
+    notes = (_TORUS_NOTE, f"slope: a (k, +-1)-torus arc has slope +-1/(2k) = {slope}")
     # positional, in _profile's order, as in _rational
     return _profile(KIND_RHO, notes, True, False, False, t, False, False, False, True, slope,
                     True), []
@@ -344,7 +348,7 @@ def _abstract_tau(a: AbstractTau) -> tuple[ResolvedTangle | None, list[Violation
             "the trivial tangle is rational (slope 0)"))
     if out:
         return None, out
-    return _profile(KIND_TAU, ["flags: abstract descriptor taken at face value"],
+    return _profile(KIND_TAU, ("flags: abstract descriptor taken at face value",),
                     atoroidal=a.atoroidal, trivial=a.trivial, rational=a.rational, slope=slope,
                     unit_fraction_slope=unit if a.rational else False), []
 
@@ -372,7 +376,7 @@ def _abstract_rho(a: AbstractRho) -> tuple[ResolvedTangle | None, list[Violation
             "a trivial tangle carries none of the annulus-producing flags"))
     if out:
         return None, out
-    return _profile(KIND_RHO, ["flags: abstract descriptor taken at face value"],
+    return _profile(KIND_RHO, ("flags: abstract descriptor taken at face value",),
                     atoroidal=a.atoroidal, trivial=a.trivial, hopf_tangle=a.hopf_tangle,
                     torus=a.torus, satellite=a.satellite, cable=a.cable,
                     hopf_summand=a.hopf_summand), []

@@ -122,8 +122,8 @@ class Verdict(namedtuple(
         if self.status == CLASSIFIED:
             if self.hyperbolic:
                 return f"hyperbolic (no essential annuli) [{self.branch}]"
-            n = "infinitely many" if self.annulus_count.is_infinite else str(self.annulus_count)
-            return f"{n} essential annuli [{self.branch}]"
+            n = self.annulus_count.value  # read once: a property or __str__ is one more frame
+            return f"{'infinitely many' if n is None else n} essential annuli [{self.branch}]"
         if self.status == TOROIDAL:
             return "toroidal (annulus counting requires atoroidal sides)"
         return "inadmissible: " + "; ".join(str(v) for v in self.violations)
@@ -133,7 +133,12 @@ ATOROIDAL_NOTE = "atoroidal: both tangle exteriors are atoroidal"
 
 
 def _inadmissible(violations: list[Violation]) -> Verdict:
-    return Verdict(status=INADMISSIBLE, violations=tuple(violations))
+    # every field in order, so the record is built in C, not by the generated __new__
+    return tuple.__new__(Verdict, (INADMISSIBLE, None, None, None, (), (), tuple(violations)))
+
+
+#: The one toroidal verdict, shared by every call as the ``_FIXED`` verdicts are.
+_TOROIDAL = Verdict(status=TOROIDAL, notes=("annulus counting requires both sides atoroidal",))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +350,7 @@ def _count(kind: str, a: ResolvedTangle, b: ResolvedTangle, special: bool) -> Ve
                     f"{reason}; an essential 3-decomposition requires both sides essential"))
         return _inadmissible(bad)
     if not (a.atoroidal and b.atoroidal):
-        return Verdict(status=TOROIDAL, notes=("annulus counting requires both sides atoroidal",))
+        return _TOROIDAL
     a, b = side_facts(a), side_facts(b)
     return _render(rule(a, b, special), a, b)
 

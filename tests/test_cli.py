@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -175,6 +176,16 @@ def test_classify_parse_error_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "classify", path)
     assert code == EXIT_USAGE
     assert "error:" in err
+
+
+def test_classify_trailing_comma_exit_two(capsys, tmp_path):
+    # the syntax fault's column and words are the interpreter's: 3.11 writes "line 1, column 19:
+    # Expecting property name enclosed in double quotes", 3.13 "line 1, column 18: Illegal
+    # trailing comma before end of object"; only the line's shape is the same on every version
+    path = write_doc(tmp_path, "comma.json", '{"type": "tautau",}')
+    code, out, err = run(capsys, "classify", path)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert re.fullmatch(r"error: line 1, column [1-9][0-9]*: [^\n]+\n", err)
 
 
 def test_classify_unknown_field_exit_two(capsys, tmp_path):

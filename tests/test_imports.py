@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -162,6 +164,48 @@ def test_the_parser_reads_the_width_shutil_reads(monkeypatch, columns):
     texts = _help_texts()
     monkeypatch.setattr(cli.Parser, "_get_formatter", argparse.ArgumentParser._get_formatter)
     assert _help_texts() == texts
+
+
+def _help_on_a_terminal(columns: str | None) -> str:
+    # tritangle --help with its standard output on a pseudo-terminal 100 columns wide
+    termios = pytest.importorskip("termios")
+    fcntl = pytest.importorskip("fcntl")
+    pytest.importorskip("pty")  # os.openpty exists where pty does
+    env = {key: value for key, value in os.environ.items() if key != "COLUMNS"}
+    env["PYTHONPATH"] = str(SRC)
+    if columns is not None:
+        env["COLUMNS"] = columns
+    master, slave = os.openpty()
+    fcntl.ioctl(slave, termios.TIOCSWINSZ, struct.pack("HHHH", 24, 100, 0, 0))
+    with os.fdopen(master, "rb", buffering=0) as terminal:
+        try:
+            child = subprocess.Popen([sys.executable, "-m", "tritangle", "--help"], stdout=slave,
+                                     stdin=subprocess.DEVNULL, env=env)
+        finally:
+            os.close(slave)
+        chunks = []
+        while True:  # read while the child writes, so a full terminal buffer cannot block it
+            try:
+                chunk = terminal.read(4096)
+            except OSError:  # EIO: the child has closed the terminal's last open end
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+        assert child.wait(timeout=60) == 0
+    return b"".join(chunks).decode().replace("\r\n", "\n")  # the terminal writes \n as \r\n
+
+
+@pytest.mark.parametrize("columns", [None, "0"])
+def test_the_parser_reads_the_terminal_width(monkeypatch, columns):
+    # with COLUMNS unset or 0, the width is the terminal's on standard output, as shutil reads it
+    monkeypatch.setattr(cli.Parser, "_get_formatter", argparse.ArgumentParser._get_formatter)
+    monkeypatch.setenv("COLUMNS", "80")
+    narrow = cli.build_parser().format_help()
+    monkeypatch.setenv("COLUMNS", "100")
+    expected = cli.build_parser().format_help()
+    assert expected != narrow  # the help wraps differently at 100 columns than at 80
+    assert _help_on_a_terminal(columns) == expected
 
 
 def test_no_module_imports_typing():

@@ -90,6 +90,37 @@ def rhorho(first, second, special=False):
 
 
 # ---------------------------------------------------------------------------
+# Shared verdicts
+
+def _immutable(value) -> bool:
+    """Whether ``value`` holds only tuples, str, bool, None and AnnulusCount values."""
+    if isinstance(value, tuple):
+        return all(map(_immutable, value))
+    if type(value) is AnnulusCount:
+        return value.value is None or type(value.value) is int
+    return type(value) in (str, bool, type(None))
+
+
+def test_each_verdict_classify_takes_from_a_table_is_shared_and_immutable():
+    # the verdict of each clause whose texts read no field (verdict._FIXED) and the toroidal
+    # verdict are built once: every call returns the same object, so none may hold a value that
+    # one caller could change under another
+    tau_no_unit = TauDescriptor(RationalPresentation((2, 1, 1, 1, -1)))  # slope -3/8
+    rho_toroidal = RhoDescriptor(AbstractRho(atoroidal=False, trivial=False))
+    decompositions = (tautau(False, 3, 3), tautau(True, 3, -3),
+                      Decomposition("tautau", True, tau_slope(3), tau_no_unit),
+                      taurho(True, tau_slope(3), rho_plain()), rhorho(rho_plain(), rho_plain()),
+                      rhorho(rho_plain(), rho_toroidal))
+    shared = [classify(d) for d in decompositions]
+    assert {id(v) for v in shared} == \
+        {id(v) for v in verdict._FIXED.values()} | {id(verdict._TOROIDAL)}
+    assert shared[-1].status == TOROIDAL
+    for d, v in zip(decompositions, shared):
+        assert classify(d) is v
+        assert _immutable(v), v
+
+
+# ---------------------------------------------------------------------------
 # tau-tau dispatch
 
 def test_tautau_special_same_sign_third_infinite():
