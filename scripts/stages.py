@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Print the documents path's cost by stage, in µs per accepted document.
+"""Print the documents path's cost by stage, in µs per document.
 
 Over the documents of ``capture.py`` (the benchmark's ``documents`` workload, seeds 201 and
-777), the ones ``loads_decomposition`` accepts are run through each stage in turn, and each
-stage's best of ``REPEAT`` timed passes is printed as one ``<stage>: <µs>`` line:
+777), the ones ``loads_decomposition`` accepts are run through each stage in turn, the refused
+ones through ``refused``, and each stage's best of ``REPEAT`` timed passes is printed as one
+``<stage>: <µs>`` line:
 
 - ``decode``: the C decoder alone (``json.loads``), for scale;
 - ``loads_decomposition``: decode, repeated-field check and schema walk;
+- ``refused``: ``loads_decomposition`` over the documents it refuses instead (malformed or
+  hostile), up to its ``DocumentError``;
 - ``classify``: the verdict of each decomposition;
 - ``dumps_decomposition``: each decomposition's document text;
 - ``summary``: each verdict's ``Verdict.summary()`` and ``str(annulus_count)``, as
@@ -31,21 +34,24 @@ import time
 
 # capture.py puts this checkout's src and benchmarks first on sys.path, and its documents are
 # the ones timed here
-from capture import BATCHES, SEEDS, generators, jsonio, verdict, workloads
+from capture import BATCHES, SEEDS, DocumentError, generators, jsonio, verdict, workloads
 
 REPEAT = 7
 
 
-def accepted_documents() -> tuple[list[str], list]:
-    texts, decompositions = [], []
-    documents = workloads.catalog_documents(workloads.Engine())
+def documents() -> tuple[list[str], list, list[str]]:
+    """The accepted documents' texts and decompositions, and the refused documents' texts."""
+    texts, decompositions, refused = [], [], []
+    catalog = workloads.catalog_documents(workloads.Engine())
     for seed in SEEDS:
         for index in BATCHES:
-            for case in generators.documents_batch(seed, index, documents):
-                if case.verdict is not None:  # the generator's own oracle accepts it
+            for case in generators.documents_batch(seed, index, catalog):
+                if case.verdict is None:  # the generator's own oracle expects a DocumentError
+                    refused.append(case.text)
+                else:
                     texts.append(case.text)
                     decompositions.append(jsonio.loads_decomposition(case.text))
-    return texts, decompositions
+    return texts, decompositions, refused
 
 
 def best_us(stage, inputs: list) -> float:
@@ -56,6 +62,13 @@ def best_us(stage, inputs: list) -> float:
             stage(item)
         best = min(best, time.perf_counter_ns() - start)
     return best / len(inputs) / 1000
+
+
+def refuse(text: str) -> None:
+    try:
+        jsonio.loads_decomposition(text)
+    except DocumentError:
+        pass
 
 
 def summarize(v) -> tuple:
@@ -84,10 +97,11 @@ def engine_calls(texts: list[str]) -> float:
 
 
 def main() -> int:
-    texts, decompositions = accepted_documents()
+    texts, decompositions, refused = documents()
     verdicts = [verdict.classify(d) for d in decompositions]
     for name, stage, inputs in (("decode", json.loads, texts),
                                 ("loads_decomposition", jsonio.loads_decomposition, texts),
+                                ("refused", refuse, refused),
                                 ("classify", verdict.classify, decompositions),
                                 ("dumps_decomposition", jsonio.dumps_decomposition,
                                  decompositions),

@@ -23,10 +23,10 @@ A slope is a string "p/q" or "p" of ASCII digits, "-" the only sign; it need not
 ``dumps_decomposition`` writes a document's text in one pass, as ``json.dumps`` writes it, and
 ``serialize_*`` decode that text; an integer too long for ``str`` raises ``SlopeTooLarge``.
 
-Limits, each a ``DocumentError`` past it: a field name occurs once per object (a refused text,
-or one with more colons than members, is decoded again to name it), an integer literal has at
-most ``sys.get_int_max_str_digits()`` (4,300) digits, and arrays and objects nest at most
-``MAX_DEPTH`` deep, or less where the recursion limit is lowered or the stack already deep.
+Limits, each a ``DocumentError`` past it: a field name occurs once per object (refused as its
+object closes), an integer literal has at most ``sys.get_int_max_str_digits()`` (4,300) digits,
+and arrays and objects nest at most ``MAX_DEPTH`` deep, or less where the recursion limit is
+lowered or the stack already deep.
 """
 
 from __future__ import annotations
@@ -216,20 +216,17 @@ def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-# Every document is decoded by the plain decoder's C scanner alone when its value fills the
-# text, and by the decoder's decode otherwise (whitespace around the value, extra data after
-# it, or no value), so that each syntax fault is refused in decode's own words; either keeps a
-# repeated field's last value.  _REPEATS, whose hook sees each object's pairs, only names a
-# repeat: it decodes again a refused text, and an accepted one only when it has more colons
-# than its schema has members (each member has one colon outside strings, and an accepted
-# document's strings hold none).
-_DECODER = json.JSONDecoder()
-_REPEATS = json.JSONDecoder(object_pairs_hook=_unique_fields)
+# Every document is decoded by _DECODER, whose hook refuses a repeated field as its object
+# closes (a plain decoder keeps its last value): by its C scanner alone when the value fills
+# the text, and by its decode otherwise (whitespace around the value, extra data after it, or
+# no value), so that each syntax fault is refused in decode's own words.  A text refused for a
+# repeat is decoded again by _PLAIN, so that a fault anywhere in it comes first.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_fields)
+_PLAIN = json.JSONDecoder()
 
 # The deepest nesting a document may have (RFC 8259 section 9 lets a parser limit it).  The
 # decoder's own bound differs between Python versions and lies deeper on all of them, so
-# nesting is also checked here, on every text that is refused or decoded again: schema
-# documents nest at most 6 deep, and an accepted value is deep only in a repeat's dropped value.
+# nesting is also checked here, on every refused text: schema documents nest at most 6 deep.
 MAX_DEPTH = 500
 _TOO_DEEP = "arrays or objects nested too deeply"
 # The nesting scan deletes every string literal, then every run of characters that are not
@@ -271,6 +268,9 @@ def _decode(text: str, path: str, decode=None) -> object:
         raise DocumentError(path, _TOO_DEEP) from None
     except json.JSONDecodeError as exc:
         error = DocumentError(f"line {exc.lineno}, column {exc.colno}", exc.msg)
+    except DocumentError as exc:  # a repeated field: a fault anywhere in the text comes first
+        _decode(text, path, _PLAIN.decode)
+        error = exc
     except ValueError:  # an integer literal past the int-string digit limit
         error = DocumentError(path, too_many_digits("an integer literal"))
     # before any other error, which a version whose decoder stops at a smaller depth never meets
@@ -278,28 +278,13 @@ def _decode(text: str, path: str, decode=None) -> object:
     raise error
 
 
-def _schema_members(obj: dict) -> int:
-    # the members of an accepted document's or tangle's objects, all at the schema's places
-    count, sides = (len(obj), obj["tangles"]) if "tangles" in obj else (0, (obj,))
-    for side in sides:
-        (body,) = side["presentation"].values()
-        count += len(side) + 1 + len(body.keys()) + ("torus" in body and len(body["torus"].keys()))
-    return count
-
-
 def _load(text: str, path: str, parse) -> object:
-    # parse of the decoded text, or a repeated field refused in place of its result or fault
     value = _decode(text, path)
     try:
-        result = parse(value)
-    except Exception:  # a refused value may have any shape: it is decoded again, not counted
+        return parse(value)
+    except Exception:
         _refuse_deep_nesting(text, path)  # before any other error
-        _decode(text, path, _REPEATS.decode)  # a RecursionError there is the nesting refusal too
         raise
-    if text.count(":") > _schema_members(value):  # a repeat's dropped value may be deep
-        _refuse_deep_nesting(text, path)
-        _decode(text, path, _REPEATS.decode)
-    return result
 
 
 def loads_decomposition(text: str) -> Decomposition:
@@ -337,11 +322,11 @@ def _tangle_text(d: Descriptor) -> str:
 
 
 def serialize_tangle(d: Descriptor) -> dict:
-    return _DECODER.decode(_tangle_text(d))
+    return _PLAIN.decode(_tangle_text(d))
 
 
 def serialize_decomposition(d: Decomposition) -> dict:
-    return _DECODER.decode(dumps_decomposition(d))
+    return _PLAIN.decode(dumps_decomposition(d))
 
 
 def dumps_decomposition(d: Decomposition) -> str:

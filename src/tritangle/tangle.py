@@ -160,7 +160,8 @@ class TauDescriptor(Value):
     def __init__(self, presentation: RationalPresentation | AbstractTau):
         if not isinstance(presentation, (RationalPresentation, AbstractTau)):
             raise TypeError(f"{type(presentation).__name__} does not present a tau-tangle")
-        self._setters[0](self, presentation)  # no _set loop: the hot path
+        # the slot setter, not the _set loop: census._facts builds each of its sides this way
+        self._setters[0](self, presentation)
 
 
 class RhoDescriptor(Value):
@@ -171,7 +172,8 @@ class RhoDescriptor(Value):
         if not isinstance(presentation, (RationalPresentation, TorusRhoPresentation,
                                          AbstractRho)):
             raise TypeError(f"{type(presentation).__name__} does not present a rho-tangle")
-        self._setters[0](self, presentation)  # no _set loop: the hot path
+        # the slot setter, not the _set loop: census._facts builds each of its sides this way
+        self._setters[0](self, presentation)
 
 
 Descriptor = TauDescriptor | RhoDescriptor

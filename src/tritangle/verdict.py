@@ -156,6 +156,8 @@ SideFacts = namedtuple("SideFacts", (
     "p",         # int | None: a rho side's torus parameter, None without a torus
 ))
 SideFacts.__doc__ = "What the pair rules read of one side."
+# the facts of every tau side without a unit slope, shared by each call that reads them
+_NO_UNIT, _UNKNOWN_UNIT = SideFacts(NO_UNIT, None, None), SideFacts(UNKNOWN_UNIT, None, None)
 
 
 def side_facts(t: ResolvedTangle) -> SideFacts:
@@ -171,12 +173,11 @@ def side_facts(t: ResolvedTangle) -> SideFacts:
                    else AnnulusType.HOPF_TYPE if t.hopf_summand else None)
         return tuple.__new__(SideFacts, (None, annulus,
                                          t.torus.p if t.torus is not None else None))
-    if t.rational is False or t.unit_fraction_slope is False:
-        return tuple.__new__(SideFacts, (NO_UNIT, None, None))
-    if t.slope is None:
-        return tuple.__new__(SideFacts, (UNKNOWN_UNIT, None, None))
-    if abs(t.slope.num) != 1:
-        return tuple.__new__(SideFacts, (NO_UNIT, None, None))
+    if (t.rational is False or t.unit_fraction_slope is False
+            or t.slope is not None and abs(t.slope.num) != 1):
+        return _NO_UNIT
+    if t.slope is None:  # no slope given, and none ruled out
+        return _UNKNOWN_UNIT
     return tuple.__new__(SideFacts, (t.slope.den if t.slope.num > 0 else -t.slope.den, None, None))
 
 

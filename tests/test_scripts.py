@@ -156,5 +156,5 @@ def test_stages_prints_each_stage_of_the_documents_path():
                             capture_output=True, text=True, timeout=120)
     assert (result.returncode, result.stderr) == (0, "")
     assert [line.split(": ")[0] for line in result.stdout.splitlines()] == \
-        ["decode", "loads_decomposition", "classify", "dumps_decomposition", "summary",
-         "engine_calls"]
+        ["decode", "loads_decomposition", "refused", "classify", "dumps_decomposition",
+         "summary", "engine_calls"]
